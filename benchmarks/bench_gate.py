@@ -33,13 +33,15 @@ from pathlib import Path
 def _rate_key(record: dict) -> str:
     """The throughput field: plain benches emit ``generations_per_sec``,
     the engine bench ``engine_generations_per_sec``, the ensemble bench
-    ``ensemble_generations_per_sec`` (aggregate over all lanes), the
-    sampled bench ``sampled_generations_per_sec`` (batched sampled
-    fitness, aggregate over all lanes)."""
+    ``ensemble_generations_per_sec`` (aggregate over all lanes) and, for
+    its checkpoint-cadence row, ``off_generations_per_sec`` (checkpointing
+    off), the sampled bench ``sampled_generations_per_sec`` (batched
+    sampled fitness, aggregate over all lanes)."""
     for key in (
         "generations_per_sec",
         "engine_generations_per_sec",
         "ensemble_generations_per_sec",
+        "off_generations_per_sec",
         "sampled_generations_per_sec",
     ):
         if key in record:

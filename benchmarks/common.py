@@ -20,7 +20,6 @@ The payload schema is shared across all four harnesses::
       "python": "3.x.y",
       "platform": "...",
       "repro_version": "...",
-      "array_backend": "numpy" | "cupy" | ...,   # xp-seam provenance
       "cpu_count": ...,                          # host parallelism
       "thread_env": {"OMP_NUM_THREADS": ...},    # BLAS/OpenMP pinning, if set
       ...harness extras (e.g. "backend": "event"),
@@ -61,22 +60,15 @@ def build_payload(
     *,
     smoke: bool,
     results: list[dict],
-    array_backend: str | None = None,
     **extra: object,
 ) -> dict:
     """Assemble the shared provenance envelope around ``results``.
 
-    ``array_backend`` is the resolved xp-seam description
-    (:meth:`repro.xp.ArrayBackend.describe`); ``None`` records the seam's
-    default resolution so every artifact carries the field.  ``extra``
-    key/values (e.g. ``backend="event"``) land between the provenance
-    block and ``results``.
+    ``extra`` key/values (e.g. ``backend="event"``) land between the
+    provenance block and ``results``.
     """
     from repro import __version__
-    from repro.xp import get_array_backend
 
-    if array_backend is None:
-        array_backend = get_array_backend().describe()
     payload: dict = {
         "benchmark": benchmark,
         "created_unix": int(time.time()),
@@ -84,7 +76,6 @@ def build_payload(
         "python": platform.python_version(),
         "platform": platform.platform(),
         "repro_version": __version__,
-        "array_backend": array_backend,
         "cpu_count": os.cpu_count(),
         "thread_env": thread_env(),
     }

@@ -40,7 +40,6 @@ from common import (  # bootstraps sys.path
 )
 
 from repro import EvolutionConfig, run_sweep  # noqa: E402
-from repro.xp import KNOWN_BACKENDS, get_array_backend  # noqa: E402
 
 #: (label, structure, memory_steps, n_ssets, paymat_block) — wm-m2-n16 is
 #: the acceptance scenario; the rest map the scaling surface.  The ``-b16``
@@ -81,12 +80,11 @@ def bench_scenario(
     replicates: int,
     generations: int,
     paymat_block: int = 0,
-    array_backend: str = "numpy",
 ) -> dict:
     """Time one seeded replicate ensemble on both paths.
 
-    ``paymat_block``/``array_backend`` ride in on the configs, so *both*
-    paths run under them — the serial event reference is the parity oracle
+    ``paymat_block`` rides in on the configs, so *both* paths run under
+    it — the serial event reference is the parity oracle
     for exactly the mode being measured, and the scenario label stays
     unchanged so ``bench_gate.py`` lines blocked rows up against dense
     baselines.
@@ -100,7 +98,6 @@ def bench_scenario(
             seed=2013 + i,
             record_events=False,
             paymat_block=paymat_block,
-            array_backend=array_backend,
         )
         for i in range(replicates)
     ]
@@ -155,14 +152,10 @@ def bench_scenario(
     report = ensemble[0].backend_report
     if report is not None and report.shared_engine is not None:
         record["shared_engine"] = dict(report.shared_engine)
-    if report is not None and report.array_backend is not None:
-        record["array_backend"] = report.array_backend
     return record
 
 
-def bench_checkpoint_cadence(
-    replicates: int, generations: int, array_backend: str = "numpy"
-) -> dict:
+def bench_checkpoint_cadence(replicates: int, generations: int) -> dict:
     """Time the acceptance ensemble with mid-run checkpointing on vs off.
 
     Measures what ``checkpoint_every`` costs on the lane-batched fast
@@ -186,7 +179,6 @@ def bench_checkpoint_cadence(
             generations=generations,
             seed=2013 + i,
             record_events=False,
-            array_backend=array_backend,
         )
         for i in range(replicates)
     ]
@@ -262,12 +254,6 @@ def main(argv: list[str] | None = None) -> int:
                              "(power of two >= 4; 0 = dense) — labels stay "
                              "unchanged so bench_gate.py lines the rows up "
                              "against a dense baseline")
-    parser.add_argument("--array-backend", default="numpy",
-                        dest="array_backend",
-                        choices=list(KNOWN_BACKENDS),
-                        help="array namespace for the shared-engine hot path "
-                             "(falls back to numpy with a note if the "
-                             "requested stack is unavailable)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_ensemble.json"),
                         metavar="PATH", help="output JSON path")
     args = parser.parse_args(argv)
@@ -291,7 +277,6 @@ def main(argv: list[str] | None = None) -> int:
         record = bench_scenario(
             label, structure, memory, n_ssets, replicates, generations,
             paymat_block=block,
-            array_backend=args.array_backend,
         )
         results.append(record)
         print(f"{label:<12} event "
@@ -299,9 +284,7 @@ def main(argv: list[str] | None = None) -> int:
               f"ensemble {record['ensemble_generations_per_sec']:>11,.1f} "
               f"gen/s   x{record['speedup']}")
 
-    ckpt = bench_checkpoint_cadence(
-        replicates, generations, array_backend=args.array_backend
-    )
+    ckpt = bench_checkpoint_cadence(replicates, generations)
     results.append(ckpt)
     print(f"{ckpt['scenario']:<12} off   "
           f"{ckpt['off_generations_per_sec']:>11,.1f} gen/s   "
@@ -312,7 +295,6 @@ def main(argv: list[str] | None = None) -> int:
         "ensemble",
         smoke=args.smoke,
         results=results,
-        array_backend=get_array_backend(args.array_backend).describe(),
         paymat_block=args.paymat_block if args.paymat_block is not None else 0,
     )
     write_payload(args.out, payload, label="scenarios")

@@ -46,7 +46,6 @@ from common import (  # bootstraps sys.path
 )
 
 from repro import EvolutionConfig, run_sweep  # noqa: E402
-from repro.xp import KNOWN_BACKENDS, get_array_backend  # noqa: E402
 
 #: Speedup bar for the acceptance scenario (asserted in full runs only —
 #: smoke horizons are too short for stable ratios).
@@ -86,7 +85,6 @@ def bench_scenario(
     noise: float,
     replicates: int,
     generations: int,
-    array_backend: str = "numpy",
 ) -> dict:
     """Time one seeded noisy replicate ensemble on both sampled paths."""
     base = dict(
@@ -96,7 +94,6 @@ def bench_scenario(
         structure=structure,
         noise=noise,
         record_events=False,
-        array_backend=array_backend,
     )
     scalar_configs = [
         EvolutionConfig(seed=2013 + i, **base) for i in range(replicates)
@@ -160,9 +157,6 @@ def bench_scenario(
         total_generations / batched_seconds, 1
     )
     record["speedup"] = round(scalar_seconds / batched_seconds, 2)
-    report = batched[0].backend_report
-    if report is not None and report.array_backend is not None:
-        record["array_backend"] = report.array_backend
     return record
 
 
@@ -178,12 +172,6 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"generations per replicate (default "
                              f"{DEFAULT_GENERATIONS:,}; smoke "
                              f"{SMOKE_GENERATIONS:,})")
-    parser.add_argument("--array-backend", default="numpy",
-                        dest="array_backend",
-                        choices=list(KNOWN_BACKENDS),
-                        help="array namespace for the batched game kernel "
-                             "(falls back to numpy with a note if the "
-                             "requested stack is unavailable)")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_sampled.json"),
                         metavar="PATH", help="output JSON path")
     args = parser.parse_args(argv)
@@ -204,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     for label, structure, memory, n_ssets, noise in scenarios:
         record = bench_scenario(
             label, structure, memory, n_ssets, noise, replicates,
-            generations, array_backend=args.array_backend,
+            generations,
         )
         results.append(record)
         print(f"{label:<16} scalar "
@@ -222,12 +210,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"(acceptance bar: x{ACCEPTANCE_SPEEDUP})"
             )
 
-    payload = build_payload(
-        "sampled",
-        smoke=args.smoke,
-        results=results,
-        array_backend=get_array_backend(args.array_backend).describe(),
-    )
+    payload = build_payload("sampled", smoke=args.smoke, results=results)
     write_payload(args.out, payload, label="scenarios")
     return 0
 

@@ -50,7 +50,6 @@ from .api import Simulation, available_backends, get_backend, run_sweep
 from .core import PAPER_MUTATION_RATE, PAPER_PC_RATE, EvolutionConfig
 from .experiments import Scale, all_experiments, get, set_default_backend
 from .structure import structure_families
-from .xp import KNOWN_BACKENDS
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:
@@ -108,7 +107,6 @@ def _evolution_config(args: argparse.Namespace, memory: int) -> EvolutionConfig:
         record_events=args.record_events,
         engine_pool_cap=args.engine_pool_cap,
         paymat_block=args.paymat_block,
-        array_backend=args.array_backend,
         checkpoint_every=args.checkpoint_every,
     )
 
@@ -537,14 +535,6 @@ def _add_evolution_arguments(parser: argparse.ArgumentParser) -> None:
                              "0 = one dense allocation, the default). "
                              "Deterministic regime only; trajectories are "
                              "bit-identical to the dense layout")
-    parser.add_argument("--array-backend", choices=list(KNOWN_BACKENDS),
-                        default="numpy", dest="array_backend",
-                        help="array namespace for hot-path payoff storage "
-                             "and fitness gathers (default numpy); an "
-                             "unavailable cupy/jax stack falls back to "
-                             "numpy and the report records what ran. RNG "
-                             "decoding stays on host, so trajectories are "
-                             "backend-independent")
     parser.add_argument("--checkpoint-every", type=int, default=0,
                         dest="checkpoint_every",
                         help="snapshot full run state every N generations "

@@ -39,8 +39,8 @@ from ..core.payoff_cache import PayoffCache
 from ..core.population import Population
 from ..core.strategy import Strategy
 from ..ensemble import run_ensemble_detailed
+from ..ensemble.driver import _validate_config as _validate_ensemble_config
 from ..errors import ConfigurationError
-from ..xp import get_array_backend
 from .report import BackendReport
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -297,30 +297,11 @@ class EnsembleBackend(Backend):
 
     #: Generations scanned per vectorised event-flag batch.
     batch_size: int = 1 << 16
-    #: Array-namespace override for the shared-engine groups ("numpy" /
-    #: "cupy" / "jax"); ``None`` defers to each config's ``array_backend``
-    #: field.  An unavailable accelerator stack falls back to NumPy and the
-    #: backend report's ``array_backend`` records what actually ran.
-    array_backend: str | None = None
 
     def validate(self, config: EvolutionConfig) -> None:
         super().validate(config)
         _require_positive_batch(self.batch_size)
-        if self.array_backend is not None:
-            # Resolve eagerly: a typo'd name fails here, an absent
-            # accelerator stack falls back cleanly at engine construction.
-            get_array_backend(self.array_backend)
-        if config.is_stochastic and not config.sampled_batched:
-            raise ConfigurationError(
-                "the ensemble backend supports deterministic and expected-"
-                "fitness configurations only (sampled-stochastic fitness "
-                "draws one fresh game per probe and cannot be lane-batched "
-                "without changing the trajectory); opt in to the batched "
-                "sampled engine with sampled_batched=True (CLI "
-                "--sampled-batched; statistically equivalent to the scalar "
-                "path, bit-reproducible per seed), or use the event or "
-                "serial backend"
-            )
+        _validate_ensemble_config(config)
 
     def run(
         self, config: EvolutionConfig, population: Population | None = None
@@ -338,17 +319,13 @@ class EnsembleBackend(Backend):
         for config in run_configs:
             self.validate(config)
         results, metas = run_ensemble_detailed(
-            run_configs,
-            populations,
-            batch_size=self.batch_size,
-            array_backend=self.array_backend,
+            run_configs, populations, batch_size=self.batch_size
         )
         return [
             self._report(
                 result,
                 lanes=meta["lanes"],
                 shared_engine=meta["shared_engine"],
-                array_backend=meta.get("array_backend"),
             )
             for result, meta in zip(results, metas)
         ]

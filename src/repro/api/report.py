@@ -45,11 +45,6 @@ class BackendReport:
         ``peak_paymat_bytes`` / ``paymat_block`` / ``blocks_resident`` /
         ``blocks_evicted`` / ``block_fills``) — ``None`` when the group ran
         on per-lane evaluators.
-    array_backend:
-        Array-namespace provenance of the lane-batched group
-        (:meth:`repro.xp.ArrayBackend.describe`): ``"numpy"``, ``"cupy"``,
-        ``"jax"``, or ``"numpy (<requested> unavailable: ...)"`` after a
-        clean fallback.  ``None`` for paths that never touch the seam.
     resumed_from_generation:
         Generation the run was restored from when a mid-run checkpoint was
         found (:mod:`repro.core.runstate`); ``None`` for an uninterrupted
@@ -75,7 +70,6 @@ class BackendReport:
     workers: int | None = None
     lanes: int | None = None
     shared_engine: dict[str, int] | None = None
-    array_backend: str | None = None
     resumed_from_generation: int | None = None
     n_ranks: int | None = None
     ssets_per_worker: float | None = None
@@ -97,8 +91,6 @@ class BackendReport:
                 f"shared-engine={self.shared_engine.get('distinct', 0)} "
                 "distinct"
             )
-        if self.array_backend is not None and self.array_backend != "numpy":
-            parts.append(f"array-backend={self.array_backend}")
         if self.resumed_from_generation is not None:
             parts.append(f"resumed-from={self.resumed_from_generation}")
         if self.n_ranks is not None:

@@ -12,7 +12,6 @@ from typing import Any, Mapping
 
 from ..errors import ConfigurationError
 from ..structure import InteractionModel, build_structure, validate_structure
-from ..xp import KNOWN_BACKENDS
 from .fermi import PAPER_BETA
 from .payoff import PAPER_PAYOFF, PayoffMatrix
 
@@ -122,13 +121,6 @@ class EvolutionConfig:
         ``R x n_ssets`` ensembles stop paying O(K²) memory up front.
         Deterministic-regime only (the expected regime's matrix must never
         drop entries); trajectories are bit-identical to the dense layout.
-    array_backend:
-        Array namespace for the hot-path payoff storage and fitness
-        gathers: ``"numpy"`` (default), ``"cupy"``, or ``"jax"``
-        (:mod:`repro.xp`).  A requested accelerator stack that is not
-        importable falls back to NumPy, recorded in the backend report.
-        RNG decoding stays on host either way, so every lane remains
-        bit-identical to its same-seed serial ``event`` run.
     sampled_batched:
         Opt in to the batched sampled-stochastic fitness engine
         (:class:`~repro.core.engine.SampledFitnessEngine`): every sampled
@@ -177,7 +169,6 @@ class EvolutionConfig:
     record_events: bool = True
     engine_pool_cap: int = 0
     paymat_block: int = 0
-    array_backend: str = "numpy"
     sampled_batched: bool = False
     checkpoint_every: int = 0
 
@@ -234,11 +225,6 @@ class EvolutionConfig:
                 f"paymat_block must be 0 (dense) or a power of two >= 4, "
                 f"got {self.paymat_block}"
             )
-        if self.array_backend not in KNOWN_BACKENDS:
-            raise ConfigurationError(
-                f"unknown array_backend {self.array_backend!r}; known: "
-                f"{', '.join(KNOWN_BACKENDS)}"
-            )
         if self.sampled_batched and not self.is_stochastic:
             raise ConfigurationError(
                 "sampled_batched batches sampled-stochastic games and needs "
@@ -287,8 +273,6 @@ class EvolutionConfig:
             parts.append(f"pool-cap={self.engine_pool_cap}")
         if self.paymat_block:
             parts.append(f"paymat-block={self.paymat_block}")
-        if self.array_backend != "numpy":
-            parts.append(f"array-backend={self.array_backend}")
         if self.checkpoint_every:
             parts.append(f"checkpoint-every={self.checkpoint_every}")
         return " ".join(parts)
@@ -352,11 +336,22 @@ class EvolutionConfig:
         accepts the :meth:`to_dict` mapping or a 4-item ``[R, S, T, P]``
         list; ``structure`` must be a spec string (instances do not
         round-trip through JSON).
+
+        Dicts written by earlier releases carry the retired
+        ``"array_backend": "numpy"`` key; it is accepted and dropped, and
+        any other value is rejected.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"EvolutionConfig.from_dict needs a mapping, got "
                 f"{type(data).__name__}"
+            )
+        data = dict(data)
+        retired = data.pop("array_backend", "numpy")
+        if retired != "numpy":
+            raise ConfigurationError(
+                "field 'array_backend' is retired (the engines run on NumPy "
+                f"only); only 'numpy' is accepted, got {retired!r}"
             )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
@@ -373,8 +368,6 @@ class EvolutionConfig:
                 kwargs[name] = _coerce_float(name, value)
             elif name in _BOOL_FIELDS:
                 kwargs[name] = _coerce_bool(name, value)
-            elif name in _STR_FIELDS:
-                kwargs[name] = _coerce_str(name, value)
             elif name == "payoff":
                 kwargs[name] = _coerce_payoff(value)
             elif name == "structure":
@@ -403,13 +396,12 @@ _BOOL_FIELDS = frozenset({
     "mixed_strategies", "include_self_play", "allow_downhill_learning",
     "expected_fitness", "engine", "record_events", "sampled_batched",
 })
-_STR_FIELDS = frozenset({"array_backend"})
 # A future EvolutionConfig field that is not classified above (and is not
 # one of the two structured fields) would silently fall out of the dict
 # round-trip; fail at import instead.
 _UNCLASSIFIED = (
     {f.name for f in fields(EvolutionConfig)}
-    - _INT_FIELDS - _FLOAT_FIELDS - _BOOL_FIELDS - _STR_FIELDS
+    - _INT_FIELDS - _FLOAT_FIELDS - _BOOL_FIELDS
     - {"payoff", "structure"}
 )
 if _UNCLASSIFIED:  # pragma: no cover - tripwire for future fields
@@ -433,14 +425,6 @@ def _coerce_float(name: str, value: Any) -> float:
             f"field {name!r}: expected a number, got {value!r}"
         )
     return float(value)
-
-
-def _coerce_str(name: str, value: Any) -> str:
-    if not isinstance(value, str):
-        raise ConfigurationError(
-            f"field {name!r}: expected a string, got {value!r}"
-        )
-    return value
 
 
 def _coerce_bool(name: str, value: Any) -> bool:

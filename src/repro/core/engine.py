@@ -68,7 +68,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ..errors import ConfigurationError, SimulationError, StrategyError
-from ..xp import get_array_backend
 from .config import EvolutionConfig
 from .cycle import exact_payoffs
 from .markov import expected_payoffs, expected_payoffs_many
@@ -422,7 +421,6 @@ class FitnessEngine:
         capacity: int = 64,
         pool_cap: int = 0,
         paymat_block: int = 0,
-        array_backend: str | None = None,
     ):
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
@@ -463,17 +461,6 @@ class FitnessEngine:
             on_evict=self._on_slot_evicted,
         )
         capacity = self.pool.capacity
-        # The per-run engine's fitness path is scalar and event-driven, so
-        # its matrix always lives on host (the ensemble engine is the
-        # accelerator path); a requested accelerator backend is recorded
-        # for provenance but storage stays NumPy.
-        requested = get_array_backend(array_backend)
-        self.array_backend = (
-            requested.describe()
-            if requested.is_numpy
-            else f"numpy ({requested.resolved} requested; "
-            "per-run engine runs on host)"
-        )
         validate_paymat_block(paymat_block)
         if paymat_block and expected:
             raise ConfigurationError(
@@ -489,7 +476,6 @@ class FitnessEngine:
                 capacity,
                 paymat_block,
                 np.float64,
-                get_array_backend(),
                 track_evaluated=False,
             )
         else:
@@ -557,7 +543,6 @@ class FitnessEngine:
             capacity=max(64, config.n_ssets + 2),
             pool_cap=config.engine_pool_cap,
             paymat_block=0 if expected else config.paymat_block,
-            array_backend=config.array_backend,
         )
 
     # -- matrix maintenance ----------------------------------------------------
@@ -962,7 +947,6 @@ class SampledFitnessEngine(PayoffCache):
         noise: float = 0.0,
         rng: "np.random.Generator | None" = None,
         mixed: bool = False,
-        array_backend: str | None = None,
     ):
         if noise <= 0.0 and not mixed:
             raise ConfigurationError(
@@ -981,7 +965,6 @@ class SampledFitnessEngine(PayoffCache):
         #: draws) even for pure tables, so the per-round draw count stays
         #: constant across the run and across ensemble lanes.
         self.mixed = mixed
-        self.xb = get_array_backend(array_backend)
         self.games_played = 0
         self.batches = 0
 
@@ -999,7 +982,6 @@ class SampledFitnessEngine(PayoffCache):
             noise=config.noise,
             rng=rng,
             mixed=config.mixed_strategies,
-            array_backend=config.array_backend,
         )
 
     # -- batched kernel plumbing ------------------------------------------------
@@ -1049,7 +1031,6 @@ class SampledFitnessEngine(PayoffCache):
             self.payoff,
             self.noise,
             uniforms,
-            xb=self.xb,
         )
 
     # -- legacy PayoffCache surface ---------------------------------------------
@@ -1208,7 +1189,6 @@ class SampledFitnessEngine(PayoffCache):
                 head.payoff,
                 head.noise,
                 uniforms,
-                xb=head.xb,
             )
         results: list[tuple[float, float]] = []
         cursor = 0

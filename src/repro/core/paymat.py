@@ -5,14 +5,12 @@ payoffs (``pay[a, b]`` = total game payoff strategy ``a`` earns against
 ``b``) plus, for the demand-driven ensemble engine, a parallel evaluated
 mask.  This module supplies two interchangeable backings behind one small
 interface (``take`` / ``pair_valid`` / ``write_pairs`` / ``invalidate_row``
-/ ``grow`` / ``rebuild``), both parameterised over an
-:class:`~repro.xp.ArrayBackend` so the arrays can live on an accelerator
-namespace:
+/ ``grow`` / ``rebuild``):
 
-* :class:`DensePairStore` — the historical single allocation.  On the
-  NumPy backend every operation is the exact expression the engines used
-  inline before this seam existed, so the dense default is bit-for-bit the
-  old behavior (the golden + lane-parity suites pin it unmodified).
+* :class:`DensePairStore` — the historical single allocation.  Every
+  operation is the exact expression the engines used inline before the
+  stores existed, so the dense default is bit-for-bit the old behavior
+  (the golden + lane-parity suites pin it unmodified).
 
 * :class:`BlockedPairStore` — the logical matrix in ``B x B`` physical
   blocks allocated on first write (``EvolutionConfig.paymat_block``).
@@ -41,8 +39,8 @@ namespace:
 For the per-run :class:`~repro.core.engine.FitnessEngine`
 (``track_evaluated=False``) the blocked store also speaks the plain
 ``paymat[...]`` indexing dialect (``__getitem__`` / ``__setitem__`` for
-rows and ``(rows, cols)`` gathers, returning host arrays), so the eager
-deterministic fill/fitness code and
+rows and ``(rows, cols)`` gathers), so the eager deterministic
+fill/fitness code and
 :meth:`~repro.structure.graphs.GraphStructure.gather_fitness` consume it
 unchanged.
 """
@@ -52,7 +50,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ConfigurationError
-from ..xp import ArrayBackend, get_array_backend
 
 __all__ = ["DensePairStore", "BlockedPairStore", "validate_paymat_block"]
 
@@ -71,16 +68,10 @@ class DensePairStore:
 
     evictable = False
 
-    def __init__(
-        self,
-        capacity: int,
-        dtype: np.dtype,
-        xb: ArrayBackend | None = None,
-    ):
-        self.xb = xb if xb is not None else get_array_backend()
+    def __init__(self, capacity: int, dtype: np.dtype):
         self.dtype = np.dtype(dtype)
-        self._pay = self.xb.zeros((capacity, capacity), self.dtype)
-        self._eval = self.xb.zeros((capacity, capacity), bool)
+        self._pay = np.zeros((capacity, capacity), dtype=self.dtype)
+        self._eval = np.zeros((capacity, capacity), dtype=bool)
         self._peak_bytes = self._bytes()
 
     def _bytes(self) -> int:
@@ -102,24 +93,17 @@ class DensePairStore:
     # -- access ----------------------------------------------------------------
 
     def take(self, rows, cols):
-        xp = self.xb.xp
-        return self._pay[xp.asarray(rows), xp.asarray(cols)]
+        return self._pay[rows, cols]
 
     def pair_valid(self, a, b):
-        xp = self.xb.xp
-        a = xp.asarray(a)
-        b = xp.asarray(b)
         return self._eval[a, b] & self._eval[b, a]
 
     def write_pairs(self, a, b, pay_ab, pay_ba) -> None:
-        """Store both directions of known-host pair evaluations."""
-        xb = self.xb
-        a_d = xb.to_device(a)
-        b_d = xb.to_device(b)
-        self._pay[a_d, b_d] = xb.to_device(pay_ab)
-        self._pay[b_d, a_d] = xb.to_device(pay_ba)
-        self._eval[a_d, b_d] = True
-        self._eval[b_d, a_d] = True
+        """Store both directions of known pair evaluations."""
+        self._pay[a, b] = pay_ab
+        self._pay[b, a] = pay_ba
+        self._eval[a, b] = True
+        self._eval[b, a] = True
 
     def invalidate_row(self, sid: int) -> None:
         self._eval[sid, :] = False
@@ -131,10 +115,10 @@ class DensePairStore:
 
     def grow(self, new_capacity: int) -> None:
         old = self.capacity
-        pay = self.xb.zeros((new_capacity, new_capacity), self.dtype)
+        pay = np.zeros((new_capacity, new_capacity), dtype=self.dtype)
         pay[:old, :old] = self._pay
         self._pay = pay
-        evaluated = self.xb.zeros((new_capacity, new_capacity), bool)
+        evaluated = np.zeros((new_capacity, new_capacity), dtype=bool)
         evaluated[:old, :old] = self._eval
         self._eval = evaluated
         self._peak_bytes = max(self._peak_bytes, self._bytes())
@@ -143,9 +127,9 @@ class DensePairStore:
         """Compaction: gather the live grid verbatim (one-way evaluated
         flags included — exactly the historical dense compact)."""
         n_live = idx.shape[0]
-        fresh = DensePairStore(new_capacity, self.dtype, self.xb)
-        idx_d = self.xb.to_device(np.asarray(idx, dtype=np.intp))
-        grid = (idx_d[:, None], idx_d[None, :])
+        fresh = DensePairStore(new_capacity, self.dtype)
+        idx = np.asarray(idx, dtype=np.intp)
+        grid = (idx[:, None], idx[None, :])
         fresh._pay[:n_live, :n_live] = self._pay[grid]
         fresh._eval[:n_live, :n_live] = self._eval[grid]
         fresh._peak_bytes = max(fresh._peak_bytes, self._peak_bytes)
@@ -174,8 +158,6 @@ class BlockedPairStore:
     dtype:
         Payoff cell dtype (float32 in the compact-exact regime, float64
         otherwise — decided by the owning engine).
-    xb:
-        Array backend the pools live on.
     track_evaluated:
         Keep the per-cell evaluated mask (the ensemble engine's demand
         model).  ``False`` for the per-run eager engine, which fills
@@ -190,7 +172,6 @@ class BlockedPairStore:
         capacity: int,
         block: int,
         dtype: np.dtype,
-        xb: ArrayBackend | None = None,
         track_evaluated: bool = True,
         block_cap: int = 0,
     ):
@@ -204,7 +185,6 @@ class BlockedPairStore:
             raise ConfigurationError(
                 f"block_cap must be >= 0 (0 = unbounded), got {block_cap}"
             )
-        self.xb = xb if xb is not None else get_array_backend()
         self.dtype = np.dtype(dtype)
         self.block = block
         self.block_cap = block_cap
@@ -212,12 +192,12 @@ class BlockedPairStore:
         self._bmask = block - 1
         self._capacity = capacity
         self._nb = -(-capacity // block)
-        #: Host-authoritative block -> slot map; slot 0 is the permanent
-        #: all-zero "absent" block, so unmapped reads gather zeros/False.
+        #: Block -> slot map; slot 0 is the permanent all-zero "absent"
+        #: block, so unmapped reads gather zeros/False.
         self._table = np.zeros((self._nb, self._nb), dtype=np.int64)
         self._sync_table()
         slots = 8
-        self._pay = self.xb.zeros((slots, block, block), self.dtype)
+        self._pay = np.zeros((slots, block, block), dtype=self.dtype)
         #: Validity is epoch-stamped, not bit-flagged: cell (a, b) is valid
         #: iff ``eval[a, b] == epoch[a] + epoch[b]``.  Epochs only grow,
         #: so one direction's stamp matching the current sum proves
@@ -229,16 +209,12 @@ class BlockedPairStore:
         #: start at 1, so the minimum live stamp is 2 and zeroed shards —
         #: and the permanent absent block — read as invalid.
         self._eval = (
-            self.xb.zeros((slots, block, block), np.uint16)
+            np.zeros((slots, block, block), dtype=np.uint16)
             if track_evaluated
             else None
         )
         self._sync_pools()
         self._epoch = np.ones(capacity, dtype=np.uint16)
-        self._epoch_dev = (
-            self._epoch if self.xb.is_numpy else self.xb.to_device(self._epoch)
-        )
-        self._epoch_stale = False
         self._free_slots = list(range(slots - 1, 0, -1))
         self._owner_bi = np.full(slots, -1, dtype=np.int64)
         self._owner_bj = np.full(slots, -1, dtype=np.int64)
@@ -276,39 +252,18 @@ class BlockedPairStore:
             total += int(self._eval.nbytes) + int(self._epoch.nbytes)
         return total
 
-    def _sync_epoch(self) -> None:
-        self._epoch_dev = self.xb.to_device(self._epoch)
-        self._epoch_stale = False
-
     def _sync_table(self) -> None:
-        """Refresh the device-side gather table.
+        """Rebuild the flat gather table from the block -> slot map.
 
-        The device table holds *pre-scaled* slot bases (``slot * B*B``) so
+        The gather table holds *pre-scaled* slot bases (``slot * B*B``) so
         the per-gather index chain is ``base[key] + rowoff + coloff`` —
         two full-size passes fewer than scaling the slot id on every
-        access.  Host bookkeeping (``self._table``) keeps raw slot ids.
+        access.  Bookkeeping (``self._table``) keeps raw slot ids.  The
+        rebuild is O(nb²), so it runs only at construction and on grid
+        reshapes (``grow``); allocation and eviction, which arrive every
+        few generations under strategy churn, patch single entries.
         """
-        base = self._table.reshape(-1) * (self.block * self.block)
-        self._base_flat = base if self.xb.is_numpy else self.xb.to_device(base)
-
-    def _patch_base(self, keys, bases) -> None:
-        """Repoint individual ``_base_flat`` entries after alloc/evict.
-
-        A full ``_sync_table`` is O(nb²) and allocation events arrive
-        every few generations under strategy churn, so steady-state table
-        edits scatter into the cached flat view; full rebuilds remain for
-        grid reshapes (``grow``) and construction only.
-        """
-        if self.xb.is_numpy:
-            self._base_flat[keys] = bases
-        else:
-            keys = np.atleast_1d(np.asarray(keys, dtype=np.int64))
-            vals = np.broadcast_to(
-                np.asarray(bases, dtype=np.int64), keys.shape
-            )
-            self._base_flat[self.xb.to_device(keys)] = self.xb.to_device(
-                np.ascontiguousarray(vals)
-            )
+        self._base_flat = self._table.reshape(-1) * (self.block * self.block)
 
     def _sync_pools(self) -> None:
         """Refresh the cached flat gather views after a pool reallocation."""
@@ -326,9 +281,8 @@ class BlockedPairStore:
         lookup beats NumPy's multi-array fancy-indexing machinery by ~25%
         on the fitness-sized shapes that dominate the hot path.
         """
-        xp = self.xb.xp
-        rows = xp.asarray(rows)
-        cols = xp.asarray(cols)
+        rows = np.asarray(rows)
+        cols = np.asarray(cols)
         base = self._base_flat[
             (rows >> self._shift) * self._nb + (cols >> self._shift)
         ]
@@ -345,31 +299,26 @@ class BlockedPairStore:
         directions of the wrapped row, so one-way queries stay sound.
         """
         assert self._eval is not None
-        if self._epoch_stale:
-            self._sync_epoch()
-        xp = self.xb.xp
-        a = xp.asarray(a)
-        b = xp.asarray(b)
+        a = np.asarray(a)
+        b = np.asarray(b)
         if a.shape != b.shape:
-            a, b = xp.broadcast_arrays(a, b)
+            a, b = np.broadcast_arrays(a, b)
         base = self._base_flat[
             (a >> self._shift) * self._nb + (b >> self._shift)
         ]
         if self.block_cap:
-            used = np.unique(np.atleast_1d(self.xb.to_host(base)).ravel())
+            used = np.unique(base)
             self._touch[used // (self.block * self.block)] = self._clock
         return (
             self._eval_flat[
                 base + ((a & self._bmask) * self.block + (b & self._bmask))
             ]
-            == self._epoch_dev[a] + self._epoch_dev[b]
+            == self._epoch[a] + self._epoch[b]
         )
 
     def write_pairs(self, a, b, pay_ab, pay_ba) -> None:
-        """Store both directions of host pair evaluations, allocating (and
+        """Store both directions of pair evaluations, allocating (and
         under ``block_cap`` possibly evicting) blocks as needed."""
-        if self._epoch_stale:
-            self._sync_epoch()
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
         if a.size == 0:
@@ -380,26 +329,17 @@ class BlockedPairStore:
         bi = rows >> self._shift
         bj = cols >> self._shift
         self._ensure_blocks(bi, bj)
-        xb = self.xb
-        rows_d = xb.to_device(rows)
-        cols_d = xb.to_device(cols)
-        base = self._base_flat[xb.to_device(bi * self._nb + bj)]
-        flat = base + (
-            (rows_d & self._bmask) * self.block + (cols_d & self._bmask)
-        )
-        self._pay_flat[flat] = xb.to_device(
-            np.concatenate(
-                (
-                    np.asarray(pay_ab, dtype=self.dtype),
-                    np.asarray(pay_ba, dtype=self.dtype),
-                )
+        base = self._base_flat[bi * self._nb + bj]
+        flat = base + ((rows & self._bmask) * self.block + (cols & self._bmask))
+        self._pay_flat[flat] = np.concatenate(
+            (
+                np.asarray(pay_ab, dtype=self.dtype),
+                np.asarray(pay_ba, dtype=self.dtype),
             )
         )
         if self._eval_flat is not None:
             # Stamp both cells with the pair's epoch sum (see ``pair_valid``).
-            self._eval_flat[flat] = (
-                self._epoch_dev[rows_d] + self._epoch_dev[cols_d]
-            )
+            self._eval_flat[flat] = self._epoch[rows] + self._epoch[cols]
 
     def set(self, rows, cols, values) -> None:
         """One-direction scatter write (the eager per-run fill dialect)."""
@@ -414,24 +354,18 @@ class BlockedPairStore:
         bi = r >> self._shift
         bj = c >> self._shift
         self._ensure_blocks(bi, bj)
-        xb = self.xb
-        r_d = xb.to_device(r)
-        c_d = xb.to_device(c)
-        base = self._base_flat[xb.to_device(bi * self._nb + bj)]
-        flat = base + ((r_d & self._bmask) * self.block + (c_d & self._bmask))
-        self._pay_flat[flat] = xb.to_device(v)
+        base = self._base_flat[bi * self._nb + bj]
+        flat = base + ((r & self._bmask) * self.block + (c & self._bmask))
+        self._pay_flat[flat] = v
 
     def __getitem__(self, key):
         """``pm[rows, cols]`` gathers / ``pm[row]`` materialises one logical
-        row — host arrays out, so plain-NumPy consumers (the per-run
-        engine's fitness math, :meth:`GraphStructure.gather_fitness`) work
-        unchanged."""
+        row, so plain-NumPy consumers (the per-run engine's fitness math,
+        :meth:`GraphStructure.gather_fitness`) work unchanged."""
         if isinstance(key, tuple):
             rows, cols = key
-            return self.xb.to_host(self.take(rows, cols))
-        return self.xb.to_host(
-            self.take(key, np.arange(self._capacity, dtype=np.int64))
-        )
+            return self.take(rows, cols)
+        return self.take(key, np.arange(self._capacity, dtype=np.int64))
 
     def __setitem__(self, key, values) -> None:
         if not isinstance(key, tuple):
@@ -461,15 +395,14 @@ class BlockedPairStore:
             row = self._table[bi]
             live = row[row > 0]
             if live.size:
-                self._eval[self.xb.to_device(live), off, :] = 0
+                self._eval[live, off, :] = 0
             col = self._table[:, bi]
             live = col[col > 0]
             if live.size:
-                self._eval[self.xb.to_device(live), :, off] = 0
+                self._eval[live, :, off] = 0
             self._epoch[sid] = 1
         else:
             self._epoch[sid] = e + 1
-        self._epoch_stale = not self.xb.is_numpy
 
     def tick(self) -> None:
         """Advance the LRU clock: blocks touched from here on are pinned
@@ -489,11 +422,11 @@ class BlockedPairStore:
         old = self._owner_bi.shape[0]
         new = old * 2 if old < 4096 else int(old * 1.25) + 1
         new = max(new, old + min_free)
-        pay = self.xb.zeros((new, self.block, self.block), self.dtype)
+        pay = np.zeros((new, self.block, self.block), dtype=self.dtype)
         pay[:old] = self._pay
         self._pay = pay
         if self._eval is not None:
-            evaluated = self.xb.zeros((new, self.block, self.block), np.uint16)
+            evaluated = np.zeros((new, self.block, self.block), dtype=np.uint16)
             evaluated[:old] = self._eval
             self._eval = evaluated
         self._sync_pools()
@@ -516,7 +449,7 @@ class BlockedPairStore:
         k = nbi.shape[0]
         if len(self._free_slots) < k:
             self._grow_slots(k - len(self._free_slots))
-        if k <= 4 and self.xb.is_numpy:
+        if k <= 4:
             # Scalar fast path: churned runs allocate a mirror pair (or a
             # lone diagonal block) at a time, and basic indexing (views)
             # beats fancy-index scatter dispatch at that size.
@@ -538,13 +471,12 @@ class BlockedPairStore:
         slots = np.asarray(self._free_slots[-k:], dtype=np.int64)
         del self._free_slots[-k:]
         # Zero the shards (reused eviction slots hold stale cells).
-        slots_dev = slots if self.xb.is_numpy else self.xb.to_device(slots)
-        self._pay[slots_dev] = 0
+        self._pay[slots] = 0
         if self._eval is not None:
-            self._eval[slots_dev] = 0
+            self._eval[slots] = 0
         self._table[nbi, nbj] = slots
-        self._patch_base(
-            nbi * self._nb + nbj, slots * (self.block * self.block)
+        self._base_flat[nbi * self._nb + nbj] = slots * (
+            self.block * self.block
         )
         self._owner_bi[slots] = nbi
         self._owner_bj[slots] = nbj
@@ -616,7 +548,7 @@ class BlockedPairStore:
                 self.blocks_resident -= 1
                 self.blocks_evicted += 1
         if freed:
-            self._patch_base(np.asarray(freed, dtype=np.int64), 0)
+            self._base_flat[freed] = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -632,9 +564,6 @@ class BlockedPairStore:
             epoch = np.ones(new_capacity, dtype=np.uint16)
             epoch[: self._epoch.shape[0]] = self._epoch
             self._epoch = epoch
-            self._epoch_stale = not self.xb.is_numpy
-            if not self._epoch_stale:
-                self._epoch_dev = self._epoch
         self._capacity = new_capacity
         self._peak_bytes = max(self._peak_bytes, self._bytes())
 
@@ -651,7 +580,6 @@ class BlockedPairStore:
             new_capacity,
             self.block,
             self.dtype,
-            self.xb,
             track_evaluated=self._eval is not None,
             block_cap=self.block_cap,
         )
@@ -662,11 +590,9 @@ class BlockedPairStore:
             fresh._grow_slots(short)
         idx = np.asarray(idx, dtype=np.int64)
         if idx.size:
-            pay = self.xb.to_host(self.take(idx[:, None], idx[None, :]))
+            pay = self.take(idx[:, None], idx[None, :])
             if self._eval is not None:
-                ok = self.xb.to_host(
-                    self.pair_valid(idx[:, None], idx[None, :])
-                )
+                ok = self.pair_valid(idx[:, None], idx[None, :])
                 iu, ju = np.nonzero(np.triu(ok))
                 fresh.write_pairs(iu, ju, pay[iu, ju], pay[ju, iu])
             else:

@@ -79,7 +79,8 @@ class ProgressTick:
 
     @property
     def fraction(self) -> float:
-        """Completed fraction of the run (0.0 when generations == 0)."""
+        """Completed fraction of the run (1.0 when generations == 0: an
+        empty run is complete)."""
         if self.generations <= 0:
             return 1.0
         return min(1.0, self.generation / self.generations)

@@ -157,16 +157,15 @@ def sampled_draws_per_round(mixed: bool, noise: float) -> int:
 
 
 def play_pairs_uniforms(
-    tables,
+    tables: np.ndarray,
     a_idx: np.ndarray,
     b_idx: np.ndarray,
     rounds: int,
     payoff: PayoffMatrix,
     noise: float,
     uniforms: np.ndarray,
-    xb=None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`play_pairs` over pre-drawn uniforms, on the ``repro.xp`` seam.
+    """:func:`play_pairs` over pre-drawn uniforms.
 
     ``uniforms`` has shape ``(rounds, D, n_games)`` with ``D =``
     :func:`sampled_draws_per_round`; slot ``uniforms[r, s]`` replaces the
@@ -184,15 +183,8 @@ def play_pairs_uniforms(
     ``tables`` is a pre-stacked ``(K, 4**n)`` array in the
     :func:`stack_tables` layout: uint8 rows play deterministically per
     view, float rows are defection probabilities resolved against the mix
-    draw.  ``xb`` is an :class:`repro.xp.ArrayBackend`; the round loop runs
-    on its namespace (functional updates only, so CuPy/JAX namespaces work
-    unchanged) and results return as host float64 arrays.
+    draw.  Results are float64 arrays.
     """
-    from ..xp import get_array_backend
-
-    if xb is None:
-        xb = get_array_backend()
-    xp = xb.xp
     a_idx = np.asarray(a_idx, dtype=np.intp)
     b_idx = np.asarray(b_idx, dtype=np.intp)
     if a_idx.shape != b_idx.shape or a_idx.ndim != 1:
@@ -216,45 +208,41 @@ def play_pairs_uniforms(
         )
     mask = tables.shape[1] - 1
 
-    dev_tables = xb.to_device(tables)
-    dev_u = xb.to_device(uniforms)
-    dev_a = xb.to_device(a_idx)
-    dev_b = xb.to_device(b_idx)
-    views_a = xp.zeros(n_games, dtype=xp.int64)
-    views_b = xp.zeros(n_games, dtype=xp.int64)
-    pay_a = xp.zeros(n_games, dtype=xp.float64)
-    pay_b = xp.zeros(n_games, dtype=xp.float64)
-    vec = xb.to_device(payoff.vector)
+    views_a = np.zeros(n_games, dtype=np.int64)
+    views_b = np.zeros(n_games, dtype=np.int64)
+    pay_a = np.zeros(n_games, dtype=np.float64)
+    pay_b = np.zeros(n_games, dtype=np.float64)
+    vec = payoff.vector
 
     for r in range(rounds):
         slot = 0
-        entry_a = dev_tables[dev_a, views_a]
+        entry_a = tables[a_idx, views_a]
         if mixed:
-            moves_a = (dev_u[r, slot] < entry_a).astype(xp.uint8)
+            moves_a = (uniforms[r, slot] < entry_a).astype(np.uint8)
             slot += 1
         else:
             moves_a = entry_a
         if noise > 0.0:
-            flips = (dev_u[r, slot] < noise).astype(xp.uint8)
+            flips = (uniforms[r, slot] < noise).astype(np.uint8)
             moves_a = moves_a ^ flips
             slot += 1
-        entry_b = dev_tables[dev_b, views_b]
+        entry_b = tables[b_idx, views_b]
         if mixed:
-            moves_b = (dev_u[r, slot] < entry_b).astype(xp.uint8)
+            moves_b = (uniforms[r, slot] < entry_b).astype(np.uint8)
             slot += 1
         else:
             moves_b = entry_b
         if noise > 0.0:
-            flips = (dev_u[r, slot] < noise).astype(xp.uint8)
+            flips = (uniforms[r, slot] < noise).astype(np.uint8)
             moves_b = moves_b ^ flips
             slot += 1
-        code_a = 2 * moves_a.astype(xp.int64) + moves_b
-        code_b = 2 * moves_b.astype(xp.int64) + moves_a
-        pay_a = pay_a + vec[code_a]
-        pay_b = pay_b + vec[code_b]
+        code_a = 2 * moves_a.astype(np.int64) + moves_b
+        code_b = 2 * moves_b.astype(np.int64) + moves_a
+        pay_a += vec[code_a]
+        pay_b += vec[code_b]
         views_a = ((views_a << 2) | code_a) & mask
         views_b = ((views_b << 2) | code_b) & mask
-    return xb.to_host(pay_a), xb.to_host(pay_b)
+    return pay_a, pay_b
 
 
 def cycle_payoffs_pairs(

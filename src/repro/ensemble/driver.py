@@ -47,10 +47,10 @@ Regimes:
   dedicated ``("nature", "sampled")`` streams, and a generation's event
   lanes are evaluated as **one** fused
   :func:`~repro.core.vectorgame.play_pairs_uniforms` kernel call
-  (:meth:`~repro.core.engine.SampledFitnessEngine.eval_plans`) through the
-  ``repro.xp`` seam.  Each lane pre-draws its own uniform block, so its
-  trajectory is bit-identical to the same-seed serial ``sampled_batched``
-  run — and statistically equivalent to the scalar legacy path.
+  (:meth:`~repro.core.engine.SampledFitnessEngine.eval_plans`).  Each
+  lane pre-draws its own uniform block, so its trajectory is bit-identical
+  to the same-seed serial ``sampled_batched`` run — and statistically
+  equivalent to the scalar legacy path.
 """
 
 from __future__ import annotations
@@ -165,12 +165,10 @@ def run_ensemble(
     populations: Sequence[Population | None] | None = None,
     *,
     batch_size: int = 1 << 16,
-    array_backend: str | None = None,
 ) -> list[EvolutionResult]:
     """Run every config lane-batched; results come back in config order."""
     results, _ = run_ensemble_detailed(
-        configs, populations, batch_size=batch_size,
-        array_backend=array_backend,
+        configs, populations, batch_size=batch_size
     )
     return results
 
@@ -180,16 +178,9 @@ def run_ensemble_detailed(
     populations: Sequence[Population | None] | None = None,
     *,
     batch_size: int = 1 << 16,
-    array_backend: str | None = None,
 ) -> tuple[list[EvolutionResult], list[dict]]:
     """:func:`run_ensemble` plus one per-result execution-metadata dict
-    (``lanes``, ``shared_engine`` stats, ``array_backend`` provenance) for
-    the backend report.
-
-    ``array_backend`` overrides every config's ``array_backend`` field for
-    the shared-engine groups (the backend-option precedence of
-    :class:`~repro.api.backends.EnsembleBackend`).
-    """
+    (``lanes`` and ``shared_engine`` stats) for the backend report."""
     run_configs = list(configs)
     if batch_size < 1:
         raise ConfigurationError(
@@ -242,8 +233,7 @@ def run_ensemble_detailed(
                 structure.is_well_mixed or isinstance(structure, GraphStructure)
             ):
                 outs, meta = _run_group_shared(
-                    group_configs, group_initial, batch_size,
-                    array_backend=array_backend,
+                    group_configs, group_initial, batch_size
                 )
             else:
                 outs, meta = _run_group_generic(
@@ -398,11 +388,7 @@ def _capture_group_shared(
     # pins are released), so live x live covers the whole forward-reachable
     # valid set; dead strategies re-enter through fresh slots and refill.
     live = np.unique(sids)
-    valid = np.asarray(
-        engine.xb.to_host(
-            engine._store.pair_valid(live[:, None], live[None, :])
-        )
-    )
+    valid = engine._store.pair_valid(live[:, None], live[None, :])
     pair_i, pair_j = np.nonzero(np.triu(valid))
     arrays["engine_live_tables"] = engine.tables[live].copy()
     arrays["engine_pair_a"] = pair_i.astype(np.int64)
@@ -483,7 +469,6 @@ def _run_group_shared(
     configs: list[EvolutionConfig],
     initial: list[Population | None],
     batch_size: int,
-    array_backend: str | None = None,
 ) -> tuple[list[EvolutionResult], dict]:
     """Advance one signature-group of deterministic lanes over the shared
     engine, generation by generation."""
@@ -534,7 +519,6 @@ def _run_group_shared(
         capacity=capacity,
         paymat_block=cfg.paymat_block,
         block_cap=cfg.engine_pool_cap if cfg.paymat_block else 0,
-        array_backend=array_backend or cfg.array_backend,
     )
     # Well-mixed shallow memories (cheap pairs) prefill every pair a
     # window could read, so the hot loop runs check-free; deep memories
@@ -1033,11 +1017,7 @@ def _run_group_shared(
         # One fused array program: the group's wallclock is indivisible,
         # so every lane reports it (the backend report carries lane count).
         result.wallclock_seconds = elapsed
-    meta = {
-        "lanes": n_lanes,
-        "shared_engine": engine.stats(),
-        "array_backend": engine.xb.describe(),
-    }
+    meta = {"lanes": n_lanes, "shared_engine": engine.stats()}
     return results, meta
 
 
@@ -1343,13 +1323,5 @@ def _run_group_generic(
         result.cache_hits = evaluators[r].hits
         result.cache_misses = evaluators[r].misses
         result.wallclock_seconds = elapsed
-    meta = {"lanes": n_lanes, "shared_engine": None, "array_backend": None}
-    if sampled_mode:
-        meta["array_backend"] = evaluators[0].xb.describe()
-        meta["sampled"] = {
-            "games_played": int(
-                sum(e.games_played for e in evaluators)
-            ),
-            "batches": int(sum(e.batches for e in evaluators)),
-        }
+    meta = {"lanes": n_lanes, "shared_engine": None}
     return results, meta

@@ -55,7 +55,6 @@ from ..core.states import num_states
 from ..core.strategy import Strategy
 from ..core.vectorgame import cycle_payoffs_pairs
 from ..errors import ConfigurationError, SimulationError, StrategyError
-from ..xp import get_array_backend
 
 __all__ = ["EnsembleEngine", "supports_shared_engine"]
 
@@ -94,7 +93,6 @@ class EnsembleEngine:
         capacity: int = 64,
         paymat_block: int = 0,
         block_cap: int = 0,
-        array_backend: str | None = None,
     ):
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
@@ -129,18 +127,16 @@ class EnsembleEngine:
         # and summed in float64, which is bit-identical either way.
         max_total = rounds * max(abs(float(v)) for v in payoff.vector)
         self._dtype = np.float32 if max_total < 2.0**24 else np.float64
-        self.xb = get_array_backend(array_backend)
         if paymat_block:
             self._store: DensePairStore | BlockedPairStore = BlockedPairStore(
                 capacity,
                 paymat_block,
                 self._dtype,
-                self.xb,
                 track_evaluated=True,
                 block_cap=block_cap,
             )
         else:
-            self._store = DensePairStore(capacity, self._dtype, self.xb)
+            self._store = DensePairStore(capacity, self._dtype)
         #: Pair evaluations performed, attributed to the demanding lane.
         self.lane_fills = np.zeros(n_lanes, dtype=np.int64)
         self.fills = 0
@@ -163,7 +159,7 @@ class EnsembleEngine:
 
         Dense stores expose the raw ndarray; blocked stores expose the
         store itself, which speaks the same ``paymat[rows, cols]`` gather
-        dialect (host arrays out).
+        dialect.
         """
         return self._store.paymat
 
@@ -349,7 +345,7 @@ class EnsembleEngine:
         kernel call.
         """
         self._store.tick()
-        ok = self.xb.to_host(self._store.pair_valid(focal[:, None], blocks))
+        ok = self._store.pair_valid(focal[:, None], blocks)
         if ok.all():
             return
         miss_r, miss_c = np.nonzero(~ok)
@@ -364,7 +360,7 @@ class EnsembleEngine:
         the window-prefetch entry point (mutant rows filled ahead of their
         first fitness query)."""
         self._store.tick()
-        missing = ~self.xb.to_host(self._store.pair_valid(a, b))
+        missing = ~self._store.pair_valid(a, b)
         if not missing.any():
             return
         self._fill_unique(a[missing], b[missing], lanes[missing])
@@ -373,7 +369,7 @@ class EnsembleEngine:
         """Make one matrix entry valid (graph self-play reads the diagonal,
         which neighbor blocks never cover)."""
         self._store.tick()
-        if bool(self.xb.to_host(self._store.pair_valid(sid_a, sid_b))):
+        if bool(self._store.pair_valid(sid_a, sid_b)):
             return
         self._fill_pairs(
             np.array([sid_a], dtype=np.int64), np.array([sid_b], dtype=np.int64)
@@ -408,7 +404,6 @@ class EnsembleEngine:
         )
         if not include_self_play:
             fit = fit - store.take(focal, focal)
-        fit = self.xb.to_host(fit)
         return fit[0], fit[1]
 
     def fitness_neighbors(
@@ -420,10 +415,8 @@ class EnsembleEngine:
         """One lane's graph fitness: a per-lane neighbor gather."""
         total = self._store.take(sid, neighbor_sids).sum(dtype=np.float64)
         if include_self_play:
-            total = total + np.float64(
-                self.xb.to_host(self._store.take(sid, sid))
-            )
-        return self.xb.to_host(total)
+            total = total + np.float64(self._store.take(sid, sid))
+        return total
 
     def fitness_pc_graph(
         self,
@@ -471,13 +464,12 @@ class EnsembleEngine:
             else:
                 self.fill_missing(focal_rep, nbr_sids, lane_rep)
         vals = self._store.take(focal_rep, nbr_sids)
-        fit = self.xb.segment_reduce(vals, seg)
+        fit = np.add.reduceat(vals.astype(np.float64, copy=False), seg[:-1])
         if include_self_play:
             fit = fit + self._store.take(focal_sids, focal_sids).astype(
                 np.float64, copy=False
             )
         k = teachers.shape[0]
-        fit = self.xb.to_host(fit)
         return fit[:k], fit[k:]
 
     # -- invariants ------------------------------------------------------------

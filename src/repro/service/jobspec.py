@@ -10,7 +10,7 @@ hashes to a stable :meth:`fingerprint` that keys the result cache.
 The fingerprint covers the **science only**: the ordered config dicts,
 minus the resume-neutral execution fields
 (:data:`repro.core.runstate.RESUME_NEUTRAL_FIELDS` — checkpoint cadence,
-array backend, paymat blocking, pool caps).  Execution options (backend,
+paymat blocking, pool caps).  Execution options (backend,
 workers, priority, engine sharing) are likewise excluded — every backend
 follows the bit-identical trajectory for a given config and seed (pinned
 by the repo's parity suites), so an ``ensemble``-executed result is a

@@ -188,7 +188,6 @@ def test_unit_key_ignores_resume_neutral_fields():
     baseline = unit_key([config.to_dict()])
     for field, value in (
         ("checkpoint_every", 75),
-        ("array_backend", "cupy"),
         ("paymat_block", 32),
         ("engine_pool_cap", 64),
     ):
