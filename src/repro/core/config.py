@@ -7,6 +7,7 @@ mu = 0.05, pure strategies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -48,7 +49,7 @@ class EvolutionConfig:
         Per-generation probability that a random SSet receives a brand-new
         random strategy.
     beta:
-        Fermi selection intensity (Eq. 1).
+        Fermi selection intensity (Eq. 1); finite and ``>= 0``.
     payoff:
         The 2x2 game payoffs.
     noise:
@@ -198,8 +199,11 @@ class EvolutionConfig:
         ):
             if not 0.0 <= value <= 1.0:
                 raise ConfigurationError(f"{name} must lie in [0, 1], got {value}")
-        if self.beta < 0:
-            raise ConfigurationError(f"beta must be >= 0, got {self.beta}")
+        # Chained so NaN fails too; a NaN beta would never adopt.
+        if not 0.0 <= self.beta < math.inf:
+            raise ConfigurationError(
+                f"beta must be finite and >= 0, got {self.beta}"
+            )
         if self.record_every < 0:
             raise ConfigurationError(
                 f"record_every must be >= 0, got {self.record_every}"

@@ -27,10 +27,11 @@ def fermi_probability(
 ) -> float:
     """Adoption probability of the teacher's strategy by the learner.
 
-    Overflow-safe for any finite ``beta`` and fitness gap.
+    Overflow-safe for any finite ``beta`` and fitness gap; a negative or
+    non-finite ``beta`` is rejected.
     """
-    if beta < 0:
-        raise ConfigurationError(f"beta must be non-negative, got {beta}")
+    if not 0.0 <= beta < math.inf:
+        raise ConfigurationError(f"beta must be finite and >= 0, got {beta}")
     x = beta * (teacher_fitness - learner_fitness)
     # 1/(1+exp(-x)) without overflow for very negative x.
     if x >= 0:

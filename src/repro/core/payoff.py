@@ -13,6 +13,7 @@ and opponent cooperated (played a 0) ...").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,8 @@ class PayoffMatrix:
     require_dilemma:
         When true (default), enforce the PD ordering ``T > R > P > S``.
         Disable to model arbitrary symmetric 2x2 games with the same engine.
+
+    Every entry must be finite, dilemma or not.
     """
 
     reward: float = 3.0
@@ -55,6 +58,12 @@ class PayoffMatrix:
     vector: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("reward", "sucker", "temptation", "punishment"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"payoff {name} must be finite, got {value}"
+                )
         if self.require_dilemma and not (
             self.temptation > self.reward > self.punishment > self.sucker
         ):

@@ -37,6 +37,9 @@ __all__ = [
     "cycle_payoffs_pairs",
 ]
 
+#: a's joint move code ``2 * move_a + move_b`` -> b's ``2 * move_b + move_a``.
+_SWAP_CODE = np.array([0, 2, 1, 3], dtype=np.intp)
+
 
 def stack_tables(strategies: list[Strategy]) -> tuple[np.ndarray, int, bool]:
     """Stack strategy tables into one (K, 4**n) array.
@@ -184,6 +187,32 @@ def play_pairs_uniforms(
     :func:`stack_tables` layout: uint8 rows play deterministically per
     view, float rows are defection probabilities resolved against the mix
     draw.  Results are float64 arrays.
+
+    The games are short (~10**2 elements per array), so the cost is
+    NumPy call dispatch, not arithmetic; the implementation minimises
+    calls per round while keeping the bits of the round loop above:
+
+    * **One joint view per game.**  Both players record the same
+      realised moves, so b's view is always the perspective swap
+      (:func:`_mirror_row`) of a's.  The walk tracks only a's view, as a
+      flat index ``row * 4**n + view`` into the stacked tables, and reads
+      b's move from b's row pre-permuted by the mirror.
+    * **Flips up front.**  Noise flips do not depend on the play, so a
+      single ``uniforms < noise`` before the loop yields every (round,
+      game)'s 2-bit flip code; each round xors its moves into its codes.
+    * **Per-row preparation.**  a's table is pre-shifted: its entry at a
+      view is the flat index of the next view with a's move in place, so
+      one gather, or-ing in b's move and xor-ing in the flips advance the
+      walk (five calls per pure round).  The prepared tables scale with
+      ``K * 4**n`` and are built once per call; a per-game table would
+      scale with ``n_games * 4**n``, which costs far more at deep memory.
+    * **Payoffs after the loop, in round order.**  The joint code of every
+      round is kept in a ``(rounds, n_games)`` array; each side's payoffs
+      are gathered from it and summed with ``np.add.accumulate`` along the
+      rounds, which adds strictly in round order like the loop does.
+      ``sum(axis=0)`` would not: on a single game it switches to pairwise
+      summation, so a game's bits would depend on its batch under
+      non-integer payoffs.
     """
     a_idx = np.asarray(a_idx, dtype=np.intp)
     b_idx = np.asarray(b_idx, dtype=np.intp)
@@ -206,43 +235,66 @@ def play_pairs_uniforms(
             f"uniforms must have shape (rounds, draws_per_round, n_games) "
             f"= {expected_shape}, got {tuple(uniforms.shape)}"
         )
-    mask = tables.shape[1] - 1
+    n_states = tables.shape[1]
+    row_base = np.arange(tables.shape[0], dtype=np.intp) * n_states
+    # Flat index of each game's a-row at view 0 (all-C), and the offset
+    # from there to b's row; the gathers raise IndexError on a bad row.
+    at = row_base[a_idx]
+    b_offset = row_base[b_idx] - at
+    # Entry v: v's successor view before the round's moves are or-ed in.
+    shift = (np.arange(n_states, dtype=np.intp) << 2) & (n_states - 1)
+    b_at_a_view = tables.take(_mirror_row(n_states), axis=1).ravel()
+    # Each side owns ``side`` consecutive slots per round, in the order
+    # [a_mix?, a_noise?, b_mix?, b_noise?].
+    side = draws // 2
+    # ``walk[r]`` starts as round r's flip code ``2 * flip_a + flip_b``;
+    # the round xors into it the flat index of every game's next view.
+    if noise > 0.0:
+        flipped = uniforms[:, side - 1::side] < noise
+        walk = np.left_shift(flipped[:, 0], 1, dtype=np.intp)
+        walk |= flipped[:, 1]
+    else:
+        walk = np.zeros((rounds, n_games), dtype=np.intp)
 
-    views_a = np.zeros(n_games, dtype=np.int64)
-    views_b = np.zeros(n_games, dtype=np.int64)
-    pay_a = np.zeros(n_games, dtype=np.float64)
-    pay_b = np.zeros(n_games, dtype=np.float64)
+    if mixed:
+        p_a = tables.ravel()
+        next_base = (shift + row_base[:, None]).ravel()
+        for out, u_a, u_b in zip(walk, uniforms[:, 0], uniforms[:, side]):
+            code = (u_a < p_a.take(at)) << 1
+            code |= u_b < b_at_a_view.take(at + b_offset)
+            out ^= code
+            out |= next_base.take(at)
+            at = out
+    else:
+        # a's move pre-shifted into bit 1 of its successor's flat index.
+        step_a = np.add(shift, row_base[:, None])
+        step_a |= tables << 1
+        step_a = step_a.ravel()
+        for out in walk:
+            step = step_a.take(at)
+            step |= b_at_a_view.take(at + b_offset)
+            out ^= step
+            at = out
+
+    codes = np.bitwise_and(walk, 3, out=walk)  # 2 * move_a + move_b
     vec = payoff.vector
+    return (
+        _round_ordered_totals(vec, codes),
+        _round_ordered_totals(vec[_SWAP_CODE], codes),
+    )
 
-    for r in range(rounds):
-        slot = 0
-        entry_a = tables[a_idx, views_a]
-        if mixed:
-            moves_a = (uniforms[r, slot] < entry_a).astype(np.uint8)
-            slot += 1
-        else:
-            moves_a = entry_a
-        if noise > 0.0:
-            flips = (uniforms[r, slot] < noise).astype(np.uint8)
-            moves_a = moves_a ^ flips
-            slot += 1
-        entry_b = tables[b_idx, views_b]
-        if mixed:
-            moves_b = (uniforms[r, slot] < entry_b).astype(np.uint8)
-            slot += 1
-        else:
-            moves_b = entry_b
-        if noise > 0.0:
-            flips = (uniforms[r, slot] < noise).astype(np.uint8)
-            moves_b = moves_b ^ flips
-            slot += 1
-        code_a = 2 * moves_a.astype(np.int64) + moves_b
-        code_b = 2 * moves_b.astype(np.int64) + moves_a
-        pay_a += vec[code_a]
-        pay_b += vec[code_b]
-        views_a = ((views_a << 2) | code_a) & mask
-        views_b = ((views_b << 2) | code_b) & mask
-    return pay_a, pay_b
+
+def _round_ordered_totals(vec: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per-game sums of ``vec[codes]`` down a ``(rounds, n_games)`` array.
+
+    ``np.add.accumulate`` adds strictly in round order, like a round loop
+    does, whatever the number of games.
+    """
+    per_round = vec.take(codes)
+    np.add.accumulate(per_round, axis=0, out=per_round)
+    # ``+ 0.0`` copies the totals out and turns a -0.0 total into the 0.0
+    # a round loop's zero start gives.
+    return per_round[-1] + 0.0
 
 
 def cycle_payoffs_pairs(

@@ -112,6 +112,36 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="mapping"):
             EvolutionConfig.from_dict([1, 2, 3])
 
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ConfigurationError, match="beta"):
+            EvolutionConfig(beta=beta)
+        data = EvolutionConfig().to_dict()
+        data["beta"] = beta
+        with pytest.raises(ConfigurationError, match="beta"):
+            EvolutionConfig.from_dict(data)
+
+    def test_nan_beta_from_json_rejected(self):
+        # Python's json module accepts the bare NaN token.
+        data = json.loads('{"beta": NaN}')
+        with pytest.raises(ConfigurationError, match="beta"):
+            EvolutionConfig.from_dict(data)
+
+    def test_non_finite_payoff_list_entry_named(self):
+        data = EvolutionConfig().to_dict()
+        data["payoff"] = [3.0, 0.0, float("inf"), 1.0]
+        with pytest.raises(ConfigurationError, match="temptation"):
+            EvolutionConfig.from_dict(data)
+
+    def test_non_finite_payoff_mapping_entry_named(self):
+        data = EvolutionConfig().to_dict()
+        data["payoff"] = json.loads(
+            '{"reward": 3, "sucker": NaN, "temptation": 4, "punishment": 1,'
+            ' "require_dilemma": false}'
+        )
+        with pytest.raises(ConfigurationError, match="sucker"):
+            EvolutionConfig.from_dict(data)
+
     def test_semantic_validation_still_applies(self):
         data = EvolutionConfig().to_dict()
         data["n_ssets"] = -4

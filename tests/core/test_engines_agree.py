@@ -7,10 +7,11 @@ it (exactly for deterministic games, in expectation for stochastic ones).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
+    PayoffMatrix,
     exact_payoffs,
     expected_payoffs,
     find_cycle,
@@ -18,16 +19,34 @@ from repro.core import (
     payoff_matrix,
     play_game,
     play_pairs,
+    random_mixed,
     random_pure,
+    stack_tables,
     tft,
     wsls,
 )
+from repro.core.vectorgame import play_pairs_uniforms, sampled_draws_per_round
 from repro.rng import make_rng
 
 
 def _random_pair(seed: int, memory: int):
     rng = make_rng(seed)
     return random_pure(rng, memory), random_pure(rng, memory)
+
+
+def _same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    """Bitwise float equality (tells -0.0 from 0.0, unlike ``==``)."""
+    return x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+#: Integer (paper) and non-integer payoffs for the uniform-kernel oracle;
+#: the last is a non-integer matrix on which a pairwise sum of the rounds
+#: gives different bits than the round-by-round sum.
+_KERNEL_PAYOFFS = (
+    PayoffMatrix(),
+    PayoffMatrix(reward=3.1, sucker=0.27, temptation=5.3, punishment=1.13),
+)
+_finite_payoff = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 
 
 class TestCycleEngine:
@@ -145,3 +164,101 @@ class TestVectorEngine:
         )
         assert 0 <= pay_a[0] <= 120
         assert 0 <= pay_b[0] <= 120
+
+    @given(
+        seed=st.integers(0, 10_000),
+        memory=st.integers(1, 3),
+        mixed=st.booleans(),
+        noise=st.sampled_from([0.0, 0.02, 0.3]),
+        n_games=st.integers(1, 50),
+        rounds=st.integers(1, 60),
+        payoff=st.one_of(
+            st.sampled_from(_KERNEL_PAYOFFS),
+            st.builds(
+                PayoffMatrix,
+                reward=_finite_payoff,
+                sucker=_finite_payoff,
+                temptation=_finite_payoff,
+                punishment=_finite_payoff,
+                require_dilemma=st.just(False),
+            ),
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_uniforms_kernel_matches_rng_loop(
+        self, seed, memory, mixed, noise, n_games, rounds, payoff
+    ):
+        # The documented contract: the kernel over rng.random((R, D, G))
+        # is bit-identical to play_pairs drawing from the same generator.
+        assume(mixed or noise > 0.0)
+        rng = make_rng(seed)
+        strategies = [random_pure(rng, memory) for _ in range(4)]
+        if mixed:
+            strategies += [random_mixed(rng, memory) for _ in range(2)]
+        tables, _, any_mixed = stack_tables(strategies)
+        assert any_mixed == mixed
+        a_idx = rng.integers(0, len(strategies), size=n_games)
+        b_idx = rng.integers(0, len(strategies), size=n_games)
+        draws = sampled_draws_per_round(mixed, noise)
+        ref_a, ref_b = play_pairs(
+            strategies, a_idx, b_idx, rounds, payoff, noise,
+            rng=make_rng(seed + 1),
+        )
+        uniforms = make_rng(seed + 1).random((rounds, draws, n_games))
+        pay_a, pay_b = play_pairs_uniforms(
+            tables, a_idx, b_idx, rounds, payoff, noise, uniforms
+        )
+        assert _same_bits(pay_a, ref_a)
+        assert _same_bits(pay_b, ref_b)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_uniforms_kernel_game_bits_independent_of_batch(self, mixed):
+        # Fused batches (many lanes' games in one call) must give each game
+        # the bits it gets alone, also under a non-integer payoff.
+        rng = make_rng(41)
+        strategies = [random_pure(rng, 2) for _ in range(5)]
+        if mixed:
+            strategies.append(random_mixed(rng, 2))
+        tables, _, _ = stack_tables(strategies)
+        n_games, rounds, noise = 37, 200, 0.05
+        a_idx = rng.integers(0, len(strategies), size=n_games)
+        b_idx = rng.integers(0, len(strategies), size=n_games)
+        draws = sampled_draws_per_round(mixed, noise)
+        uniforms = rng.random((rounds, draws, n_games))
+        payoff = _KERNEL_PAYOFFS[1]
+        pay_a, pay_b = play_pairs_uniforms(
+            tables, a_idx, b_idx, rounds, payoff, noise, uniforms
+        )
+        for g in range(n_games):
+            one = slice(g, g + 1)
+            alone_a, alone_b = play_pairs_uniforms(
+                tables, a_idx[one], b_idx[one], rounds, payoff, noise,
+                uniforms[:, :, one],
+            )
+            assert _same_bits(alone_a, pay_a[one])
+            assert _same_bits(alone_b, pay_b[one])
+
+    def test_uniforms_kernel_zero_total_is_positive_zero(self):
+        # The round loop starts from 0.0, so all -0.0 rounds total 0.0.
+        rng = make_rng(8)
+        tables, _, _ = stack_tables([random_pure(rng, 1) for _ in range(2)])
+        payoff = PayoffMatrix(-0.0, -0.0, -0.0, -0.0, require_dilemma=False)
+        uniforms = rng.random((5, 2, 3))
+        pay_a, pay_b = play_pairs_uniforms(
+            tables, [0, 1, 1], [1, 0, 1], 5, payoff, 0.2, uniforms
+        )
+        zeros = np.zeros(3)
+        assert _same_bits(pay_a, zeros) and _same_bits(pay_b, zeros)
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_uniforms_kernel_rejects_out_of_range_row(self, side):
+        rng = make_rng(2)
+        tables, _, _ = stack_tables([random_pure(rng, 2) for _ in range(3)])
+        good = np.array([0, 1])
+        bad = np.array([0, 3])
+        a_idx, b_idx = (bad, good) if side == "a" else (good, bad)
+        uniforms = rng.random((10, 2, 2))
+        with pytest.raises(IndexError):
+            play_pairs_uniforms(
+                tables, a_idx, b_idx, 10, PayoffMatrix(), 0.1, uniforms
+            )

@@ -33,6 +33,11 @@ class TestFermi:
         with pytest.raises(ConfigurationError):
             fermi_probability(1.0, 0.0, -1.0)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_beta_rejected(self, beta):
+        with pytest.raises(ConfigurationError, match="beta"):
+            fermi_probability(1.0, 0.0, beta)
+
     @given(
         t=st.floats(-1e8, 1e8),
         l=st.floats(-1e8, 1e8),

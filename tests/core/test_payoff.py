@@ -59,6 +59,19 @@ class TestDilemmaValidation:
         )
         assert snowdrift.payoff(1, 1) == 0
 
+    def test_infinite_temptation_rejected_naming_entry(self):
+        # T = inf satisfies T > R > P > S; it must still be refused.
+        with pytest.raises(ConfigurationError, match="temptation"):
+            PayoffMatrix(reward=3, sucker=0, temptation=float("inf"), punishment=1)
+
+    @pytest.mark.parametrize("entry", ["reward", "sucker", "temptation", "punishment"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_rejected_when_opted_out(self, entry, value):
+        kwargs = dict(reward=3, sucker=1, temptation=4, punishment=0)
+        kwargs[entry] = value
+        with pytest.raises(ConfigurationError, match=entry):
+            PayoffMatrix(**kwargs, require_dilemma=False)
+
     def test_extremes(self):
         assert PAPER_PAYOFF.max_per_round == 4
         assert PAPER_PAYOFF.min_per_round == 0

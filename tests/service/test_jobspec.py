@@ -91,6 +91,23 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=r"configs\[1\].*generations"):
             JobSpec.from_dict(data)
 
+    @pytest.mark.parametrize(
+        ("field", "token", "named"),
+        [
+            ("beta", "NaN", "beta"),
+            ("beta", "Infinity", "beta"),
+            ("payoff", "[3, 0, Infinity, 1]", "temptation"),
+        ],
+    )
+    def test_from_dict_non_finite_number_named(self, field, token, named):
+        # A POST /jobs body is parsed by Python's json, which accepts the
+        # NaN and Infinity tokens.
+        body = json.loads(
+            f'{{"configs": [{{"n_ssets": 8, "{field}": {token}}}]}}'
+        )
+        with pytest.raises(ConfigurationError, match=rf"configs\[0\].*{named}"):
+            JobSpec.from_dict(body)
+
     def test_from_dict_version_check(self):
         data = make_spec().to_dict()
         data["version"] = SPEC_FORMAT_VERSION + 1
