@@ -180,7 +180,13 @@ class EvolutionConfig:
             )
         if self.n_ssets < 2:
             raise ConfigurationError(
-                f"need at least 2 SSets for pairwise comparison, got {self.n_ssets}"
+                f"n_ssets must be >= 2 (pairwise comparison needs two SSets), "
+                f"got {self.n_ssets}"
+            )
+        if self.seed < 0:
+            raise ConfigurationError(
+                f"seed must be >= 0 (NumPy seeds are non-negative), got "
+                f"{self.seed}"
             )
         if self.generations < 0:
             raise ConfigurationError(

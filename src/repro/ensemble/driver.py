@@ -98,7 +98,7 @@ from ..core.runstate import (
     unit_key,
     validate_resume_config,
 )
-from ..core.strategy import Strategy, random_mixed, random_pure
+from ..core.strategy import random_mixed, random_pure
 from ..errors import CheckpointError, ConfigurationError
 from ..rng import SeedSequenceTree
 from ..structure import GraphStructure, InteractionModel, build_structure
@@ -545,27 +545,18 @@ def _run_group_shared(
         pops[r].bind_engine(None)
         if restored is not None:
             sids[r] = engine.intern_lane(
-                [
-                    Strategy._trusted(np.array(row), cfg.memory_steps)
-                    for row in lane_state[r]["sid_tables"]
-                ]
+                np.asarray(lane_state[r]["sid_tables"], dtype=np.uint8)
             )
         else:
-            sids[r] = engine.intern_lane(pops[r].strategies())
+            sids[r] = engine.intern_lane(pops[r].strategy_matrix())
     if restored is not None:
         # Refill the snapshot's live x live valid-pair set (bit-exact — the
         # kernel is order-independent for these integer/compact sums) and
         # pin the counters to the interrupted run's, so the resumed run's
         # provenance matches an uninterrupted one.  Every captured live
         # table was re-interned just above, so the key lookup cannot miss.
-        live_new = np.array(
-            [
-                engine._ids[
-                    Strategy._trusted(np.array(row), cfg.memory_steps).key()
-                ]
-                for row in arrays_r["engine_live_tables"]
-            ],
-            dtype=np.int64,
+        live_new = engine.sids_of(
+            np.asarray(arrays_r["engine_live_tables"], dtype=np.uint8)
         )
         pair_a = np.asarray(arrays_r["engine_pair_a"])
         pair_b = np.asarray(arrays_r["engine_pair_b"])
@@ -613,7 +604,6 @@ def _run_group_shared(
     downhill = cfg.allow_downhill_learning
     beta = cfg.beta
     record_events = cfg.record_events
-    memory = cfg.memory_steps
     progress = progress_callback()
     cancel = cancel_token()
     fault = faults.hook("driver.generation")
@@ -702,15 +692,23 @@ def _run_group_shared(
         window = _fill_window(cfg.mutation_rate)
 
         # Pre-draw the whole batch's decisions per lane (exact serial
-        # stream consumption; see module docstring of rawstream).
+        # stream consumption; see module docstring of rawstream).  The
+        # mutants are laid out in event order — a stable sort by lane
+        # lists each lane's events in generation order, which is its draw
+        # order — and packed into interning keys once per batch.
         mu_counts = np.count_nonzero(mu_flags, axis=1)
-        mu_targets: list[list[int]] = []
-        mu_tables: list[np.ndarray] = []
+        mu_slots = np.argsort(mu_lane_arr, kind="stable")
+        mu_targets = np.empty(n_mu_ev, dtype=np.int64)
+        mu_tables = np.empty((n_mu_ev, n_states), dtype=np.uint8)
+        lo = 0
         for r in range(n_lanes):
             targets_r, tables_r = mu_decoders[r].draw(int(mu_counts[r]))
-            mu_targets.append(targets_r)
-            mu_tables.append(tables_r)
-        mu_cur = [0] * n_lanes
+            hi = lo + len(targets_r)
+            slots = mu_slots[lo:hi]
+            mu_targets[slots] = targets_r
+            mu_tables[slots] = tables_r
+            lo = hi
+        mu_keys = engine.pack_keys(mu_tables)
         pc_counts = np.count_nonzero(pc_flags, axis=1)
         pc_teachers: list[list[int]] = []
         pc_learners: list[list[int]] = []
@@ -750,42 +748,19 @@ def _run_group_shared(
             # window ends) keeps their slots — and any dead strategy they
             # resurrect — from being recycled before their events apply,
             # which also guarantees no slot is re-tenanted mid-window.
-            prepped: list[tuple[int, Strategy, int]] = []
             pins: list[int] = []
+            pin_targets: list[int] = []
             if m_end > mi:
-                lane_mutants: dict[int, list[int]] = {}
-                for idx in range(mi, m_end):
-                    r = mu_lane[idx]
-                    j = mu_cur[r]
-                    mu_cur[r] = j + 1
-                    target = mu_targets[r][j]
-                    strategy = Strategy._trusted(mu_tables[r][j], memory)
-                    sid = engine.acquire(strategy)
-                    pins.append(sid)
-                    prepped.append((target, strategy, sid))
-                    lane_mutants.setdefault(r, []).append(sid)
+                mutant_sids = engine.intern_lane(
+                    mu_tables[mi:m_end], mu_keys[mi:m_end]
+                )
+                pins = mutant_sids.tolist()
+                pin_targets = mu_targets[mi:m_end].tolist()
                 if full_cover:
-                    a_parts: list[np.ndarray] = []
-                    b_parts: list[np.ndarray] = []
-                    lane_parts: list[np.ndarray] = []
-                    for r, mutant_sids in lane_mutants.items():
-                        mutants = np.asarray(mutant_sids, dtype=np.int64)
-                        # Everything a window event can pair a mutant with
-                        # is live now or is itself a window mutant of this
-                        # lane.
-                        union = np.unique(np.concatenate((sids[r], mutants)))
-                        a_parts.append(np.repeat(mutants, union.shape[0]))
-                        b_parts.append(np.tile(union, mutants.shape[0]))
-                        lane_parts.append(
-                            np.full(
-                                mutants.shape[0] * union.shape[0], r,
-                                dtype=np.int64,
-                            )
-                        )
                     engine.fill_missing(
-                        np.concatenate(a_parts),
-                        np.concatenate(b_parts),
-                        np.concatenate(lane_parts),
+                        *_window_pairs(
+                            sids, mu_lane_arr[mi:m_end], mutant_sids
+                        )
                     )
             pre_idx = 0
 
@@ -911,7 +886,8 @@ def _run_group_shared(
                             )
 
                 for r in mu_lanes:
-                    target, strategy, new_sid = prepped[pre_idx]
+                    target = pin_targets[pre_idx]
+                    new_sid = pins[pre_idx]
                     pre_idx += 1
                     refs[new_sid] += 1
                     old_sid = int(sids[r, target])
@@ -996,11 +972,19 @@ def _run_group_shared(
     for r, result in enumerate(results):
         population = pops[r]
         lane_sids = sids[r]
-        for i in range(n_ssets):
+        # Only changed SSets get a new Strategy.  A table the lane started
+        # with reuses its generation-0 object, so a named strategy that
+        # spread by adoption keeps its name, as in the serial drivers.
+        initial_strategies = {s.key(): s for s in population.strategies()}
+        changed = (
+            engine.tables[lane_sids] != population.strategy_matrix()
+        ).any(axis=1)
+        for i in np.flatnonzero(changed).tolist():
             final = engine.strategy(int(lane_sids[i]))
-            sset = population.ssets[i]
-            if sset.strategy.key() != final.key():
-                population.set_strategy(i, final)
+            population.set_strategy(
+                i, initial_strategies.get(final.key(), final)
+            )
+        for i, sset in enumerate(population.ssets):
             sset.adoptions += int(adopt_counts[r, i])
             sset.mutations += int(mut_counts[r, i])
         result.n_pc_events = n_pc[r]
@@ -1037,6 +1021,44 @@ def _snapshot_lane(
             strategy_matrix=engine.tables[lane_sids],
             dominant_share=int(counts.max()) / lane_sids.shape[0],
         )
+    )
+
+
+def _window_pairs(
+    sids: np.ndarray, lanes: np.ndarray, mutants: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The prefetch pairs of one window's mutants, as ``(a, b, lanes)``.
+
+    Everything a window event can pair a mutant with is live in its lane
+    now or is itself one of the lane's window mutants, so each mutant is
+    paired with its lane's sid row plus its lane's mutants (itself
+    included).  Duplicates are left in; the fill drops them.  Pairs are
+    grouped by lane, lanes in the order of their first mutant in the
+    window, which fixes the lane each missing pair is attributed to.
+    """
+    n_lanes, n_ssets = sids.shape
+    _, first, inverse = np.unique(lanes, return_index=True, return_inverse=True)
+    group = first[inverse]  # window index of the lane's first mutant
+    order = np.argsort(group, kind="stable")
+    group = group[order]
+    lanes = lanes[order]
+    mutants = mutants[order]
+    start = np.searchsorted(group, group)
+    count = np.searchsorted(group, group, side="right") - start
+    # Two segments per mutant in one source array: its lane's sid row,
+    # then its lane's run of mutants.
+    source = np.concatenate((sids.ravel(), mutants))
+    seg_start = np.stack(
+        (lanes * n_ssets, n_lanes * n_ssets + start), axis=1
+    ).ravel()
+    seg_len = np.stack((np.full_like(count, n_ssets), count), axis=1).ravel()
+    ends = np.cumsum(seg_len)
+    index = np.arange(ends[-1]) + np.repeat(seg_start - (ends - seg_len), seg_len)
+    per_mutant = n_ssets + count
+    return (
+        np.repeat(mutants, per_mutant),
+        source[index],
+        np.repeat(lanes, per_mutant),
     )
 
 

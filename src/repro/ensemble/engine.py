@@ -24,6 +24,13 @@ Differences from the per-run :class:`~repro.core.engine.FitnessEngine`:
   Recycling a slot therefore only needs to clear its *row* — a contiguous
   memset — because the stale *column* entries fail the reversed check.
 
+* **Packed keys, no strategy objects.**  The pool interns move tables
+  by a packed key (one bit per move: an integer up to memory 3, bytes
+  beyond) and keeps only tables, keys and reference counts; a window's
+  mutants are interned in one :meth:`EnsembleEngine.intern_lane` call, and
+  a :class:`~repro.core.strategy.Strategy` is built only when
+  :meth:`EnsembleEngine.strategy` is asked for one (the final write-back).
+
 * **Gather fitness.**  Well-mixed fitness is ``paymat[sid, lane_sids].sum()``
   — a sum over SSets instead of the per-run engine's ``counts @ paymat[sid]``
   sum over distinct strategies.  Both are sums of the same integer-valued
@@ -44,6 +51,8 @@ ensemble driver runs those lanes with per-lane
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -115,8 +124,12 @@ class EnsembleEngine:
         self.n_lanes = n_lanes
         capacity = max(1, capacity)
         self._tables = np.zeros((capacity, self.n_states), dtype=np.uint8)
-        self._strategies: list[Strategy | None] = [None] * capacity
-        self._ids: dict[bytes, int] = {}
+        #: Bytes per interning key: a table packs one bit per move, into a
+        #: Python int for memory <= 3 (at most 64 moves), into bytes beyond.
+        self._key_width = (self.n_states + 7) // 8
+        #: Each live slot's key (``None`` when free), for recycle/compact.
+        self._keys: list[int | bytes | None] = [None] * capacity
+        self._ids: dict[int | bytes, int] = {}
         #: Total references across all lanes (plain ints: the accounting is
         #: scalar hot-path work); a slot is recycled at zero.
         self._refs: list[int] = [0] * capacity
@@ -174,10 +187,11 @@ class EnsembleEngine:
         return len(self._ids)
 
     def strategy(self, sid: int) -> Strategy:
-        found = self._strategies[sid]
-        if found is None:
+        """The live strategy in slot ``sid``, built from its table (the
+        pool stores tables and keys only)."""
+        if self._keys[sid] is None:
             raise SimulationError(f"slot {sid} is free (no live strategy)")
-        return found
+        return Strategy._trusted(self._tables[sid].copy(), self.memory_steps)
 
     def stats(self) -> dict[str, int]:
         """Shared-engine counters + memory accounting for reports/benchmarks."""
@@ -200,34 +214,52 @@ class EnsembleEngine:
         tables[:old] = self._tables
         self._tables = tables
         self._store.grow(new)
-        self._strategies.extend([None] * (new - old))
+        self._keys.extend([None] * (new - old))
         self._refs.extend([0] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
+
+    def pack_keys(self, tables: np.ndarray) -> np.ndarray:
+        """Interning keys of ``(k, n_states)`` pure move tables, one bit
+        per move: a ``uint64`` array for memory <= 3, an array of
+        fixed-width byte strings beyond (``tolist`` gives the dict keys)."""
+        if tables.dtype != np.uint8 or tables.ndim != 2 or (
+            tables.shape[1] != self.n_states
+        ):
+            raise StrategyError(
+                f"engine interns pure memory-{self.memory_steps} tables of "
+                f"shape (k, {self.n_states}) uint8, got {tables.shape} "
+                f"{tables.dtype}"
+            )
+        bits = np.packbits(tables, axis=1, bitorder="little")
+        width = self._key_width
+        if width > 8:
+            return bits.view(np.dtype((np.void, width))).ravel()
+        if width < 8:
+            wide = np.zeros((bits.shape[0], 8), dtype=np.uint8)
+            wide[:, :width] = bits
+            bits = wide
+        return bits.view("<u8").ravel()
+
+    def _stack_tables(self, strategies: Sequence[Strategy]) -> np.ndarray:
+        for strategy in strategies:
+            if strategy.memory_steps != self.memory_steps:
+                raise StrategyError(
+                    f"engine interns memory-{self.memory_steps} strategies, "
+                    f"got memory-{strategy.memory_steps}"
+                )
+            if not strategy.is_pure:
+                raise StrategyError(
+                    "the shared ensemble engine serves pure strategies only"
+                )
+        return np.array(
+            [s.table for s in strategies], dtype=np.uint8
+        ).reshape(len(strategies), self.n_states)
 
     def acquire(self, strategy: Strategy) -> int:
         """Intern one reference to ``strategy`` (any lane's, or a window
         prefetch pin — references are global; only recycling depends on
         them)."""
-        if strategy.memory_steps != self.memory_steps:
-            raise StrategyError(
-                f"engine interns memory-{self.memory_steps} strategies, got "
-                f"memory-{strategy.memory_steps}"
-            )
-        if not strategy.is_pure:
-            raise StrategyError(
-                "the shared ensemble engine serves pure strategies only"
-            )
-        key = strategy.key()
-        sid = self._ids.get(key)
-        if sid is None:
-            if not self._free:
-                self._grow()
-            sid = self._free.pop()
-            self._tables[sid] = strategy.table
-            self._strategies[sid] = strategy
-            self._ids[key] = sid
-        self._refs[sid] += 1
-        return sid
+        return int(self.intern_lane([strategy])[0])
 
     def release(self, sid: int) -> None:
         """Drop one reference; recycle the slot at zero references."""
@@ -247,17 +279,61 @@ class EnsembleEngine:
         checks validity two-way, the blocked store's epoch-sum stamps
         go stale in both directions at once).
         """
-        strategy = self._strategies[sid]
-        assert strategy is not None
-        del self._ids[strategy.key()]
-        self._strategies[sid] = None
+        key = self._keys[sid]
+        assert key is not None
+        del self._ids[key]
+        self._keys[sid] = None
         self._store.invalidate_row(sid)
         self._free.append(sid)
 
-    def intern_lane(self, strategies: list[Strategy]) -> np.ndarray:
-        """Bulk-intern one lane's population; returns its sid array."""
+    def intern_lane(
+        self,
+        tables: np.ndarray | Sequence[Strategy],
+        keys: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Intern one reference per row of ``tables`` — a lane's
+        population or a prefetch window's mutants, as ``(k, n_states)``
+        pure move tables or as strategies — and return the rows' sids.
+        ``keys`` are the rows' :meth:`pack_keys`, when the caller has
+        packed them already.
+
+        Rows take free slots in row order, exactly as interning them one
+        at a time would; new slots' tables are written in one assignment.
+        """
+        if not isinstance(tables, np.ndarray):
+            tables = self._stack_tables(tables)
+        if keys is None:
+            keys = self.pack_keys(tables)
+        ids = self._ids
+        refs = self._refs
+        free = self._free  # _grow extends these lists in place
+        slot_keys = self._keys
+        sids: list[int] = []
+        new_sids: list[int] = []
+        new_rows: list[int] = []
+        for row, key in enumerate(keys.tolist()):
+            sid = ids.get(key)
+            if sid is None:
+                if not free:
+                    self._grow()
+                sid = free.pop()
+                ids[key] = sid
+                slot_keys[sid] = key
+                new_sids.append(sid)
+                new_rows.append(row)
+            refs[sid] += 1
+            sids.append(sid)
+        if new_sids:
+            self._tables[new_sids] = tables[new_rows]
+        return np.array(sids, dtype=np.int64)
+
+    def sids_of(self, tables: np.ndarray) -> np.ndarray:
+        """The sids of tables that are interned already (no new
+        references)."""
+        ids = self._ids
         return np.array(
-            [self.acquire(s) for s in strategies], dtype=np.int64
+            [ids[key] for key in self.pack_keys(tables).tolist()],
+            dtype=np.int64,
         )
 
     def compact(self, min_capacity: int = 256) -> np.ndarray | None:
@@ -289,20 +365,18 @@ class EnsembleEngine:
         tables = np.zeros((new_cap, self.n_states), dtype=np.uint8)
         tables[:n_live] = self._tables[idx]
         store = self._store.rebuild(idx, new_cap)
-        strategies: list[Strategy | None] = [None] * new_cap
+        keys: list[int | bytes | None] = [None] * new_cap
         refs = [0] * new_cap
         mapping = np.full(capacity, -1, dtype=np.int64)
         for new_sid, old_sid in enumerate(live):
-            strategies[new_sid] = self._strategies[old_sid]
+            keys[new_sid] = self._keys[old_sid]
             refs[new_sid] = self._refs[old_sid]
             mapping[old_sid] = new_sid
         self._tables = tables
         self._store = store
-        self._strategies = strategies
+        self._keys = keys
         self._refs = refs
-        self._ids = {
-            s.key(): sid for sid, s in enumerate(strategies) if s is not None
-        }
+        self._ids = {key: sid for sid, key in enumerate(keys[:n_live])}
         self._free = list(range(new_cap - 1, n_live - 1, -1))
         return mapping
 

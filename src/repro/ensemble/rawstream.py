@@ -28,7 +28,26 @@ primitives on the Philox raw uint64 stream:
 
 This module re-implements those primitives vectorised over a *clone* of
 the bit generator (peek), then advances the real generator by exactly the
-number of raw words consumed (commit).  Decoding is enabled only after a
+number of raw words consumed (commit).
+
+The two PC decoders share one **segment walk** (:func:`_walk_segments`).
+A clean event is two half-words plus one full word, so consecutive clean
+events keep one of two carry alignments (the first half-word either
+opens a fresh word or is the high half carried over from two words
+back).  A draw takes its words once, in bulk, and decodes an alignment
+at every word position vectorised (the second alignment only once a bad
+event switches to it), together with a mask of the positions whose
+event is bad: a teacher==learner collision, a Lemire rejection, or a
+graph learner of degree 1.  The walk then alternates between copying the
+clean run up to the next bad event of its current alignment (one
+bisection and three strided slices) and replaying that bad event through
+the scalar fixup off the same words, whose consumption picks the next
+alignment.  Each word is decoded a constant number of times and each bad
+event costs a constant number of calls, so a draw of ``m`` events is
+O(m) — never a re-decode of the rest of the batch — and requests about
+``m`` times the expected words per event from the peek.
+
+Decoding is enabled only after a
 start-up self-check against the real ``Generator`` API passes — so a
 future NumPy that changes its bounded-integer algorithm degrades this
 module to the scalar path instead of silently changing trajectories (the
@@ -52,6 +71,8 @@ The scalar fallbacks produce identical arrays through the ordinary
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -152,21 +173,146 @@ class _RawPeek:
             self._real.random_raw(self.consumed)
 
 
-def _scalar_bounded(decoder, peek: _RawPeek, n: int, threshold: int) -> int:
+def _scalar_bounded(decoder, source, n: int, threshold: int) -> int:
     """One ``integers(n)`` value off the half-word stream, Lemire rejection
     included, updating the decoder's persistent half-word carry.  Mirrors
-    NumPy's ``buffered_bounded_lemire_uint32`` exactly (``n >= 2``)."""
+    NumPy's ``buffered_bounded_lemire_uint32`` exactly (``n >= 2``).
+    ``source`` is a :class:`_RawPeek` or a :class:`_WordBuffer`."""
     while True:
         if decoder._half is not None:
             u32 = decoder._half
             decoder._half = None
         else:
-            raw = int(peek.take(1)[0])
+            raw = int(source.take(1)[0])
             u32 = raw & 0xFFFFFFFF
             decoder._half = raw >> 32
         product = u32 * n
         if (product & 0xFFFFFFFF) >= threshold:
             return product >> 32
+
+
+class _WordBuffer:
+    """The raw words one PC draw walks, taken from the peek in bulk.
+
+    The segment walk decodes these words vectorised and replays its bad
+    events off the *same* words (``take`` is the :class:`_RawPeek` call
+    :func:`_scalar_bounded` makes), so no word is requested twice.
+    """
+
+    def __init__(self, peek: _RawPeek, size: int):
+        self._peek = peek
+        self.words = peek.take(size)
+        self.pos = 0
+
+    def take(self, k: int) -> np.ndarray:
+        end = self.pos + k
+        if end > self.words.shape[0]:
+            self.grow(end - self.words.shape[0])
+        out = self.words[self.pos : end]
+        self.pos = end
+        return out
+
+    def grow(self, k: int) -> None:
+        """Append at least ``k`` words, and at least a quarter of the
+        buffer: every growth re-decodes the whole buffer, so geometric
+        growth keeps the total decode work linear."""
+        k = max(k, self.words.shape[0] // 4)
+        self.words = np.concatenate((self.words, self._peek.take(k)))
+
+    def commit(self) -> None:
+        """Consume exactly the words before ``pos``; hand back the rest."""
+        self._peek.rollback(self.words.shape[0] - self.pos)
+        self._peek.commit()
+
+
+def _walk_segments(decoder, m: int) -> tuple[list[int], list[int], list[float]]:
+    """Decode ``m`` PC events off the raw stream in linear time.
+
+    An event starting at word ``k`` reads two half-words for its bounded
+    draws and word ``k + 1`` for its uniform, in one of two alignments:
+    without a carry the draws are the low and high halves of word ``k``;
+    with one, the first draw is the carried high half of word ``k - 2``
+    (the previous event's second word, or the carry this draw started
+    with) and the second is the low half of word ``k``.  Clean events keep
+    their alignment and advance two words, so an alignment is decoded at
+    every word position at once, when the walk first enters it:
+    ``decoder._decode`` maps the two half-words to teachers, learners and
+    a bad mask.  The walk copies the clean run before the next bad event
+    of its alignment by strided slicing, finds that event by bisection,
+    and replays it through ``decoder._replay``, whose consumption fixes
+    the next alignment (a replay leaves a carry exactly when the half it
+    leaves is the high half of the word before its uniform).
+    """
+    if m == 0:
+        return [], [], []
+    half0 = decoder._half
+    buf = _WordBuffer(_RawPeek(decoder._bitgen), _words_needed(decoder, m))
+    teachers = np.empty(m, dtype=np.int64)
+    learners = np.empty(m, dtype=np.int64)
+    uniforms = np.empty(m, dtype=np.float64)
+    carry = int(half0 is not None)
+    i = pos = size = 0
+    while True:
+        if size != buf.words.shape[0]:
+            words = buf.words
+            size = words.shape[0]
+            u = (words >> _SHIFT11) * _DOUBLE_SCALE
+            decoded: list = [None, None]
+        if decoded[carry] is None:
+            low = words & _U32
+            high = words >> _SHIFT32
+            if carry:
+                first = np.empty_like(high)
+                first[2:] = high[:-2]
+                first[:2] = 0 if half0 is None else half0  # only pos 0 starts
+                found_t, found_l, bad = decoder._decode(first, low)
+            else:
+                found_t, found_l, bad = decoder._decode(low, high)
+            # Bad events per parity of their start word, as indices into
+            # that parity's stride-2 positions.
+            decoded[carry] = (
+                found_t,
+                found_l,
+                (np.flatnonzero(bad[0::2]).tolist(),
+                 np.flatnonzero(bad[1::2]).tolist()),
+            )
+        found_t, found_l, bad_at = decoded[carry]
+        bads = bad_at[pos & 1]
+        slot = pos >> 1
+        nxt = bisect_left(bads, slot)
+        clean = bads[nxt] - slot if nxt < len(bads) else size
+        run = min(m - i, (size - pos) // 2, clean)
+        if run:
+            end = pos + 2 * run
+            teachers[i : i + run] = found_t[pos:end:2]
+            learners[i : i + run] = found_l[pos:end:2]
+            uniforms[i : i + run] = u[pos + 1 : end : 2]
+            i += run
+            pos = end
+        if i == m:
+            break
+        if run == clean:
+            buf.pos = pos
+            if carry:
+                decoder._half = int(words[pos - 2]) >> 32 if pos >= 2 else half0
+            else:
+                decoder._half = None
+            teachers[i], learners[i], uniforms[i] = decoder._replay(buf)
+            i += 1
+            pos = buf.pos
+            carry = int(decoder._half is not None)
+        else:
+            buf.grow(_words_needed(decoder, m - i) - (size - pos))
+    buf.pos = pos
+    buf.commit()
+    decoder._half = int(buf.words[pos - 2]) >> 32 if carry else None
+    return teachers.tolist(), learners.tolist(), uniforms.tolist()
+
+
+def _words_needed(decoder, events: int) -> int:
+    """Raw words to take for ``events`` events: the expected consumption
+    plus 5% and a small floor, so a draw rarely has to grow its buffer."""
+    return int(events * decoder._words_per_event * 1.05) + 64
 
 
 class _RawPCDecoder:
@@ -175,16 +321,23 @@ class _RawPCDecoder:
     Per event the serial sequence is ``integers(n)`` (teacher),
     ``integers(n)`` (learner, redrawn while equal), ``random()``
     (adoption uniform): two half-words plus one full word — two raw words
-    per clean event, in one of two stable carry parities.  Events that
+    per clean event, in one of two stable carry alignments.  Events that
     collide (teacher == learner) or hit a Lemire rejection consume extra
-    draws; both are rare and replayed through the scalar fixup.
+    draws; both are replayed through the scalar fixup by the segment walk
+    (:func:`_walk_segments`).
     """
 
     def __init__(self, rng: np.random.Generator, n_ssets: int):
         self._bitgen = rng.bit_generator
         self._n = n_ssets
         self._un = np.uint64(n_ssets)
-        self._thr = np.uint64(_lemire_threshold(n_ssets))
+        threshold = _lemire_threshold(n_ssets)
+        self._thr = np.uint64(threshold)
+        self._threshold = threshold
+        # A learner redraw costs 1/(n-1) halves per event on average, and
+        # every half is redrawn at the rejection rate.
+        halves = (2 + 1 / (n_ssets - 1)) / (1 - threshold / 2**32)
+        self._words_per_event = 1 + halves / 2
         self._half: int | None = None
 
     def state_dict(self) -> dict:
@@ -194,68 +347,29 @@ class _RawPCDecoder:
         self._half = _restore_raw_stream(self._bitgen, data)
 
     def draw(self, m: int) -> tuple[list[int], list[int], list[float]]:
-        if m == 0:
-            return [], [], []
-        peek = _RawPeek(self._bitgen)
-        teachers: list[int] = [0] * m
-        learners: list[int] = [0] * m
-        uniforms: list[float] = [0.0] * m
-        un = self._un
-        thr = self._thr
-        i = 0
-        while i < m:
-            todo = m - i
-            raws = peek.take(2 * todo)
-            ev = raws[0::2]
-            od = raws[1::2]
-            if self._half is None:
-                t32 = ev & _U32
-                l32 = ev >> _SHIFT32
-            else:
-                t32 = np.empty(todo, dtype=np.uint64)
-                t32[0] = self._half
-                t32[1:] = ev[:-1] >> _SHIFT32
-                l32 = ev & _U32
-            mt = t32 * un
-            ml = l32 * un
-            t_np = mt >> _SHIFT32
-            l_np = ml >> _SHIFT32
-            t_arr = t_np.tolist()
-            l_arr = l_np.tolist()
-            u_arr = ((od >> _SHIFT11) * _DOUBLE_SCALE).tolist()
-            # An event is "bad" — misaligned from here on — when either
-            # bounded draw was Lemire-rejected or the pair collided.
-            bad = (mt & _U32) < thr
-            bad |= (ml & _U32) < thr
-            bad |= t_np == l_np
-            bads = np.nonzero(bad)[0]
-            first_bad = int(bads[0]) if bads.size else None
-            good = todo if first_bad is None else first_bad
-            teachers[i : i + good] = t_arr[:good]
-            learners[i : i + good] = l_arr[:good]
-            uniforms[i : i + good] = u_arr[:good]
-            if first_bad is None:
-                if self._half is not None:
-                    self._half = int(ev[-1] >> _SHIFT32)
-                i += todo
-                continue
-            # Rewind the peek to the bad event and replay it with the
-            # scalar loop (collisions are ~1/n rare, rejections ~n/2**32).
-            peek.rollback(2 * (todo - good))
-            if self._half is not None and good > 0:
-                self._half = int(ev[good - 1] >> _SHIFT32)
-            i += good
-            teacher = _scalar_bounded(self, peek, self._n, int(thr))
-            learner = _scalar_bounded(self, peek, self._n, int(thr))
-            while learner == teacher:
-                learner = _scalar_bounded(self, peek, self._n, int(thr))
-            raw = int(peek.take(1)[0])  # random() draws a full word
-            teachers[i] = teacher
-            learners[i] = learner
-            uniforms[i] = (raw >> 11) * _DOUBLE_SCALE
-            i += 1
-        peek.commit()
-        return teachers, learners, uniforms
+        return _walk_segments(self, m)
+
+    def _decode(self, first: np.ndarray, second: np.ndarray):
+        """Teachers, learners and the bad mask of the events whose two
+        half-words are ``first[k]`` and ``second[k]``."""
+        prod_t = first * self._un
+        prod_l = second * self._un
+        teachers = prod_t >> _SHIFT32
+        learners = prod_l >> _SHIFT32
+        bad = (prod_t & _U32) < self._thr
+        bad |= (prod_l & _U32) < self._thr
+        bad |= teachers == learners
+        return teachers, learners, bad
+
+    def _replay(self, buf: _WordBuffer) -> tuple[int, int, float]:
+        """One event through the scalar fixup (collision or rejection)."""
+        n, threshold = self._n, self._threshold
+        teacher = _scalar_bounded(self, buf, n, threshold)
+        learner = _scalar_bounded(self, buf, n, threshold)
+        while learner == teacher:
+            learner = _scalar_bounded(self, buf, n, threshold)
+        raw = int(buf.take(1)[0])  # random() draws a full word
+        return teacher, learner, (raw >> 11) * _DOUBLE_SCALE
 
 
 class _ScalarPCDecoder:
@@ -296,8 +410,9 @@ class _RawGraphPCDecoder:
     offset into the learner's CSR neighbor row), ``random()`` (adoption
     uniform) — the well-mixed two-halves-plus-a-word shape with the roles
     swapped and a *value-dependent* second bound.  Degree-1 learners are
-    routed through the scalar fixup: NumPy answers ``integers(1)`` from
-    the bound alone without consuming the stream.
+    replayed through the scalar fixup by the same segment walk
+    (:func:`_walk_segments`): NumPy answers ``integers(1)`` from the bound
+    alone without consuming the stream.
     """
 
     def __init__(self, rng: np.random.Generator, structure):
@@ -305,11 +420,17 @@ class _RawGraphPCDecoder:
         n = structure.n_ssets
         self._n = n
         self._un = np.uint64(n)
-        self._thr_n = np.uint64(_lemire_threshold(n))
+        self._threshold = _lemire_threshold(n)
+        self._thr_n = np.uint64(self._threshold)
         self._indptr = structure.indptr.astype(np.int64)
         self._indices = structure.indices
         self._deg = structure.degrees.astype(np.uint64)
         self._thr_deg = np.uint64(1 << 32) % self._deg
+        # Learners are uniform over nodes; a leaf draws no offset half.
+        halves = 1 / (1 - self._threshold / 2**32) + float(
+            np.mean(structure.degrees > 1)
+        )
+        self._words_per_event = 1 + halves / 2
         self._half: int | None = None
 
     def state_dict(self) -> dict:
@@ -319,72 +440,39 @@ class _RawGraphPCDecoder:
         self._half = _restore_raw_stream(self._bitgen, data)
 
     def draw(self, m: int) -> tuple[list[int], list[int], list[float]]:
-        if m == 0:
-            return [], [], []
-        peek = _RawPeek(self._bitgen)
-        teachers: list[int] = [0] * m
-        learners: list[int] = [0] * m
-        uniforms: list[float] = [0.0] * m
-        i = 0
-        while i < m:
-            todo = m - i
-            raws = peek.take(2 * todo)
-            ev = raws[0::2]
-            od = raws[1::2]
-            if self._half is None:
-                l32 = ev & _U32
-                t32 = ev >> _SHIFT32
-            else:
-                l32 = np.empty(todo, dtype=np.uint64)
-                l32[0] = self._half
-                l32[1:] = ev[:-1] >> _SHIFT32
-                t32 = ev & _U32
-            ml = l32 * self._un
-            l_np = (ml >> _SHIFT32).astype(np.int64)
-            bounds = self._deg[l_np]
-            mt = t32 * bounds
-            tidx = (mt >> _SHIFT32).astype(np.int64)
-            # Bad events: learner rejected (making the decoded bound
-            # meaningless), teacher offset rejected, or a degree-1 learner
-            # (whose offset draw consumes nothing).
-            bad = (ml & _U32) < self._thr_n
-            bad |= (mt & _U32) < self._thr_deg[l_np]
-            bad |= bounds == 1
-            bads = np.nonzero(bad)[0]
-            first_bad = int(bads[0]) if bads.size else None
-            good = todo if first_bad is None else first_bad
-            if good:
-                l_good = l_np[:good]
-                t_good = self._indices[self._indptr[l_good] + tidx[:good]]
-                learners[i : i + good] = l_good.tolist()
-                teachers[i : i + good] = t_good.tolist()
-                uniforms[i : i + good] = (
-                    (od[:good] >> _SHIFT11) * _DOUBLE_SCALE
-                ).tolist()
-            if first_bad is None:
-                if self._half is not None:
-                    self._half = int(ev[-1] >> _SHIFT32)
-                i += todo
-                continue
-            peek.rollback(2 * (todo - good))
-            if self._half is not None and good > 0:
-                self._half = int(ev[good - 1] >> _SHIFT32)
-            i += good
-            learner = _scalar_bounded(self, peek, self._n, int(self._thr_n))
-            degree = int(self._deg[learner])
-            if degree == 1:
-                offset = 0  # integers(1): no stream consumption
-            else:
-                offset = _scalar_bounded(
-                    self, peek, degree, _lemire_threshold(degree)
-                )
-            raw = int(peek.take(1)[0])
-            learners[i] = learner
-            teachers[i] = int(self._indices[self._indptr[learner] + offset])
-            uniforms[i] = (raw >> 11) * _DOUBLE_SCALE
-            i += 1
-        peek.commit()
-        return teachers, learners, uniforms
+        return _walk_segments(self, m)
+
+    def _decode(self, first: np.ndarray, second: np.ndarray):
+        """Teachers, learners and the bad mask of the events whose two
+        half-words (learner, then teacher offset) are ``first[k]`` and
+        ``second[k]``."""
+        prod_l = first * self._un
+        learners = (prod_l >> _SHIFT32).astype(np.int64)
+        bounds = self._deg[learners]
+        prod_t = second * bounds
+        offsets = (prod_t >> _SHIFT32).astype(np.int64)
+        # Bad: learner rejected (making the decoded bound meaningless),
+        # teacher offset rejected, or a degree-1 learner (whose offset
+        # draw consumes nothing).
+        bad = (prod_l & _U32) < self._thr_n
+        bad |= (prod_t & _U32) < self._thr_deg[learners]
+        bad |= bounds == 1
+        teachers = self._indices[self._indptr[learners] + offsets]
+        return teachers, learners, bad
+
+    def _replay(self, buf: _WordBuffer) -> tuple[int, int, float]:
+        """One event through the scalar fixup (rejection or leaf)."""
+        learner = _scalar_bounded(self, buf, self._n, self._threshold)
+        degree = int(self._deg[learner])
+        if degree == 1:
+            offset = 0  # integers(1): no stream consumption
+        else:
+            offset = _scalar_bounded(
+                self, buf, degree, _lemire_threshold(degree)
+            )
+        raw = int(buf.take(1)[0])
+        teacher = int(self._indices[self._indptr[learner] + offset])
+        return teacher, learner, (raw >> 11) * _DOUBLE_SCALE
 
 
 class _ScalarGraphPCDecoder:

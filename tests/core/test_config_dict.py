@@ -147,3 +147,20 @@ class TestValidation:
         data["n_ssets"] = -4
         with pytest.raises(ConfigurationError):
             EvolutionConfig.from_dict(data)
+
+    @pytest.mark.parametrize("seed", [-1, -(2**63)])
+    def test_negative_seed_rejected_naming_seed(self, seed):
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            EvolutionConfig(seed=seed)
+        data = EvolutionConfig().to_dict()
+        data["seed"] = seed
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            EvolutionConfig.from_dict(data)
+
+    def test_zero_seed_accepted(self):
+        assert EvolutionConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("n_ssets", [0, 1, -4])
+    def test_too_few_ssets_names_n_ssets(self, n_ssets):
+        with pytest.raises(ConfigurationError, match="n_ssets must be >= 2"):
+            EvolutionConfig(n_ssets=n_ssets)

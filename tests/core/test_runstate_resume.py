@@ -149,6 +149,7 @@ def test_resume_crosses_drivers(label, kwargs):
 #: and the per-lane generic mode (expected/noise and legacy-cache lanes).
 ENSEMBLE_REGIMES = [
     ("shared-det-m1", dict(memory_steps=1, **COMMON)),
+    ("shared-det-m2", dict(memory_steps=2, **COMMON)),
     ("shared-ring-m2", dict(memory_steps=2, structure="ring:k=2", **COMMON)),
     ("shared-blocked",
      dict(memory_steps=1, paymat_block=32, **COMMON)),

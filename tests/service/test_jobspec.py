@@ -108,6 +108,15 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=rf"configs\[0\].*{named}"):
             JobSpec.from_dict(body)
 
+    def test_from_dict_negative_seed_named(self):
+        # Admitted, such a job would fail in the worker inside NumPy.
+        data = make_spec().to_dict()
+        data["configs"][1]["seed"] = -1
+        with pytest.raises(
+            ConfigurationError, match=r"configs\[1\].*seed must be >= 0"
+        ):
+            JobSpec.from_dict(data)
+
     def test_from_dict_version_check(self):
         data = make_spec().to_dict()
         data["version"] = SPEC_FORMAT_VERSION + 1
