@@ -8,6 +8,7 @@ mu = 0.05, pure strategies.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Mapping
 
@@ -15,6 +16,7 @@ from ..errors import ConfigurationError
 from ..structure import InteractionModel, build_structure, validate_structure
 from .fermi import PAPER_BETA
 from .payoff import PAPER_PAYOFF, PayoffMatrix
+from .states import MAX_MEMORY_STEPS
 
 __all__ = ["EvolutionConfig", "PAPER_PC_RATE", "PAPER_MUTATION_RATE"]
 
@@ -174,9 +176,17 @@ class EvolutionConfig:
     checkpoint_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.memory_steps < 1:
+        # Integer fields first, so the range checks below compare ints and
+        # a float or string fails here, naming its field.  NumPy integers
+        # are stored as int.
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                object.__setattr__(self, name, _coerce_int(name, value))
+        if not 1 <= self.memory_steps <= MAX_MEMORY_STEPS:
             raise ConfigurationError(
-                f"memory_steps must be >= 1, got {self.memory_steps}"
+                f"memory_steps must lie in [1, {MAX_MEMORY_STEPS}] "
+                f"(MAX_MEMORY_STEPS), got {self.memory_steps}"
             )
         if self.n_ssets < 2:
             raise ConfigurationError(
@@ -422,11 +432,13 @@ if _UNCLASSIFIED:  # pragma: no cover - tripwire for future fields
 
 
 def _coerce_int(name: str, value: Any) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    """``value`` as an int: Python and NumPy integers pass, booleans,
+    floats (even integral ones) and strings are rejected by field name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(
             f"field {name!r}: expected an integer, got {value!r}"
         )
-    return value
+    return int(value)
 
 
 def _coerce_float(name: str, value: Any) -> float:

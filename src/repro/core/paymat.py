@@ -4,7 +4,7 @@ The engines' contract is a logical ``capacity x capacity`` matrix of pair
 payoffs (``pay[a, b]`` = total game payoff strategy ``a`` earns against
 ``b``) plus, for the demand-driven ensemble engine, a parallel evaluated
 mask.  This module supplies two interchangeable backings behind one small
-interface (``take`` / ``pair_valid`` / ``write_pairs`` / ``invalidate_row``
+interface (``take`` / ``pair_valid`` / ``write_pairs`` / ``invalidate_rows``
 / ``grow`` / ``rebuild``):
 
 * :class:`DensePairStore` — the historical single allocation.  Every
@@ -105,8 +105,8 @@ class DensePairStore:
         self._eval[a, b] = True
         self._eval[b, a] = True
 
-    def invalidate_row(self, sid: int) -> None:
-        self._eval[sid, :] = False
+    def invalidate_rows(self, sids: np.ndarray) -> None:
+        self._eval[sids, :] = False
 
     def tick(self) -> None:
         """LRU clock hook — dense stores never evict."""
@@ -375,21 +375,23 @@ class BlockedPairStore:
         rows, cols = key
         self.set(rows, cols, values)
 
-    def invalidate_row(self, sid: int) -> None:
-        """Retire all of ``sid``'s evaluations: bump its row epoch.
+    def invalidate_rows(self, sids: np.ndarray) -> None:
+        """Retire all evaluations of the distinct ``sids``: bump their row
+        epochs.
 
-        O(1) — stale cell stamps simply never match again, because epoch
-        sums are strictly increasing until wraparound.  Epochs cap at
-        32766 so a two-epoch sum always fits the uint16 stamps; on (rare)
-        wraparound both directions of the row's resident cells are
+        O(1) per row — stale cell stamps simply never match again, because
+        epoch sums are strictly increasing until wraparound.  Epochs cap
+        at 32766 so a two-epoch sum always fits the uint16 stamps; on
+        (rare) wraparound both directions of the row's resident cells are
         cleared eagerly before the epoch resets, restoring monotonicity.
         Collateral invalidation of still-live cells is trajectory-neutral
         — deterministic refills are bit-exact.
         """
         if self._eval is None:
             return
-        e = int(self._epoch[sid])
-        if e >= 32766:
+        sids = np.asarray(sids, dtype=np.int64)
+        wrap = self._epoch[sids] >= 32766
+        for sid in sids[wrap].tolist():
             bi = sid >> self._shift
             off = sid & self._bmask
             row = self._table[bi]
@@ -400,9 +402,8 @@ class BlockedPairStore:
             live = col[col > 0]
             if live.size:
                 self._eval[live, :, off] = 0
-            self._epoch[sid] = 1
-        else:
-            self._epoch[sid] = e + 1
+            self._epoch[sid] = 0  # the bump below restarts it at 1
+        self._epoch[sids] += 1
 
     def tick(self) -> None:
         """Advance the LRU clock: blocks touched from here on are pinned

@@ -330,12 +330,19 @@ def cycle_payoffs_pairs(
     :class:`repro.core.engine.FitnessEngine`, which is why that engine
     requires integer payoffs.
 
-    ``compact_sums`` keeps the per-block payoff-sum tables in float32 —
-    the kernel is gather-bound, so halving the moved bytes is a measurable
-    win for the engines' fill batches.  Callers must guarantee the payoff
-    matrix is integer-valued with ``rounds * max|payoff| < 2**24`` (every
-    partial sum then remains float32-exact); the returned totals are
-    float64 and bit-identical to the default path.
+    ``compact_sums`` packs both sides' block sums into one int64 per view,
+    ``(pay_a << 32) + pay_b``, so each doubling (and each step of the
+    walk) is one gather and one add instead of two of each — the kernel is
+    gather-bound, and this is the engines' fill path.  The packing is
+    exact while both sides' sums stay within ±2**31: adding packed values
+    adds the high and low halves separately, the low half's sign borrows
+    from the high half, and decoding ``b = ((t + 2**31) & 0xFFFFFFFF) -
+    2**31``, ``a = (t - b) >> 32`` recovers both.  The path therefore
+    requires an integer-valued payoff matrix with ``rounds * max|payoff| <
+    2**24`` — every partial sum is bounded by the total — and raises
+    :class:`~repro.errors.ConfigurationError` otherwise instead of
+    truncating.  The returned totals are float64 and bit-identical to the
+    default float64 path.
     """
     if tables.dtype != np.uint8:
         raise StrategyError(
@@ -355,25 +362,60 @@ def cycle_payoffs_pairs(
     mask = n_states - 1
     mirror = _mirror_row(n_states)
     vec = payoff.vector
+    if compact_sums:
+        # Four Python floats: cheaper than array reductions at fill sizes
+        # of a few pairs.
+        values = vec.tolist()
+        if not (
+            all(v.is_integer() for v in values)
+            and rounds * max(map(abs, values)) < 2.0**24
+        ):
+            raise ConfigurationError(
+                "compact_sums needs integer payoffs with rounds * "
+                f"max|payoff| < 2**24, got rounds={rounds} and payoff "
+                f"{values}"
+            )
+
+    # One-round tables, per pairing and view state: the joint move code
+    # played from view v, the successor view, and both sides' round
+    # payoffs.  The successor is stored as a *flat* index into the
+    # ravelled (L, S) arrays (row offset baked in), so every composition
+    # below is a single cheap 1-D fancy gather.  The code is built in
+    # uint8 and widened once: at fill sizes the set-up is as costly as
+    # the doublings.
+    code = tables[a_idx] << 1  # (L, S): 2 * move_a + move_b
+    code |= tables[b_idx][:, mirror]
+    view = np.arange(n_pairs, dtype=np.int64) * n_states  # all-C starts
+    # (v << 2) & mask leaves the low two bits free, so or-ing the code in
+    # is adding it.
+    step = np.add(
+        view[:, None], (np.arange(n_states, dtype=np.int64) << 2) & mask
+    )
+    step += code
+    code = code.astype(np.intp)
 
     if compact_sums:
-        vec = vec.astype(np.float32)
+        # Both sides' payoff sums over the current 2**k-round block in one
+        # int64 per view (see the docstring).
+        ivec = vec.astype(np.int64)
+        packed = ((ivec << 32) + ivec[_SWAP_CODE]).take(code)
+        total = np.zeros(n_pairs, dtype=np.int64)
+        remaining = rounds
+        while True:
+            if remaining & 1:
+                total += packed.ravel()[view]
+                view = step.ravel()[view]
+            remaining >>= 1
+            if not remaining:
+                break
+            packed += packed.ravel()[step]
+            step = step.ravel()[step]
+        low = ((total + (1 << 31)) & 0xFFFFFFFF) - (1 << 31)
+        high = (total - low) >> 32
+        return high.astype(np.float64), low.astype(np.float64)
 
-    # One-round tables, per pairing and view state: the move pair played
-    # from view v, the successor view, and both sides' round payoffs.  The
-    # successor is stored as a *flat* index into the ravelled (L, S)
-    # arrays (row offset baked in), so every composition below is a single
-    # cheap 1-D fancy gather.
-    moves_a = tables[a_idx].astype(np.int64)  # (L, S)
-    moves_b = tables[b_idx][:, mirror].astype(np.int64)
-    code = 2 * moves_a + moves_b
-    offsets = (np.arange(n_pairs, dtype=np.int64) * n_states)[:, None]
-    step = ((((np.arange(n_states, dtype=np.int64)[None, :] << 2) | code)
-             & mask) + offsets)
-    sum_a = vec[code]  # payoff sums over the current 2**k-round block
-    sum_b = vec[2 * moves_b + moves_a]
-
-    view = offsets[:, 0].copy()  # all games start all-C (state 0 per row)
+    sum_a = vec.take(code)  # payoff sums over the current 2**k-round block
+    sum_b = vec[_SWAP_CODE].take(code)
     total_a = np.zeros(n_pairs, dtype=np.float64)
     total_b = np.zeros(n_pairs, dtype=np.float64)
 

@@ -4,16 +4,25 @@
 evolutionary dynamics in a single interpreter loop.  Lanes with identical
 science (every config field except the seed) are stacked: their populations
 live in one ``(R, n_ssets)`` strategy-id array over one shared
-:class:`~repro.ensemble.engine.EnsembleEngine` pool/payoff matrix, their
-event flags are scanned together, and pairwise-comparison fitness is
-evaluated for all of a generation's event lanes in one batched
-payoff-matrix reduction — ``counts``-style gathers for well-mixed lanes,
-one flat CSR gather + segment reduction over the structure's
-``indptr``/``indices`` adjacency for graph lanes
-(:meth:`~repro.ensemble.engine.EnsembleEngine.fitness_pc_graph`).  Mutant
-payoff rows are prefilled a *window* of generations ahead — mutation draws
-are state-independent, so the window's mutants can be drawn and evaluated
-in one batched kernel call before their events apply.
+:class:`~repro.ensemble.engine.EnsembleEngine` pool/payoff matrix, and
+their event flags are scanned together.  Mutant payoff rows are prefilled
+a *window* of generations ahead — mutation draws are state-independent,
+so the window's mutants can be drawn and evaluated in one batched kernel
+call before their events apply.
+
+**Waves.**  Each window then advances in waves.  Its events are ordered
+by lane, then generation, then PC before mutation — each lane's serial
+order — and an event's rank within its lane is its wave
+(:func:`_wave_schedule`).  Wave ``w`` applies every lane's ``w``-th event
+of the window as one array step (:func:`_advance_wave`): one batched
+fitness gather for all of the wave's PC lanes (``counts``-style gathers
+for well-mixed lanes, one flat CSR gather + segment reduction over the
+structure's ``indptr``/``indices`` adjacency for graph lanes,
+:meth:`~repro.ensemble.engine.EnsembleEngine.fitness_pc_graph`), the Fermi
+decisions, the sid writes, the counters, and one reference move that
+recycles every slot left without references in one engine call.  At the
+paper's rates a 64-lane window of 64 generations is ~17 waves instead of
+64 generation steps.
 
 **Bit-parity contract.**  Every lane follows the *bit-identical trajectory*
 of the same-seed serial :func:`~repro.core.evolution.run_event_driven` run
@@ -23,9 +32,39 @@ the events stream, the teacher-then-learner-with-rejection draw of
 :meth:`~repro.structure.WellMixed.select_pair` — or the graph structures'
 learner-then-neighbor draw, both decoded in bulk off the raw Philox
 stream by :mod:`repro.ensemble.rawstream` — plus one adoption uniform for
-PC, target + mutant draws for mutation), Fermi decisions use the same
-scalar ``math.exp`` path, and shared-matrix fitness values are float-exact
-integer sums, hence bitwise equal to the per-run engine's.
+PC, target + mutant draws for mutation), Fermi decisions are the scalar
+rule's (:func:`~repro.core.fermi.fermi_adoptions` re-decides any uniform
+within a guard band of its vectorised ``np.exp`` probability with the
+scalar ``math.exp`` rule), and shared-matrix fitness values are
+float-exact integer sums, hence bitwise equal to the per-run engine's.
+
+Waves keep these bits because lanes are independent: a lane's events read
+and write only its own sid row, counters and streams, so any interleaving
+that keeps each lane's own event order gives every lane the same
+trajectory.  What lanes share is the pool, and its numbering is
+science-neutral.  No slot is interned mid-window (the window's mutants
+are interned and pinned before its first wave), and a slot that a lane can
+still reach holds a reference from that lane or from a pin, so a count
+that reaches zero stays at zero until the window ends: the set of slots
+recycled per window is the same as in generation order, and only the
+order of the free list changes, which renumbers later sids.  Fills are
+attributed by pair order, not by sid, so full-cover groups (which fill at
+window start) keep their fill counts and per-lane ``cache_misses``;
+on-demand groups fill per wave, with the same totals in fewer kernel
+calls.  An LRU-capped blocked store (``paymat_block`` with
+``engine_pool_cap``) evicts in access order, so its fill counters depend
+on the wave order — they are provenance, and such groups already refuse
+checkpoints.
+
+**Hooks** keep their per-lane contracts under waves.  A lane's progress
+tick fires once per event generation, after its last event of that
+generation, with its running counts; its ``record_every`` snapshots due
+before a generation are taken before its first event of it, and the one
+due at it after its last; ``record_events`` records follow each lane's
+event order.  ``faults.hook("driver.generation")`` fires once per (lane,
+event generation), before the lane's first event of it — as the serial
+drivers do for a one-lane group, once per lane-generation for a wider
+one.  Cancellation is checked once per wave.
 
 Regimes:
 
@@ -58,7 +97,7 @@ from __future__ import annotations
 import dataclasses
 import time
 from contextlib import nullcontext
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -71,7 +110,7 @@ from ..core.evolution import (
     _enable_capture_logs,
     _maybe_snapshot,
 )
-from ..core.fermi import fermi_probability
+from ..core.fermi import fermi_adoptions, fermi_probability
 from ..core.payoff_cache import PayoffCache
 from ..core.population import Population
 from .. import faults
@@ -106,6 +145,8 @@ from . import rawstream
 from .engine import EnsembleEngine, supports_shared_engine
 
 __all__ = ["run_ensemble", "run_ensemble_detailed", "lane_signature"]
+
+_NO_SIDS = np.zeros(0, dtype=np.int64)
 
 #: Target mutants per lane per prefetch window.  Larger windows batch more
 #: mutants per kernel call but prefill more pairs that die unqueried;
@@ -471,7 +512,7 @@ def _run_group_shared(
     batch_size: int,
 ) -> tuple[list[EvolutionResult], dict]:
     """Advance one signature-group of deterministic lanes over the shared
-    engine, generation by generation."""
+    engine, prefetch window by window, each window in waves."""
     started = time.perf_counter()
     cfg = configs[0]
     n_lanes = len(configs)
@@ -633,9 +674,9 @@ def _run_group_shared(
     # bookkeeping is tracked in arrays and written back at the end.
     adopt_counts = np.zeros((n_lanes, n_ssets), dtype=np.int64)
     mut_counts = np.zeros((n_lanes, n_ssets), dtype=np.int64)
-    n_pc = [0] * n_lanes
-    n_adopt = [0] * n_lanes
-    n_mut = [0] * n_lanes
+    n_pc = np.zeros(n_lanes, dtype=np.int64)
+    n_adopt = np.zeros(n_lanes, dtype=np.int64)
+    n_mut = np.zeros(n_lanes, dtype=np.int64)
     event_lists = [result.events for result in results]
     if restored is not None:
         for r in range(n_lanes):
@@ -657,11 +698,8 @@ def _run_group_shared(
             )
             pc_decoders[r].set_state(lane_meta["pc_stream"])
             mu_decoders[r].set_state(lane_meta["mu_stream"])
-    # Reference counts are plain list ops inlined below (engine.recycle
-    # handles the rare zero).  _grow() extends this list in place; only
-    # compact() replaces it, and the alias is refreshed there.
-    refs = engine._refs
-    rows_all = np.arange(n_lanes)
+    pre_hooks = fault is not None or every > 0
+    post_hooks = progress is not None or every > 0
 
     base = start_gen
     remaining = generations - start_gen
@@ -679,54 +717,47 @@ def _run_group_shared(
         pc_flags, mu_flags = _draw_flags(
             events_rngs, cfg.pc_rate, cfg.mutation_rate, batch
         )
-        # Event (generation, lane) pairs sorted by generation; the merged
-        # pointer walk below visits each event generation once.
-        pc_gen_arr, pc_lane_arr = np.nonzero(pc_flags.T)
-        mu_gen_arr, mu_lane_arr = np.nonzero(mu_flags.T)
-        pc_gen = pc_gen_arr.tolist()
-        pc_lane = pc_lane_arr.tolist()
-        mu_gen = mu_gen_arr.tolist()
-        mu_lane = mu_lane_arr.tolist()
-        pi, mi = 0, 0
-        n_pc_ev, n_mu_ev = len(pc_gen), len(mu_gen)
+        # Event (generation, lane) pairs sorted by generation, then lane.
+        pc_gen, pc_lane = np.nonzero(pc_flags.T)
+        mu_gen, mu_lane = np.nonzero(mu_flags.T)
         window = _fill_window(cfg.mutation_rate)
 
         # Pre-draw the whole batch's decisions per lane (exact serial
-        # stream consumption; see module docstring of rawstream).  The
-        # mutants are laid out in event order — a stable sort by lane
-        # lists each lane's events in generation order, which is its draw
-        # order — and packed into interning keys once per batch.
-        mu_counts = np.count_nonzero(mu_flags, axis=1)
-        mu_slots = np.argsort(mu_lane_arr, kind="stable")
-        mu_targets = np.empty(n_mu_ev, dtype=np.int64)
-        mu_tables = np.empty((n_mu_ev, n_states), dtype=np.uint8)
-        lo = 0
+        # stream consumption; see module docstring of rawstream) into
+        # arrays indexed like the events: a stable sort by lane lists each
+        # lane's events in generation order, which is its draw order.  The
+        # mutants are packed into interning keys once per batch.
+        mu_slots = np.argsort(mu_lane, kind="stable")
+        mu_targets = np.empty(mu_lane.shape[0], dtype=np.int64)
+        mu_tables = np.empty((mu_lane.shape[0], n_states), dtype=np.uint8)
+        pc_slots = np.argsort(pc_lane, kind="stable")
+        pc_teachers = np.empty(pc_lane.shape[0], dtype=np.int64)
+        pc_learners = np.empty(pc_lane.shape[0], dtype=np.int64)
+        pc_uniforms = np.empty(pc_lane.shape[0], dtype=np.float64)
+        mu_counts = np.count_nonzero(mu_flags, axis=1).tolist()
+        pc_counts = np.count_nonzero(pc_flags, axis=1).tolist()
+        m_lo = p_lo = 0
         for r in range(n_lanes):
-            targets_r, tables_r = mu_decoders[r].draw(int(mu_counts[r]))
-            hi = lo + len(targets_r)
-            slots = mu_slots[lo:hi]
+            targets_r, tables_r = mu_decoders[r].draw(mu_counts[r])
+            slots = mu_slots[m_lo : m_lo + mu_counts[r]]
             mu_targets[slots] = targets_r
             mu_tables[slots] = tables_r
-            lo = hi
+            m_lo += mu_counts[r]
+            teachers_r, learners_r, uniforms_r = pc_decoders[r].draw(
+                pc_counts[r]
+            )
+            slots = pc_slots[p_lo : p_lo + pc_counts[r]]
+            pc_teachers[slots] = teachers_r
+            pc_learners[slots] = learners_r
+            pc_uniforms[slots] = uniforms_r
+            p_lo += pc_counts[r]
         mu_keys = engine.pack_keys(mu_tables)
-        pc_counts = np.count_nonzero(pc_flags, axis=1)
-        pc_teachers: list[list[int]] = []
-        pc_learners: list[list[int]] = []
-        pc_uniforms: list[list[float]] = []
-        for r in range(n_lanes):
-            t_r, l_r, u_r = pc_decoders[r].draw(int(pc_counts[r]))
-            pc_teachers.append(t_r)
-            pc_learners.append(l_r)
-            pc_uniforms.append(u_r)
-        pc_cur = [0] * n_lanes
-        for w_lo in range(0, batch, window):
-            w_hi = min(w_lo + window, batch)
-            p_end = pi
-            while p_end < n_pc_ev and pc_gen[p_end] < w_hi:
-                p_end += 1
-            m_end = mi
-            while m_end < n_mu_ev and mu_gen[m_end] < w_hi:
-                m_end += 1
+
+        edges = list(range(window, batch, window)) + [batch]
+        pc_ends = np.searchsorted(pc_gen, edges).tolist()
+        mu_ends = np.searchsorted(mu_gen, edges).tolist()
+        pi = mi = 0
+        for p_end, m_end in zip(pc_ends, mu_ends):
             if p_end == pi and m_end == mi:
                 continue
 
@@ -737,64 +768,67 @@ def _run_group_shared(
             mapping = engine.compact()
             if mapping is not None:
                 sids = mapping[sids]
-                refs = engine._refs
 
-            # Window prefetch: mutation draws are state-independent (the
-            # mutation stream is consumed only at mutation events, in
-            # generation order — exactly how we walk them here), so the
-            # window's mutants can be drawn, interned, and their payoff
-            # rows filled in ONE batched kernel call instead of one small
-            # fill per generation.  Pinning (an extra reference until the
-            # window ends) keeps their slots — and any dead strategy they
-            # resurrect — from being recycled before their events apply,
-            # which also guarantees no slot is re-tenanted mid-window.
-            pins: list[int] = []
-            pin_targets: list[int] = []
+            # Window prefetch: mutation draws are state-independent, so the
+            # window's mutants are interned and their payoff rows filled in
+            # ONE batched kernel call before any of their events apply.
+            # Pinning (an extra reference until the window ends) keeps
+            # their slots — and any dead strategy they resurrect — from
+            # being recycled before their events apply, and no slot is
+            # interned mid-window, so none is re-tenanted mid-window.
+            pins = _NO_SIDS
             if m_end > mi:
-                mutant_sids = engine.intern_lane(
+                pins = engine.intern_lane(
                     mu_tables[mi:m_end], mu_keys[mi:m_end]
                 )
-                pins = mutant_sids.tolist()
-                pin_targets = mu_targets[mi:m_end].tolist()
                 if full_cover:
                     engine.fill_missing(
-                        *_window_pairs(
-                            sids, mu_lane_arr[mi:m_end], mutant_sids
-                        )
+                        *_window_pairs(sids, mu_lane[mi:m_end], pins)
                     )
-            pre_idx = 0
 
-            while pi < p_end or mi < m_end:
-                off_p = pc_gen[pi] if pi < p_end else batch
-                off_m = mu_gen[mi] if mi < m_end else batch
-                off = off_p if off_p <= off_m else off_m
-                gen = base + off
-                pj = pi
-                while pj < p_end and pc_gen[pj] == off:
-                    pj += 1
-                mj = mi
-                while mj < m_end and mu_gen[mj] == off:
-                    mj += 1
-                pc_lanes = pc_lane[pi:pj]
-                pc_lanes_np = pc_lane_arr[pi:pj]
-                mu_lanes = mu_lane[mi:mj]
-                pi, mi = pj, mj
-
-                # Tick-cadence cancellation: a cancelled/timed-out group
-                # aborts before this generation's events apply (the group's
+            waves = _wave_schedule(
+                pc_gen[pi:p_end], pc_lane[pi:p_end],
+                mu_gen[mi:m_end], mu_lane[mi:m_end],
+            )
+            pc_at = waves.pc + pi
+            mu_at = waves.mu + mi
+            w_lanes = pc_lane[pc_at]
+            w_teachers = pc_teachers[pc_at]
+            w_learners = pc_learners[pc_at]
+            w_uniforms = pc_uniforms[pc_at]
+            w_mu_lanes = mu_lane[mu_at]
+            w_targets = mu_targets[mu_at]
+            w_mutants = pins[waves.mu]
+            lanes = waves.lane.tolist()
+            gens = (waves.gen + base).tolist()
+            firsts = waves.first.tolist()
+            lasts = waves.last.tolist()
+            if record_events:
+                rec_teachers = w_teachers.tolist()
+                rec_learners = w_learners.tolist()
+                rec_targets = w_targets.tolist()
+            bounds = waves.bounds.tolist()
+            pc_bounds = waves.pc_bounds.tolist()
+            mu_bounds = waves.mu_bounds.tolist()
+            for w in range(len(bounds) - 1):
+                # Wave-cadence cancellation: a cancelled/timed-out group
+                # aborts before this wave's events apply (the group's
                 # results are discarded wholesale, so mid-window engine
                 # state needs no unwinding).
                 if cancel is not None:
                     cancel.check()
-                if fault is not None:
-                    fault(generation=gen)
-
-                if every > 0:
-                    # The serial driver snapshots after applying a
-                    # generation's events; per lane, emit pending snapshots
-                    # strictly before this event generation (state is
-                    # unchanged in between).
-                    for r in set(pc_lanes) | set(mu_lanes):
+                c0, c1 = bounds[w], bounds[w + 1]
+                if pre_hooks:
+                    for c in range(c0, c1):
+                        if not firsts[c]:
+                            continue
+                        r, gen = lanes[c], gens[c]
+                        if fault is not None:
+                            fault(generation=gen)
+                        # The serial driver snapshots after applying a
+                        # generation's events; emit the lane's pending
+                        # snapshots strictly before this event generation
+                        # (its state is unchanged in between).
                         pending = next_snap[r]
                         while pending is not None and pending < gen:
                             if pending < generations:
@@ -804,104 +838,44 @@ def _run_group_shared(
                             pending += every
                         next_snap[r] = pending
 
-                k = len(pc_lanes)
-                if k:
-                    teachers = [0] * k
-                    learners = [0] * k
-                    uniforms = [0.0] * k
-                    for i, r in enumerate(pc_lanes):
-                        j = pc_cur[r]
-                        pc_cur[r] = j + 1
-                        teachers[i] = pc_teachers[r][j]
-                        learners[i] = pc_learners[r][j]
-                        uniforms[i] = pc_uniforms[r][j]
-                    if well_mixed:
-                        lane_block = sids[pc_lanes_np]
-                        rows = rows_all[:k]
-                        sid_t = lane_block[rows, teachers]
-                        sid_l = lane_block[rows, learners]
-                        if not full_cover:
-                            engine.ensure_rows(
-                                np.concatenate((sid_t, sid_l)),
-                                np.concatenate((lane_block, lane_block)),
-                                np.concatenate((pc_lanes_np, pc_lanes_np)),
-                            )
-                        # (With full_cover every gathered pair is valid by
-                        # the coverage invariant: initial fill + window
-                        # prefetch.)
-                        fit_t, fit_l = engine.fitness_pc_well_mixed(
-                            lane_block, sid_t, sid_l, include_self
-                        )
-                    else:
-                        # Graph lanes: the generation's event lanes share
-                        # one flat CSR gather + segment reduction (and, in
-                        # the deep-memory regime, one batched fill of every
-                        # pair the gather will read).
-                        t_nodes = np.asarray(teachers, dtype=np.int64)
-                        l_nodes = np.asarray(learners, dtype=np.int64)
-                        sid_t = sids[pc_lanes_np, t_nodes]
-                        sid_l = sids[pc_lanes_np, l_nodes]
-                        fit_t, fit_l = engine.fitness_pc_graph(
-                            sids,
-                            pc_lanes_np,
-                            t_nodes,
-                            l_nodes,
-                            structure,
-                            include_self,
-                            ensure=not full_cover,
-                        )
-                    for i, r in enumerate(pc_lanes):
-                        ft = fit_t[i]
-                        fl = fit_l[i]
-                        if not downhill and not ft > fl:
-                            adopted = False
-                        else:
-                            adopted = uniforms[i] < fermi_probability(
-                                ft, fl, beta
-                            )
-                        if adopted:
-                            learner = learners[i]
-                            new_sid = int(sid_t[i])
-                            old_sid = int(sid_l[i])
-                            refs[new_sid] += 1
-                            sids[r, learner] = new_sid
-                            left = refs[old_sid] - 1
-                            refs[old_sid] = left
-                            if left == 0:
-                                engine.recycle(old_sid)
-                            adopt_counts[r, learner] += 1
-                        n_pc[r] += 1
-                        n_adopt[r] += adopted
-                        if record_events:
-                            event_lists[r].append(
-                                EventRecord(
-                                    generation=gen,
-                                    kind="pc",
-                                    source=teachers[i],
-                                    target=learners[i],
-                                    applied=adopted,
-                                    teacher_fitness=ft,
-                                    learner_fitness=fl,
-                                )
-                            )
+                p0, p1 = pc_bounds[w], pc_bounds[w + 1]
+                m0, m1 = mu_bounds[w], mu_bounds[w + 1]
+                fit_t, fit_l, adopted = _advance_wave(
+                    engine, sids, structure, full_cover, include_self,
+                    beta, downhill,
+                    w_lanes[p0:p1], w_teachers[p0:p1], w_learners[p0:p1],
+                    w_uniforms[p0:p1],
+                    w_mu_lanes[m0:m1], w_targets[m0:m1], w_mutants[m0:m1],
+                    adopt_counts, mut_counts, n_pc, n_adopt, n_mut,
+                )
 
-                for r in mu_lanes:
-                    target = pin_targets[pre_idx]
-                    new_sid = pins[pre_idx]
-                    pre_idx += 1
-                    refs[new_sid] += 1
-                    old_sid = int(sids[r, target])
-                    sids[r, target] = new_sid
-                    left = refs[old_sid] - 1
-                    refs[old_sid] = left
-                    if left == 0:
-                        engine.recycle(old_sid)
-                    mut_counts[r, target] += 1
-                    n_mut[r] += 1
-                    if record_events:
-                        event_lists[r].append(
+                if record_events and p1 > p0:
+                    for c, teacher, learner, applied, ft, fl in zip(
+                        range(c0, c0 + p1 - p0),
+                        rec_teachers[p0:p1],
+                        rec_learners[p0:p1],
+                        adopted.tolist(),
+                        fit_t,
+                        fit_l,
+                    ):
+                        event_lists[lanes[c]].append(
                             EventRecord(
-                                generation=gen,
+                                generation=gens[c],
+                                kind="pc",
+                                source=teacher,
+                                target=learner,
+                                applied=applied,
+                                teacher_fitness=ft,
+                                learner_fitness=fl,
+                            )
+                        )
+                if record_events:
+                    for c, target in zip(
+                        range(c0 + p1 - p0, c1), rec_targets[m0:m1]
+                    ):
+                        event_lists[lanes[c]].append(
+                            EventRecord(
+                                generation=gens[c],
                                 kind="mutation",
                                 source=target,
                                 target=target,
@@ -909,24 +883,26 @@ def _run_group_shared(
                             )
                         )
 
-                if progress is not None:
-                    # One tick per (lane, event generation) — the serial
-                    # drivers' cadence, so tick streams match across
-                    # backends (pinned by the ensemble-hook tests).
-                    for r in sorted(set(pc_lanes) | set(mu_lanes)):
-                        progress(
-                            ProgressTick(
-                                run_index=r,
-                                generation=gen,
-                                generations=generations,
-                                n_pc_events=n_pc[r],
-                                n_adoptions=n_adopt[r],
-                                n_mutations=n_mut[r],
+                if post_hooks:
+                    for c in range(c0, c1):
+                        if not lasts[c]:
+                            continue
+                        r, gen = lanes[c], gens[c]
+                        if progress is not None:
+                            # One tick per (lane, event generation), after
+                            # the lane's last event of that generation —
+                            # the serial drivers' cadence, so each lane's
+                            # tick stream matches across backends.
+                            progress(
+                                ProgressTick(
+                                    run_index=r,
+                                    generation=gen,
+                                    generations=generations,
+                                    n_pc_events=int(n_pc[r]),
+                                    n_adoptions=int(n_adopt[r]),
+                                    n_mutations=int(n_mut[r]),
+                                )
                             )
-                        )
-
-                if every > 0:
-                    for r in set(pc_lanes) | set(mu_lanes):
                         if next_snap[r] == gen:
                             if gen < generations:
                                 _snapshot_lane(
@@ -934,8 +910,9 @@ def _run_group_shared(
                                 )
                             next_snap[r] = gen + every
 
-            for sid in pins:
-                engine.release(sid)
+            if m_end > mi:
+                engine.release(pins)
+            pi, mi = p_end, m_end
         base += batch
         remaining -= batch
         if (
@@ -987,16 +964,16 @@ def _run_group_shared(
         for i, sset in enumerate(population.ssets):
             sset.adoptions += int(adopt_counts[r, i])
             sset.mutations += int(mut_counts[r, i])
-        result.n_pc_events = n_pc[r]
-        result.n_adoptions = n_adopt[r]
-        result.n_mutations = n_mut[r]
+        result.n_pc_events = int(n_pc[r])
+        result.n_adoptions = int(n_adopt[r])
+        result.n_mutations = int(n_mut[r])
         result.generations_run = generations
         _maybe_snapshot(result, population, generations, force=True)
         # Mirror the per-run engine's accounting: two dense fitness queries
         # per PC event; pair evaluations attributed to the lane whose
         # demand triggered them (cross-lane reuse means the ensemble
         # evaluates strictly fewer pairs than R serial runs).
-        result.cache_hits = 2 * n_pc[r]
+        result.cache_hits = 2 * result.n_pc_events
         result.cache_misses = int(engine.lane_fills[r])
         # One fused array program: the group's wallclock is indivisible,
         # so every lane reports it (the backend report carries lane count).
@@ -1022,6 +999,156 @@ def _snapshot_lane(
             dominant_share=int(counts.max()) / lane_sids.shape[0],
         )
     )
+
+
+class _Waves(NamedTuple):
+    """One prefetch window's events, listed wave by wave.
+
+    Within a wave the PC events come first, then the mutations, lanes
+    ascending within each kind; every event of a wave is from a different
+    lane.  ``lane``, ``gen`` (offset in the batch), ``first`` and ``last``
+    run over all events in that order; ``first``/``last`` mark a lane's
+    first and last event of a generation.  ``pc`` and ``mu`` index the
+    window's PC and mutation events in the same order, and ``bounds``,
+    ``pc_bounds`` and ``mu_bounds`` delimit wave ``w`` as entries
+    ``[w, w + 1)`` of each.
+    """
+
+    lane: np.ndarray
+    gen: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    pc: np.ndarray
+    mu: np.ndarray
+    bounds: np.ndarray
+    pc_bounds: np.ndarray
+    mu_bounds: np.ndarray
+
+
+def _wave_schedule(
+    pc_gen: np.ndarray,
+    pc_lane: np.ndarray,
+    mu_gen: np.ndarray,
+    mu_lane: np.ndarray,
+) -> _Waves:
+    """Split one window's events into waves.
+
+    The events are ordered by lane, then generation, then PC before
+    mutation — each lane's serial event order — and an event's rank
+    within its lane is its wave.  Wave ``w`` therefore holds every lane's
+    ``w``-th event of the window.
+    """
+    n_pc = pc_gen.shape[0]
+    lane = np.concatenate((pc_lane, mu_lane))
+    gen = np.concatenate((pc_gen, mu_gen))
+    is_mu = np.arange(lane.shape[0]) >= n_pc
+    by_lane = np.lexsort((is_mu, gen, lane))
+    lane_s = lane[by_lane]
+    gen_s = gen[by_lane]
+    wave_s = np.arange(by_lane.shape[0]) - np.searchsorted(lane_s, lane_s)
+    # cut[i]: events i and i + 1 (in lane order) differ in lane or
+    # generation.
+    cut = (lane_s[1:] != lane_s[:-1]) | (gen_s[1:] != gen_s[:-1])
+    first = np.concatenate(([True], cut))
+    last = np.concatenate((cut, [True]))
+    mu_s = is_mu[by_lane]
+    by_wave = np.lexsort((lane_s, mu_s, wave_s))
+    order = by_lane[by_wave]
+    wave = wave_s[by_wave]
+    mu_w = mu_s[by_wave]
+    n_waves = int(wave[-1]) + 1
+    edges = np.arange(n_waves + 1)
+    return _Waves(
+        lane=lane_s[by_wave],
+        gen=gen_s[by_wave],
+        first=first[by_wave],
+        last=last[by_wave],
+        pc=order[~mu_w],
+        mu=order[mu_w] - n_pc,
+        bounds=np.searchsorted(wave, edges),
+        pc_bounds=np.searchsorted(wave[~mu_w], edges),
+        mu_bounds=np.searchsorted(wave[mu_w], edges),
+    )
+
+
+def _advance_wave(
+    engine: EnsembleEngine,
+    sids: np.ndarray,
+    structure: InteractionModel,
+    full_cover: bool,
+    include_self: bool,
+    beta: float,
+    downhill: bool,
+    pc_lanes: np.ndarray,
+    teachers: np.ndarray,
+    learners: np.ndarray,
+    uniforms: np.ndarray,
+    mu_lanes: np.ndarray,
+    targets: np.ndarray,
+    mutants: np.ndarray,
+    adopt_counts: np.ndarray,
+    mut_counts: np.ndarray,
+    n_pc: np.ndarray,
+    n_adopt: np.ndarray,
+    n_mut: np.ndarray,
+) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
+    """Apply one wave — one event each of distinct lanes — as array steps.
+
+    PC lanes gather their teacher and learner fitness in one engine call
+    and decide by the Fermi rule (:func:`~repro.core.fermi.fermi_adoptions`);
+    adoptions and mutations write the sid array, the per-SSet and per-lane
+    counters, and move the references of the sids they install and
+    replace in one :meth:`~EnsembleEngine.move_refs` call.  Returns the
+    PC events' teacher fitness, learner fitness and decisions (``None``
+    without PC events).
+    """
+    gained = lost = _NO_SIDS
+    fit_t = fit_l = adopted = None
+    if pc_lanes.shape[0]:
+        if structure.is_well_mixed:
+            lane_block = sids[pc_lanes]
+            rows = np.arange(pc_lanes.shape[0])
+            sid_t = lane_block[rows, teachers]
+            sid_l = lane_block[rows, learners]
+            if not full_cover:
+                engine.ensure_rows(
+                    np.concatenate((sid_t, sid_l)),
+                    np.concatenate((lane_block, lane_block)),
+                    np.concatenate((pc_lanes, pc_lanes)),
+                )
+            # (With full_cover every gathered pair is valid by the
+            # coverage invariant: initial fill + window prefetch.)
+            fit_t, fit_l = engine.fitness_pc_well_mixed(
+                lane_block, sid_t, sid_l, include_self
+            )
+        else:
+            # Graph lanes share one flat CSR gather + segment reduction
+            # (and, on demand, one batched fill of every pair it reads).
+            sid_t = sids[pc_lanes, teachers]
+            sid_l = sids[pc_lanes, learners]
+            fit_t, fit_l = engine.fitness_pc_graph(
+                sids, pc_lanes, teachers, learners, structure,
+                include_self, ensure=not full_cover,
+            )
+        adopted = fermi_adoptions(fit_t, fit_l, uniforms, beta, downhill)
+        lanes_a = pc_lanes[adopted]
+        learners_a = learners[adopted]
+        gained = sid_t[adopted]
+        lost = sid_l[adopted]
+        sids[lanes_a, learners_a] = gained
+        adopt_counts[lanes_a, learners_a] += 1
+        n_pc[pc_lanes] += 1
+        n_adopt[lanes_a] += 1
+    if mu_lanes.shape[0]:
+        replaced = sids[mu_lanes, targets]
+        sids[mu_lanes, targets] = mutants
+        mut_counts[mu_lanes, targets] += 1
+        n_mut[mu_lanes] += 1
+        gained = np.concatenate((gained, mutants))
+        lost = np.concatenate((lost, replaced))
+    if lost.shape[0]:
+        engine.move_refs(gained, lost)
+    return fit_t, fit_l, adopted
 
 
 def _window_pairs(

@@ -70,6 +70,7 @@ __all__ = ["EnsembleEngine", "supports_shared_engine"]
 #: Pairs per cycle_payoffs_pairs call — bounds the kernel's (L, 4**n)
 #: scratch arrays during the big early-coverage fills.
 _MAX_FILL_CHUNK = 1 << 15
+_NO_SIDS = np.zeros(0, dtype=np.int64)
 
 
 def supports_shared_engine(config: EvolutionConfig) -> bool:
@@ -130,9 +131,9 @@ class EnsembleEngine:
         #: Each live slot's key (``None`` when free), for recycle/compact.
         self._keys: list[int | bytes | None] = [None] * capacity
         self._ids: dict[int | bytes, int] = {}
-        #: Total references across all lanes (plain ints: the accounting is
-        #: scalar hot-path work); a slot is recycled at zero.
-        self._refs: list[int] = [0] * capacity
+        #: Total references across all lanes; a slot is recycled at zero.
+        #: Drivers move references a wave at a time (:meth:`move_refs`).
+        self._refs = np.zeros(capacity, dtype=np.int64)
         self._free = list(range(capacity - 1, -1, -1))
         # Game totals are integers bounded by rounds * max|payoff|; when
         # they fit float32's exact-integer range the matrix is stored at
@@ -215,7 +216,9 @@ class EnsembleEngine:
         self._tables = tables
         self._store.grow(new)
         self._keys.extend([None] * (new - old))
-        self._refs.extend([0] * (new - old))
+        refs = np.zeros(new, dtype=np.int64)
+        refs[:old] = self._refs
+        self._refs = refs
         self._free.extend(range(new - 1, old - 1, -1))
 
     def pack_keys(self, tables: np.ndarray) -> np.ndarray:
@@ -261,30 +264,53 @@ class EnsembleEngine:
         them)."""
         return int(self.intern_lane([strategy])[0])
 
-    def release(self, sid: int) -> None:
-        """Drop one reference; recycle the slot at zero references."""
-        left = self._refs[sid] - 1
-        if left < 0:
-            raise SimulationError(f"release of sid {sid} with no references")
-        self._refs[sid] = left
-        if left == 0:
-            self.recycle(sid)
+    def release(self, sids: int | np.ndarray) -> None:
+        """Drop one reference per entry of ``sids`` (one sid or an array;
+        a repeated sid drops one reference per occurrence) and recycle
+        the slots left at zero references."""
+        self.move_refs(_NO_SIDS, np.atleast_1d(np.asarray(sids, np.int64)))
 
-    def recycle(self, sid: int) -> None:
-        """Free a zero-reference slot (the driver inlines the refcount
-        decrements on its hot path and calls this on the rare zero).
+    def move_refs(self, gained: np.ndarray, lost: np.ndarray) -> None:
+        """Add one reference per entry of ``gained`` and drop one per
+        entry of ``lost``, then recycle every slot left at zero references
+        in one :meth:`recycle` call — the per-wave reference step of the
+        ensemble driver (the learners' and mutation targets' old sids
+        lose a reference, the adopted and mutant sids gain one)."""
+        refs = self._refs
+        np.add.at(refs, gained, 1)
+        np.subtract.at(refs, lost, 1)
+        left = refs[lost]
+        dead = lost[left <= 0]
+        if dead.shape[0]:
+            if (left < 0).any():
+                raise SimulationError(
+                    f"release of sids {lost[left < 0].tolist()} with no "
+                    "references"
+                )
+            if dead.shape[0] > 1:
+                # Two lanes can drop the last references to one slot in
+                # the same wave; a set beats np.unique at this size.
+                dead = np.array(sorted(set(dead.tolist())), dtype=np.int64)
+            self.recycle(dead)
 
-        Recycling invalidates the slot's row in one store call; column
-        direction staleness is the store's problem (the dense store
-        checks validity two-way, the blocked store's epoch-sum stamps
-        go stale in both directions at once).
+    def recycle(self, sids: np.ndarray) -> None:
+        """Free the distinct zero-reference slots ``sids``.
+
+        Their rows are invalidated in one store call; column direction
+        staleness is the store's problem (the dense store checks validity
+        two-way, the blocked store's epoch-sum stamps go stale in both
+        directions at once).  Freed slots are reused last-freed first.
         """
-        key = self._keys[sid]
-        assert key is not None
-        del self._ids[key]
-        self._keys[sid] = None
-        self._store.invalidate_row(sid)
-        self._free.append(sid)
+        ids = self._ids
+        keys = self._keys
+        freed = sids.tolist()
+        for sid in freed:
+            key = keys[sid]
+            assert key is not None
+            del ids[key]
+            keys[sid] = None
+        self._store.invalidate_rows(sids)
+        self._free.extend(freed)
 
     def intern_lane(
         self,
@@ -305,7 +331,6 @@ class EnsembleEngine:
         if keys is None:
             keys = self.pack_keys(tables)
         ids = self._ids
-        refs = self._refs
         free = self._free  # _grow extends these lists in place
         slot_keys = self._keys
         sids: list[int] = []
@@ -321,11 +346,12 @@ class EnsembleEngine:
                 slot_keys[sid] = key
                 new_sids.append(sid)
                 new_rows.append(row)
-            refs[sid] += 1
             sids.append(sid)
         if new_sids:
             self._tables[new_sids] = tables[new_rows]
-        return np.array(sids, dtype=np.int64)
+        out = np.array(sids, dtype=np.int64)
+        np.add.at(self._refs, out, 1)
+        return out
 
     def sids_of(self, tables: np.ndarray) -> np.ndarray:
         """The sids of tables that are interned already (no new
@@ -357,21 +383,19 @@ class EnsembleEngine:
         # mutation churn breathes around the steady-state strategy count.
         if capacity <= min_capacity or n_live * 8 > capacity:
             return None
-        live = [sid for sid in range(capacity) if self._refs[sid] > 0]
         new_cap = max(min_capacity, 1 << (4 * n_live - 1).bit_length())
         if new_cap >= capacity:
             return None
-        idx = np.asarray(live, dtype=np.intp)
+        idx = np.flatnonzero(self._refs > 0)
         tables = np.zeros((new_cap, self.n_states), dtype=np.uint8)
         tables[:n_live] = self._tables[idx]
         store = self._store.rebuild(idx, new_cap)
-        keys: list[int | bytes | None] = [None] * new_cap
-        refs = [0] * new_cap
+        keys: list[int | bytes | None] = [self._keys[s] for s in idx.tolist()]
+        keys.extend([None] * (new_cap - n_live))
+        refs = np.zeros(new_cap, dtype=np.int64)
+        refs[:n_live] = self._refs[idx]
         mapping = np.full(capacity, -1, dtype=np.int64)
-        for new_sid, old_sid in enumerate(live):
-            keys[new_sid] = self._keys[old_sid]
-            refs[new_sid] = self._refs[old_sid]
-            mapping[old_sid] = new_sid
+        mapping[idx] = np.arange(n_live)
         self._tables = tables
         self._store = store
         self._keys = keys
@@ -470,7 +494,7 @@ class EnsembleEngine:
         # One stacked (2, k, n) gather covers both sides — per-call index
         # arithmetic is the blocked store's overhead, so halving the call
         # count matters more than the (identical) element count.
-        focal = np.stack((teacher_sids, learner_sids))
+        focal = np.concatenate((teacher_sids, learner_sids)).reshape(2, -1)
         # dtype=float64 keeps the accumulation exact (and bit-identical)
         # when the matrix itself is stored as float32.
         fit = store.take(focal[:, :, None], lane_sids[None, :, :]).sum(

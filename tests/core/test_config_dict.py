@@ -2,9 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import EvolutionConfig, PayoffMatrix
+from repro.core.states import MAX_MEMORY_STEPS
 from repro.errors import ConfigurationError
 from repro.structure import build_structure
 
@@ -164,3 +166,66 @@ class TestValidation:
     def test_too_few_ssets_names_n_ssets(self, n_ssets):
         with pytest.raises(ConfigurationError, match="n_ssets must be >= 2"):
             EvolutionConfig(n_ssets=n_ssets)
+
+
+#: Every integer field of EvolutionConfig, with a valid value for it.
+INT_FIELDS = {
+    "memory_steps": 2,
+    "n_ssets": 8,
+    "generations": 10,
+    "agents_per_sset": 2,
+    "rounds": 16,
+    "seed": 3,
+    "record_every": 5,
+    "engine_pool_cap": 4,
+    "paymat_block": 16,
+    "checkpoint_every": 5,
+}
+
+
+class TestConstructorIntegers:
+    """The constructor rejects non-integers in integer fields, naming
+    the field, exactly as ``from_dict`` does."""
+
+    def test_covers_every_integer_field(self):
+        from repro.core.config import _INT_FIELDS
+
+        assert set(INT_FIELDS) == _INT_FIELDS
+
+    @pytest.mark.parametrize("name", sorted(INT_FIELDS))
+    @pytest.mark.parametrize("kind", ["float", "integral-float", "str", "bool"])
+    def test_non_integer_rejected_naming_field(self, name, kind):
+        good = INT_FIELDS[name]
+        bad = {
+            "float": good + 0.5,
+            "integral-float": float(good),
+            "str": str(good),
+            "bool": True,
+        }[kind]
+        with pytest.raises(ConfigurationError, match=rf"field '{name}'"):
+            EvolutionConfig(**{name: bad})
+
+    @pytest.mark.parametrize("name", sorted(INT_FIELDS))
+    def test_numpy_integer_stored_as_int(self, name):
+        config = EvolutionConfig(**{name: np.int64(INT_FIELDS[name])})
+        value = getattr(config, name)
+        assert type(value) is int and value == INT_FIELDS[name]
+        assert config == EvolutionConfig(**{name: INT_FIELDS[name]})
+
+
+class TestMemoryLimit:
+    """``memory_steps`` above MAX_MEMORY_STEPS fails at the boundary."""
+
+    def test_limit_accepted(self):
+        assert EvolutionConfig(memory_steps=MAX_MEMORY_STEPS).memory_steps == 6
+
+    @pytest.mark.parametrize("memory", [MAX_MEMORY_STEPS + 1, 40])
+    def test_constructor_rejects(self, memory):
+        with pytest.raises(ConfigurationError, match=r"memory_steps.*\[1, 6\]"):
+            EvolutionConfig(memory_steps=memory)
+
+    def test_from_dict_rejects(self):
+        data = EvolutionConfig().to_dict()
+        data["memory_steps"] = 40
+        with pytest.raises(ConfigurationError, match="memory_steps"):
+            EvolutionConfig.from_dict(data)

@@ -83,7 +83,7 @@ class TestStoreUnit:
         store.write_pairs(
             np.array([1]), np.array([9]), np.array([3.0]), np.array([4.0])
         )
-        store.invalidate_row(1)
+        store.invalidate_rows(np.array([1]))
         assert not store.pair_valid(1, 9)
         assert not store.pair_valid(9, 1)
         # Re-writing re-validates under the new epoch.
@@ -122,8 +122,11 @@ class TestStoreUnit:
             np.array([3]), np.array([5]), np.array([1.0]), np.array([2.0])
         )
         assert store.pair_valid(3, 5)
-        store.invalidate_row(3)  # wraps: eager row clear, epoch back to 1
+        # Row 3 wraps (eager row clear, epoch back to 1) in the same call
+        # that bumps row 7.
+        store.invalidate_rows(np.array([3, 7]))
         assert int(store._epoch[3]) == 1
+        assert int(store._epoch[7]) == 2
         assert not store.pair_valid(3, 5)
         assert not store.pair_valid(5, 3)
         store.write_pairs(

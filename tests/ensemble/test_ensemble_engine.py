@@ -48,6 +48,27 @@ class TestPool:
         with pytest.raises(SimulationError):
             engine.release(sid)
 
+    def test_move_refs_recycles_each_dead_slot_once(self):
+        # Two lanes drop the last references to one slot in one wave: it
+        # is recycled once, with every other slot left at zero.
+        engine = lanes_engine()
+        keep, gone, other = (
+            engine.acquire(s) for s in (all_c(), all_d(), tft())
+        )
+        engine.acquire(all_d())
+        engine.move_refs(
+            np.array([keep, keep]), np.array([gone, gone, other])
+        )
+        assert len(engine) == 1
+        assert engine._refs[keep] == 3
+        for sid in (gone, other):
+            with pytest.raises(SimulationError):
+                engine.strategy(sid)
+        # Freed slots are reused, last freed first.
+        assert engine.acquire(wsls()) == max(gone, other)
+        with pytest.raises(SimulationError):
+            engine.release(np.array([gone]))
+
     def test_growth(self):
         engine = lanes_engine(capacity=2)
         rng = make_rng(3)

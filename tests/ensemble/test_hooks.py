@@ -48,13 +48,15 @@ class TestProgressParity:
         event_ticks, _ = collect_ticks(configs, "event", dedupe=False)
         ens_ticks, _ = collect_ticks(configs, "ensemble", dedupe=False)
 
+        # Each lane's ticks in emission order: lanes may interleave, but a
+        # lane's own ticks must come out in generation order.
         def by_run(ticks):
             grouped = defaultdict(list)
             for t in ticks:
                 grouped[t.run_index].append(
                     (t.generation, t.n_pc_events, t.n_adoptions, t.n_mutations)
                 )
-            return {k: sorted(v) for k, v in grouped.items()}
+            return dict(grouped)
 
         assert by_run(ens_ticks) == by_run(event_ticks)
 

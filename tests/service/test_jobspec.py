@@ -117,6 +117,15 @@ class TestValidation:
         ):
             JobSpec.from_dict(data)
 
+    def test_from_dict_memory_limit_named(self):
+        # Admitted, such a job would fail in the worker inside NumPy.
+        data = make_spec().to_dict()
+        data["configs"][0]["memory_steps"] = 40
+        with pytest.raises(
+            ConfigurationError, match=r"configs\[0\].*memory_steps.*\[1, 6\]"
+        ):
+            JobSpec.from_dict(data)
+
     def test_from_dict_version_check(self):
         data = make_spec().to_dict()
         data["version"] = SPEC_FORMAT_VERSION + 1
