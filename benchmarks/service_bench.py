@@ -1,20 +1,17 @@
 #!/usr/bin/env python
-"""Sweep-service latency harness: cold vs. cache-hit, warm pools, jobs/sec.
+"""Sweep-service latency harness: cold vs. cache-hit, and jobs/sec.
 
 Writes ``BENCH_service.json`` with one record per scenario, measured
 through the real HTTP front door (an in-process
 :class:`~repro.service.SweepServer` on a loopback port — the full
 submit/queue/execute/cache path, network stack included).
 
-Three questions, one record each:
+Two questions, one record each:
 
 * ``cold-vs-hit`` — the acceptance scenario: a 16-replicate well-mixed
   memory-2 ensemble sweep submitted cold, then resubmitted bit-identically.
   The duplicate must be served from the result cache at >= 50x lower
   latency, with a byte-identical result payload (both asserted in-bench).
-* ``warm-pool`` — two distinct-seed memory-one sweeps back to back: the
-  second runs against the server-lifetime warm engine-pair store and its
-  latency is reported alongside the first's.
 * ``throughput`` — a burst of small distinct jobs, reported as sustained
   jobs/sec through submit -> execute -> done.
 
@@ -37,14 +34,7 @@ import time
 from common import REPO_ROOT, build_payload, write_payload  # bootstraps sys.path
 
 from repro import EvolutionConfig  # noqa: E402
-from repro.service import (  # noqa: E402
-    JobQueue,
-    JobSpec,
-    ResultStore,
-    SweepClient,
-    SweepServer,
-    WarmEnginePool,
-)
+from repro.service import JobSpec, SweepClient, SweepServer  # noqa: E402
 
 ACCEPTANCE_REPLICATES = 16
 DEFAULT_GENERATIONS = 10_000
@@ -126,30 +116,6 @@ def bench_cold_vs_hit(client: SweepClient, generations: int) -> dict:
     }
 
 
-def bench_warm_pool(client: SweepClient, generations: int) -> dict:
-    # Memory-one sweeps share deterministic pair evaluations; the second
-    # job starts from the server's warm store (distinct seeds, so it is a
-    # genuine execution, not a cache hit).
-    first = make_spec(
-        memory_steps=1, generations=generations, replicates=8, seed0=5000
-    )
-    second = make_spec(
-        memory_steps=1, generations=generations, replicates=8, seed0=6000
-    )
-    first_seconds, first_status = submit_and_wait(client, first)
-    second_seconds, second_status = submit_and_wait(client, second)
-    assert not second_status["cache_hit"]
-    return {
-        "scenario": "warm-pool",
-        "replicates": 8,
-        "memory_steps": 1,
-        "generations": generations,
-        "cold_pool_seconds": round(first_seconds, 4),
-        "warm_pool_seconds": round(second_seconds, 4),
-        "warm_over_cold": round(second_seconds / first_seconds, 3),
-    }
-
-
 def bench_throughput(client: SweepClient, generations: int, jobs: int) -> dict:
     specs = [
         make_spec(
@@ -202,13 +168,11 @@ def main(argv: list[str] | None = None) -> int:
     )
     jobs = args.jobs if args.jobs is not None else (8 if args.smoke else 32)
 
-    queue = JobQueue(workers=2, store=ResultStore(), pool=WarmEnginePool())
     results = []
-    with SweepServer(port=0, queue=queue) as server:
+    with SweepServer(port=0, workers=2) as server:
         client = SweepClient(server.url, timeout=120)
         for record in (
             bench_cold_vs_hit(client, generations),
-            bench_warm_pool(client, generations),
             bench_throughput(client, generations, jobs),
         ):
             results.append(record)
@@ -219,7 +183,6 @@ def main(argv: list[str] | None = None) -> int:
             }
             line = "   ".join(f"{k}={v}" for k, v in extras.items())
             print(f"{record['scenario']:<12} {line}")
-    queue.close()
 
     payload = build_payload("service", smoke=args.smoke, results=results)
     write_payload(args.out, payload, label="scenarios")

@@ -35,13 +35,7 @@ from pathlib import Path
 
 import repro
 from repro import EvolutionConfig
-from repro.service import (
-    JobQueue,
-    JobSpec,
-    SweepClient,
-    SweepServer,
-    WarmEnginePool,
-)
+from repro.service import JobSpec, SweepClient, SweepServer
 
 REPLICATES = 8
 MASTER_SEED = 20130521  # the paper's conference date
@@ -62,8 +56,7 @@ def spec_for(seed0: int, priority: str = "batch", label: str = "") -> JobSpec:
 
 
 def main() -> None:
-    queue = JobQueue(workers=2, pool=WarmEnginePool())
-    with SweepServer(port=0, queue=queue) as server:
+    with SweepServer(port=0, workers=2) as server:
         client = SweepClient(server.url)
         print(f"server up at {server.url}\n")
 
@@ -104,8 +97,7 @@ def main() -> None:
         stats = client.stats()
         print(f"\nqueue: {stats['queue']['submitted_total']} submitted, "
               f"{stats['queue']['cache_hit_total']} cache hits; "
-              f"store: {stats['store']['entries']} entries; "
-              f"warm pool: {stats['pool']}")
+              f"store: {stats['store']['entries']} entries")
 
         for i, run in enumerate(original["results"][:3]):
             dominant = run["dominant"]
@@ -126,7 +118,6 @@ def main() -> None:
         final = client.wait(runaway["job_id"], timeout=60)
         print(f"\nrunaway job {final['job_id']}: state={final['state']} "
               f"({final['error']})")
-    queue.close()
 
 
 def kill_and_recover() -> None:
@@ -188,13 +179,14 @@ def kill_and_resume_midrun() -> None:
     (arrays, RNG stream positions, event log) at that cadence.  After the
     kill, the restart replays the journaled job and resumes it from the
     newest snapshot; the finished payload is bit-identical to an
-    uninterrupted run.  ``--no-warm-pool`` because cross-job pair sharing
-    is the one deterministic mode that refuses mid-run snapshots.
+    uninterrupted run.  The spec sets ``share_engine=False`` because pair
+    sharing between a sweep's runs is the one deterministic mode that
+    refuses mid-run snapshots.
     """
     state = Path(tempfile.mkdtemp(prefix="sweep-service-demo-"))
     command = [
         sys.executable, "-m", "repro", "serve", "--port", "0",
-        "--workers", "1", "--no-warm-pool",
+        "--workers", "1",
         "--journal", str(state / "jobs.wal"),
         "--checkpoint-dir", str(state / "checkpoints"),
     ]

@@ -14,7 +14,7 @@ Quickstart
 
 Every execution substrate hides behind the same front-end: pick it with
 ``Simulation(config, backend=...)`` (``baseline``, ``serial``, ``event``,
-``multiprocess``, ``des``, or anything registered through
+``ensemble``, ``des``, or anything registered through
 :func:`repro.api.register_backend`), and batch independent runs with
 :func:`run_sweep`.
 
@@ -29,7 +29,8 @@ Package map
 ``repro.machine``     Blue Gene/P, Blue Gene/Q and generic machine models
 ``repro.framework``   the paper's parallel algorithm on the simulated machine
 ``repro.perfmodel``   calibrated analytic scaling model (paper-scale runs)
-``repro.runtime``     real multiprocessing execution of the science runs
+``repro.runtime``     process-pool payoff-matrix kernel (the paper's thread
+                      level, measured by its ablation)
 ``repro.analysis``    k-means, strategy classification, metrics, heatmaps
 ``repro.experiments`` regenerates every table and figure of the paper
 ``repro.io``          generation recorder, checkpoints, result artifacts

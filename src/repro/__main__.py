@@ -113,8 +113,6 @@ def _evolution_config(args: argparse.Namespace, memory: int) -> EvolutionConfig:
 
 def _backend_opts(args: argparse.Namespace) -> dict[str, object]:
     """Map CLI flags onto the selected backend's options."""
-    if args.backend == "multiprocess":
-        return {"workers": args.workers if args.workers is not None else 2}
     if args.backend == "des":
         return {"n_ranks": args.ranks}
     return {}
@@ -287,17 +285,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"[memory={memory} run={run} seed={seed}] "
               f"{_describe_dominant(result)}")
 
-    # --workers always means "processes working for you": the sweep pool in
-    # general, or the backend's fitness pool for the multiprocess backend
-    # (runs then execute one at a time so counts don't multiply).  Building
-    # the instance here keeps backend options clear of run_sweep's own
-    # workers= keyword.  The ensemble backend defaults to a single
-    # lane-batched process (one shared engine across every replicate);
-    # pass --workers explicitly to chunk its lanes over a pool.
+    # --workers sizes the sweep's process pool.  The ensemble backend
+    # defaults to a single lane-batched process (one shared engine across
+    # every replicate); pass --workers explicitly to chunk its lanes over a
+    # pool.
     backend = get_backend(args.backend)(**_backend_opts(args))
-    if args.backend == "multiprocess":
-        pool_workers = 1
-    elif args.workers is not None:
+    if args.workers is not None:
         pool_workers = args.workers
     else:
         pool_workers = 1 if args.backend == "ensemble" else 2
@@ -322,7 +315,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from . import faults
-    from .service import JobQueue, ResultStore, SweepServer, WarmEnginePool
+    from .service import JobQueue, ResultStore, SweepServer
 
     plan = (
         faults.FaultPlan.from_json(args.faults)
@@ -334,12 +327,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     store = ResultStore(
         max_entries=args.cache_entries, artifact_dir=args.artifact_dir
     )
-    pool = WarmEnginePool() if args.warm_pool else None
     queue = JobQueue(
         workers=args.workers if args.workers is not None else 2,
         max_queued=args.max_queued,
         store=store,
-        pool=pool,
         journal=args.journal,
         checkpoint_dir=args.checkpoint_dir,
     )
@@ -366,7 +357,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     signal.signal(signal.SIGTERM, _on_sigterm)
     print(f"sweep service listening on {server.url} "
           f"(workers={queue.workers}, max_queued={queue.max_queued}, "
-          f"warm_pool={'on' if pool is not None else 'off'}, "
           f"artifacts={args.artifact_dir or 'off'}, "
           f"journal={args.journal or 'off'}, "
           f"checkpoints={args.checkpoint_dir or 'off'})")
@@ -542,11 +532,6 @@ def _add_evolution_arguments(parser: argparse.ArgumentParser) -> None:
                              "--checkpoint-dir an interrupted run resumes "
                              "bit-identically from the newest snapshot")
     parser.add_argument("--seed", type=int, default=2013)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="process-pool size (multiprocess backend / "
-                             "sweep; default 2 — except the ensemble "
-                             "backend, which lane-batches the whole sweep "
-                             "in one process unless told otherwise)")
     parser.add_argument("--ranks", type=int, default=8,
                         help="simulated MPI ranks (des backend)")
 
@@ -649,6 +634,11 @@ def build_parser() -> argparse.ArgumentParser:
                             "but reproducible")
     sweep.add_argument("--backend", choices=available_backends(),
                        default="event")
+    sweep.add_argument("--workers", type=int, default=None,
+                       help="process-pool size (default 2 — except the "
+                            "ensemble backend, which lane-batches the "
+                            "whole sweep in one process unless told "
+                            "otherwise)")
     sweep.add_argument("--checkpoint-dir", default=None, dest="checkpoint_dir",
                        metavar="DIR",
                        help="write mid-run run-state snapshots under DIR "
@@ -661,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser(
         "serve",
         help="start the sweep service: JSON-over-HTTP job queue with "
-             "result caching and warm engine pools",
+             "result caching",
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8642,
@@ -679,10 +669,9 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="DIR",
                        help="also persist results under DIR/<fingerprint>/ "
                             "so cache hits survive restarts")
+    # Retired: accepted so existing launch scripts keep working, no effect.
     serve.add_argument("--warm-pool", action=argparse.BooleanOptionalAction,
-                       default=True, dest="warm_pool",
-                       help="keep deterministic pair evaluations warm "
-                            "across jobs (default on)")
+                       help=argparse.SUPPRESS)
     serve.add_argument("--journal", default=None, metavar="PATH",
                        help="durable job journal (fsync'd JSONL WAL): "
                             "admitted jobs survive crashes and restarts — "

@@ -14,7 +14,6 @@ Built-in backends (``python -m repro backends`` lists them):
 ``serial``                faithful per-generation reference loop
 ``event`` (default)       vectorised fast-forward, identical trajectory
 ``ensemble``              lane-batched replicates over one shared engine
-``multiprocess``          event loop + process-pool fitness fan-out
 ``des``                   simulated Blue Gene machine (science + timing)
 ========================  ====================================================
 
@@ -29,7 +28,6 @@ from .backends import (
     DESBackend,
     EnsembleBackend,
     EventBackend,
-    MultiprocessBackend,
     SerialBackend,
     available_backends,
     get_backend,
@@ -52,6 +50,5 @@ __all__ = [
     "SerialBackend",
     "EventBackend",
     "EnsembleBackend",
-    "MultiprocessBackend",
     "DESBackend",
 ]

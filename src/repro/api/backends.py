@@ -3,10 +3,10 @@
 A backend is *how* an evolutionary run executes — the science is fixed by
 the :class:`~repro.core.EvolutionConfig` alone.  Every backend consumes the
 same Nature-Agent decision streams, so for deterministic configurations the
-``baseline``, ``serial``, ``event`` and ``multiprocess`` backends follow
-bit-identical trajectories for the same seed (pinned by the test suite),
-and the ``des`` backend reproduces the same event sequence through the
-simulated machine.
+``baseline``, ``serial`` and ``event`` backends follow bit-identical
+trajectories for the same seed (pinned by the test suite), every
+``ensemble`` lane matches its same-seed ``event`` run, and the ``des``
+backend reproduces the same event sequence through the simulated machine.
 
 Registering a backend::
 
@@ -29,15 +29,10 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any, ClassVar
 
-import numpy as np
-
 from ..core.baseline import run_baseline
 from ..core.config import EvolutionConfig
-from ..core.engine import FitnessEngine, is_integer_payoff
 from ..core.evolution import EvolutionResult, run_event_driven, run_serial
-from ..core.payoff_cache import PayoffCache
 from ..core.population import Population
-from ..core.strategy import Strategy
 from ..ensemble import run_ensemble_detailed
 from ..ensemble.driver import _validate_config as _validate_ensemble_config
 from ..errors import ConfigurationError
@@ -55,7 +50,6 @@ __all__ = [
     "SerialBackend",
     "EventBackend",
     "EnsembleBackend",
-    "MultiprocessBackend",
     "DESBackend",
 ]
 
@@ -99,7 +93,7 @@ class Backend(ABC):
             raise ConfigurationError(
                 f"the {self.name} backend supports well-mixed populations "
                 f"only (got structure={config.canonical_structure()!r}); "
-                "use the serial, event or multiprocess backend for "
+                "use the serial, event or ensemble backend for "
                 "structured populations"
             )
 
@@ -329,135 +323,6 @@ class EnsembleBackend(Backend):
             )
             for result, meta in zip(results, metas)
         ]
-
-
-class _PooledFitnessEngine(FitnessEngine):
-    """Deterministic dense engine whose eager fills fan over a process pool.
-
-    The multiprocess backend's fitness path: the interned sid arrays and
-    the dense payoff matrix live on the parent exactly as in the serial
-    engine, while each new strategy's row/column evaluation (focal vs every
-    live strategy) is chunked over worker processes.  Valid only where the
-    backend already restricts itself — the fully deterministic regime with
-    integer payoff matrices, where the round-summing pooled kernel is
-    float-exact and hence value-identical to the cycle-exact serial fill.
-    """
-
-    def __init__(self, kernel, **engine_kwargs: Any) -> None:
-        super().__init__(**engine_kwargs)
-        self._kernel = kernel
-
-    def _fill_deterministic(self, sid: int) -> None:
-        live = self.pool.ordered_sids()
-        focal = self.pool.strategy(sid)
-        targets = [self.pool.strategy(int(j)) for j in live]
-        to_focal, to_targets = self._kernel.payoffs_against(focal, targets)
-        self._paymat[sid, live] = to_focal
-        self._paymat[live, sid] = to_targets
-        self.misses += len(live)
-
-
-class _PooledPayoffCache(PayoffCache):
-    """Payoff cache whose misses are fanned over a process pool.
-
-    Only valid in the fully deterministic regime (pure strategies, no noise,
-    sampled — not Markov-expected — fitness), where the vectorised game
-    kernel is value-identical to the serial cycle-exact engine, so the
-    trajectory stays on the reference path.  Reuses the base cache's
-    probe/fill bookkeeping; only the batch evaluator differs.
-    """
-
-    def __init__(self, kernel, rounds: int, payoff) -> None:
-        super().__init__(rounds=rounds, payoff=payoff)
-        self._kernel = kernel
-
-    @property
-    def _supports_batch(self) -> bool:
-        return True
-
-    def _evaluate_missing(
-        self, a: Strategy, targets: list[Strategy]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        return self._kernel.payoffs_against(a, targets)
-
-
-@register_backend
-@dataclass
-class MultiprocessBackend(Backend):
-    """Event-driven loop with fitness fan-out over a process pool.
-
-    The runnable counterpart of the paper's thread level: PC-event fitness
-    evaluations (focal strategy vs every distinct strategy present) are
-    chunked over worker processes via :class:`repro.runtime.ParallelKernel`.
-    Deterministic configurations only; the trajectory is identical to the
-    ``event``/``serial`` backends for integer-valued payoff matrices (the
-    paper's), pinned by the tests.
-    """
-
-    name: ClassVar[str] = "multiprocess"
-    summary: ClassVar[str] = (
-        "event-driven loop, fitness games fanned over a process pool"
-    )
-
-    #: Worker processes for the fitness fan-out.
-    workers: int = 2
-    #: Generations scanned per vectorised event-flag batch.
-    batch_size: int = 1 << 16
-
-    def validate(self, config: EvolutionConfig) -> None:
-        super().validate(config)
-        _require_sampled_deterministic(config, self.name)
-        _require_positive_batch(self.batch_size)
-        if not is_integer_payoff(config.payoff):
-            # The pooled kernel sums payoffs round by round while the serial
-            # cache multiplies cycle sums; only integer payoffs make both
-            # float-exact, which the identical-trajectory contract needs.
-            raise ConfigurationError(
-                "the multiprocess backend requires an integer-valued payoff "
-                "matrix to guarantee the serial-identical trajectory (got "
-                f"{list(config.payoff.vector)}); use the event backend for "
-                "non-integer payoffs"
-            )
-        if self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1, got {self.workers}"
-            )
-
-    def run(
-        self, config: EvolutionConfig, population: Population | None = None
-    ) -> EvolutionResult:
-        from ..runtime.executor import ParallelKernel
-
-        self.validate(config)
-        with ParallelKernel(
-            n_workers=self.workers, rounds=config.rounds, payoff=config.payoff
-        ) as kernel:
-            if config.engine:
-                # The engine's sid arrays + dense matrix, with the fill
-                # evaluations fanned over the pool (PR 3 follow-on; the
-                # legacy pooled PayoffCache remains the engine=False path).
-                engine = _PooledFitnessEngine(
-                    kernel,
-                    memory_steps=config.memory_steps,
-                    rounds=config.rounds,
-                    payoff=config.payoff,
-                    capacity=max(64, config.n_ssets + 2),
-                    pool_cap=config.engine_pool_cap,
-                )
-                result = run_event_driven(
-                    config,
-                    population,
-                    batch_size=self.batch_size,
-                    evaluator=engine,
-                )
-            else:
-                cache = _PooledPayoffCache(
-                    kernel, rounds=config.rounds, payoff=config.payoff
-                )
-                result = run_event_driven(
-                    config, population, batch_size=self.batch_size, cache=cache
-                )
-        return self._report(result, workers=self.workers)
 
 
 @register_backend

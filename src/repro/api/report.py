@@ -27,14 +27,12 @@ class BackendReport:
     wallclock_seconds:
         Real host time spent inside the backend.
     options:
-        The backend options the run was configured with (e.g. ``workers``,
+        The backend options the run was configured with (e.g.
         ``batch_size``, ``n_ranks``) — whatever ``Simulation(**backend_opts)``
         forwarded.
     structure:
         Canonical population-structure spec the run executed under
         (``"well-mixed"``, ``"ring:k=4"``, ...).
-    workers:
-        Process-pool size for backends that fan work over processes.
     lanes:
         Number of replicates the ``ensemble`` backend executed together in
         this run's lane-batched group (1 = the run was its own group).
@@ -67,7 +65,6 @@ class BackendReport:
     wallclock_seconds: float
     options: dict[str, Any] = field(default_factory=dict)
     structure: str | None = None
-    workers: int | None = None
     lanes: int | None = None
     shared_engine: dict[str, int] | None = None
     resumed_from_generation: int | None = None
@@ -82,8 +79,6 @@ class BackendReport:
         parts = [f"backend={self.backend}", f"wallclock={self.wallclock_seconds:.3f}s"]
         if self.structure is not None and self.structure != "well-mixed":
             parts.append(f"structure={self.structure}")
-        if self.workers is not None:
-            parts.append(f"workers={self.workers}")
         if self.lanes is not None:
             parts.append(f"lanes={self.lanes}")
         if self.shared_engine is not None:

@@ -6,7 +6,6 @@ One call shape for every execution substrate::
 
     result = Simulation(config).run()                      # event-driven
     result = Simulation(config, backend="serial").run()    # reference loop
-    result = Simulation(config, backend="multiprocess", workers=4).run()
     result = Simulation(config, backend="des", n_ranks=9).run()
 
 ``.run()`` always returns an :class:`~repro.core.EvolutionResult` whose
@@ -53,8 +52,8 @@ class Simulation:
         population.  For a statistically independent continuation, give
         each leg its own seed (``config.with_updates(seed=...)``).
     **backend_opts:
-        Forwarded to the backend class (e.g. ``workers=4``,
-        ``batch_size=...``, ``n_ranks=9``).
+        Forwarded to the backend class (e.g. ``batch_size=...``,
+        ``n_ranks=9``).
     """
 
     def __init__(

@@ -163,8 +163,7 @@ def run_sweep(
         sweep (or each worker's chunk) executes as one array program.
     workers:
         Process-pool size for the fan-out.  ``None``/``0``/``1`` runs the
-        sweep serially in-process.  Nesting note: combining a parallel sweep
-        with the ``multiprocess`` backend multiplies process counts.
+        sweep serially in-process.
     on_result:
         Callback invoked in the parent process as ``on_result(index,
         result)``, in config order, as results arrive (the ensemble fast
@@ -187,10 +186,6 @@ def run_sweep(
         (distinct result objects per position, e.g. for timing studies).
     **backend_opts:
         Forwarded to the backend class (as in :class:`~repro.api.Simulation`).
-        A backend option named ``workers`` (the multiprocess backend's pool
-        size) collides with this function's own ``workers`` keyword — pass a
-        ready-made instance instead:
-        ``run_sweep(configs, backend=MultiprocessBackend(workers=8))``.
     """
     run_configs: Sequence[EvolutionConfig] = list(configs)
     resolved = resolve_backend(backend, dict(backend_opts))

@@ -62,6 +62,7 @@ regime split:
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
 
@@ -107,8 +108,8 @@ _PairKey = tuple[bytes, bytes]
 _ShareSig = tuple[int, int, tuple[float, ...]]
 
 
-class _PairShareState:
-    """Process-local cross-run store of deterministic pair evaluations.
+class _PairShareState(threading.local):
+    """Thread-local cross-run store of deterministic pair evaluations.
 
     Deterministic cycle-exact payoffs are a pure function of the two
     strategy tables plus ``(rounds, payoff)`` — they carry no seed and no
@@ -120,9 +121,11 @@ class _PairShareState:
     pool worker's later tasks) start from a warm matrix.  Trajectories are
     unaffected — the values are float-exact either way — only the
     ``misses`` evaluation counters shrink.
-    """
 
-    __slots__ = ("enabled", "store")
+    The state is per thread because the sweep service runs each job's
+    sweep on its own worker thread: one job's sharing must neither reach
+    a concurrent job nor be switched off under it.
+    """
 
     def __init__(self) -> None:
         self.enabled = False
@@ -154,17 +157,18 @@ def shared_engine_pairs() -> Iterator[
 
 
 def enable_engine_pair_sharing() -> None:
-    """Enable pair sharing for this process's lifetime (no clearing).
+    """Enable pair sharing for the calling thread's lifetime (no clearing).
 
     The process-pool initializer of :func:`repro.api.run_sweep` calls this
-    in each worker, so a worker's successive runs share evaluations; the
-    store dies with the worker process.
+    in each worker, on the thread that then runs the worker's tasks, so a
+    worker's successive runs share evaluations; the store dies with the
+    worker process.
     """
     _PAIR_SHARE.enabled = True
 
 
 def pair_sharing_active() -> bool:
-    """Whether cross-run pair sharing is enabled on this thread's process.
+    """Whether cross-run pair sharing is enabled on the calling thread.
 
     Mid-run checkpointing (:mod:`repro.core.runstate`) refuses to arm while
     sharing is active: a resumed engine rebuilds only its *live* pairs, so

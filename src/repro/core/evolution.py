@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import faults
-from ..errors import CheckpointError, ConfigurationError
+from ..errors import CheckpointError
 from ..rng import SeedSequenceTree
 from ..structure import InteractionModel, build_structure
 from .config import EvolutionConfig
@@ -178,37 +178,6 @@ def _make_evaluator(
     return _make_cache(config, nature)
 
 
-def _resolve_evaluator(
-    config: EvolutionConfig,
-    nature: NatureAgent,
-    population: Population,
-    cache: PayoffCache | None,
-    evaluator: Evaluator | None,
-) -> Evaluator:
-    """Pick the run's evaluator and (un)bind the population accordingly.
-
-    ``evaluator`` injects a ready-made evaluator — e.g. the multiprocess
-    backend's pool-backed :class:`FitnessEngine` — and must produce the
-    same values as the default for the trajectory to stay on the reference
-    path.  ``cache`` keeps its historical meaning: substitute the legacy
-    payoff evaluator and force the non-engine path.
-    """
-    if evaluator is not None:
-        if cache is not None:
-            raise ConfigurationError(
-                "pass either cache= or evaluator=, not both"
-            )
-        if isinstance(evaluator, FitnessEngine):
-            population.bind_engine(evaluator)
-        else:
-            population.bind_engine(None)
-        return evaluator
-    if cache is not None:
-        population.bind_engine(None)
-        return cache
-    return _make_evaluator(config, nature, population)
-
-
 def _maybe_snapshot(
     result: EvolutionResult, population: Population, generation: int, force: bool
 ) -> None:
@@ -328,28 +297,19 @@ def _finalise(
     return result
 
 
-def _arm_checkpointing(
-    config: EvolutionConfig,
-    population: Population | None,
-    cache: PayoffCache | None,
-    evaluator: Evaluator | None,
-):
+def _arm_checkpointing(config: EvolutionConfig, population: Population | None):
     """This run's checkpoint sink, or ``None`` when checkpointing is off.
 
-    Armed only when the run is fully self-describing — default-constructed
-    population and evaluator (an injected one carries caller state a
-    snapshot cannot re-create) — and the fitness regime can honour the
-    bit-identical resume contract (:func:`checkpointing_supported`).
-    Unarmed runs execute exactly as before, without snapshots.
+    Armed only when the run is fully self-describing — no caller-supplied
+    population (it carries state a snapshot cannot re-create) — and the
+    fitness regime can honour the bit-identical resume contract
+    (:func:`checkpointing_supported`).  Unarmed runs execute exactly as
+    before, without snapshots.
     """
     sink = checkpoint_sink()
-    if sink is None:
+    if sink is None or population is not None:
         return None
-    if population is not None or cache is not None or evaluator is not None:
-        return None
-    if not checkpointing_supported(config):
-        return None
-    return sink
+    return sink if checkpointing_supported(config) else None
 
 
 def _enable_capture_logs(evaluator: Evaluator) -> None:
@@ -450,25 +410,14 @@ def _resume_run_state(sink, unit: str, config: EvolutionConfig, nature: NatureAg
 
 
 def run_serial(
-    config: EvolutionConfig,
-    population: Population | None = None,
-    *,
-    cache: PayoffCache | None = None,
-    evaluator: Evaluator | None = None,
+    config: EvolutionConfig, population: Population | None = None
 ) -> EvolutionResult:
-    """Faithful generation-by-generation evolution (reference driver).
-
-    ``cache`` substitutes the payoff evaluator (e.g. a process-pool backed
-    one) and disables the :class:`FitnessEngine` for the run; ``evaluator``
-    injects a ready-made engine/cache instead (see
-    :func:`_resolve_evaluator`).  Either must produce the same values as
-    the default for the trajectory to stay on the reference path.
-    """
+    """Faithful generation-by-generation evolution (reference driver)."""
     started = time.perf_counter()
     tree = SeedSequenceTree(config.seed)
     nature = NatureAgent(config, tree)
     structure = build_structure(config.structure, config.n_ssets)
-    sink = _arm_checkpointing(config, population, cache, evaluator)
+    sink = _arm_checkpointing(config, population)
     unit = unit_key([config.to_dict()]) if sink is not None else None
     restored = (
         _resume_run_state(sink, unit, config, nature)
@@ -480,9 +429,7 @@ def run_serial(
     else:
         if population is None:
             population = Population.random(config, tree.generator("init"))
-        evaluator = _resolve_evaluator(
-            config, nature, population, cache, evaluator
-        )
+        evaluator = _make_evaluator(config, nature, population)
         if sink is not None:
             _enable_capture_logs(evaluator)
         result = EvolutionResult(config=config, population=population)
@@ -538,22 +485,18 @@ def run_event_driven(
     config: EvolutionConfig,
     population: Population | None = None,
     batch_size: int = 1 << 16,
-    *,
-    cache: PayoffCache | None = None,
-    evaluator: Evaluator | None = None,
 ) -> EvolutionResult:
     """Fast-forward evolution: identical trajectory, ~1000x faster.
 
     Scans event flags in vectorised batches and executes Python logic only
     at event generations.  Snapshot recording (``record_every``) is aligned
-    to the same generations as :func:`run_serial`.  ``cache`` / ``evaluator``
-    substitute the payoff evaluator (see :func:`run_serial`).
+    to the same generations as :func:`run_serial`.
     """
     started = time.perf_counter()
     tree = SeedSequenceTree(config.seed)
     nature = NatureAgent(config, tree)
     structure = build_structure(config.structure, config.n_ssets)
-    sink = _arm_checkpointing(config, population, cache, evaluator)
+    sink = _arm_checkpointing(config, population)
     unit = unit_key([config.to_dict()]) if sink is not None else None
     restored = (
         _resume_run_state(sink, unit, config, nature)
@@ -566,9 +509,7 @@ def run_event_driven(
     else:
         if population is None:
             population = Population.random(config, tree.generator("init"))
-        evaluator = _resolve_evaluator(
-            config, nature, population, cache, evaluator
-        )
+        evaluator = _make_evaluator(config, nature, population)
         if sink is not None:
             _enable_capture_logs(evaluator)
         result = EvolutionResult(config=config, population=population)

@@ -113,24 +113,6 @@ class PayoffCache:
         """Payoff earned by ``a`` in one game against ``b``."""
         return self.pair_payoffs(a, b)[0]
 
-    @property
-    def _supports_batch(self) -> bool:
-        """Whether :meth:`_evaluate_missing` applies (else per-pair path)."""
-        return self.expected
-
-    def _evaluate_missing(
-        self, a: Strategy, targets: list[Strategy]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Batched evaluation of uncached opponents: ``(to_a, to_targets)``.
-
-        Subclasses substitute other batch evaluators (e.g. a process-pool
-        kernel) while reusing the probe/fill bookkeeping of
-        :meth:`payoffs_to_many`.
-        """
-        return expected_payoffs_many(
-            a, targets, self.rounds, self.payoff, self.noise
-        )
-
     def payoffs_to_many(self, a: Strategy, others: list[Strategy]) -> np.ndarray:
         """Payoffs ``a`` earns against each of ``others`` (batched).
 
@@ -139,7 +121,7 @@ class PayoffCache:
         regimes fall back to per-pair evaluation.
         """
         out = np.empty(len(others), dtype=np.float64)
-        if not self._supports_batch:
+        if not self.expected:
             for i, b in enumerate(others):
                 out[i] = self.payoff_to(a, b)
             return out
@@ -157,7 +139,9 @@ class PayoffCache:
             targets = [others[i] for i in missing]
             if self._eval_log is not None:
                 self._eval_log.append(("many", a, list(targets)))
-            forward, backward = self._evaluate_missing(a, targets)
+            forward, backward = expected_payoffs_many(
+                a, targets, self.rounds, self.payoff, self.noise
+            )
             for i, pay_a, pay_b in zip(missing, forward, backward):
                 b = others[i]
                 self._cache[(key_a, b.key())] = (float(pay_a), float(pay_b))

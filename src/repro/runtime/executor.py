@@ -33,20 +33,6 @@ from .sharedmem import SharedArray, SharedArraySpec
 __all__ = ["ParallelKernel", "parallel_payoff_matrix", "parallel_all_fitness"]
 
 
-def _pair_block(
-    strategies: list[Strategy],
-    lo: int,
-    hi: int,
-    rounds: int,
-    payoff: PayoffMatrix,
-) -> tuple[int, np.ndarray, np.ndarray]:
-    """Worker: strategies[0] (focal) vs strategies[1+lo : 1+hi]."""
-    a_idx = np.zeros(hi - lo, dtype=np.intp)
-    b_idx = np.arange(1 + lo, 1 + hi, dtype=np.intp)
-    pay_a, pay_b = play_pairs(strategies, a_idx, b_idx, rounds, payoff)
-    return lo, pay_a, pay_b
-
-
 def _row_block(
     strategies: list[Strategy],
     lo: int,
@@ -138,35 +124,6 @@ class ParallelKernel:
             _, block = future.result()
             out[lo:hi, :] = block
         return out
-
-    def payoffs_against(
-        self, focal: Strategy, opponents: list[Strategy]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Game payoffs of ``focal`` vs each opponent, fanned over the pool.
-
-        Returns ``(to_focal, to_opponents)`` per game — both directions so a
-        payoff cache can store the symmetric entries from one evaluation.
-        Bit-identical to the serial kernel for any worker count.
-        """
-        strategies = [focal] + list(opponents)
-        k = len(opponents)
-        if self._pool is None or k < 2:
-            _, pay_a, pay_b = _pair_block(strategies, 0, k, self.rounds, self.payoff)
-            return pay_a, pay_b
-        ranges = [r for r in block_ranges(k, self.n_workers) if r[1] > r[0]]
-        futures = [
-            self._pool.submit(
-                _pair_block, strategies, lo, hi, self.rounds, self.payoff
-            )
-            for lo, hi in ranges
-        ]
-        to_focal = np.empty(k, dtype=np.float64)
-        to_opponents = np.empty(k, dtype=np.float64)
-        for (lo, hi), future in zip(ranges, futures):
-            _, pay_a, pay_b = future.result()
-            to_focal[lo:hi] = pay_a
-            to_opponents[lo:hi] = pay_b
-        return to_focal, to_opponents
 
     def all_fitness(
         self, strategies: list[Strategy], include_self_play: bool = False

@@ -15,8 +15,6 @@ long-lived service (the paper's "production-scale screening" posture):
   (:mod:`repro.service.retry`);
 * :class:`ResultStore` — fingerprint-keyed LRU + optional disk artifacts
   (:mod:`repro.service.store`);
-* :class:`WarmEnginePool` — server-lifetime deterministic pair cache
-  (:mod:`repro.service.pools`);
 * :class:`SweepServer` / :class:`SweepClient` — stdlib JSON-over-HTTP
   front door and client (:mod:`repro.service.server` / ``.client``).
 
@@ -26,7 +24,6 @@ Everything is stdlib + numpy; no new dependencies.
 from .client import SweepClient
 from .jobspec import PRIORITIES, SPEC_FORMAT_VERSION, JobSpec
 from .journal import JobJournal
-from .pools import WarmEnginePool
 from .queue import Job, JobQueue, JobState
 from .retry import RetryPolicy
 from .server import SweepServer
@@ -42,7 +39,6 @@ __all__ = [
     "JobState",
     "ResultStore",
     "RetryPolicy",
-    "WarmEnginePool",
     "SweepServer",
     "SweepClient",
 ]

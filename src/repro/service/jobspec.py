@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
@@ -66,8 +67,10 @@ class JobSpec:
         execution is what lets progress ticks stream to the job status).
     share_engine:
         Per-job override of ``run_sweep``'s deterministic pair sharing
-        (``None`` = the auto rule).  The server keeps the share store warm
-        across jobs (:class:`~repro.service.pools.WarmEnginePool`).
+        between the job's own runs (``None`` = the auto rule, on for
+        memory-one sweeps).  The store lives for one job only.  While
+        sharing is on, deterministic runs take no mid-run snapshots
+        (:func:`~repro.core.runstate.checkpointing_supported`).
     priority:
         ``"interactive"`` or ``"batch"`` (scheduling only — not part of
         the fingerprint).
@@ -140,9 +143,11 @@ class JobSpec:
                     f"field 'timeout': expected a number or null, got "
                     f"{self.timeout!r}"
                 )
-            if self.timeout <= 0:
+            # Chained so NaN fails too; a NaN deadline would never expire.
+            if not 0 < self.timeout < math.inf:
                 raise ConfigurationError(
-                    f"field 'timeout': must be > 0 seconds, got {self.timeout}"
+                    f"field 'timeout': must be a finite number of seconds "
+                    f"> 0, got {self.timeout}"
                 )
 
     # -- identity --------------------------------------------------------------

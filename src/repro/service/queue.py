@@ -54,8 +54,7 @@ snapshots; corrupt ones quarantine and fall back (older snapshot, then
 full replay).
 
 Jobs execute through :func:`repro.api.run_sweep` in executor threads —
-the actual science path is exactly the library one, warm engine pools
-(:mod:`repro.service.pools`) included.  Fault-injection sites
+the actual science path is exactly the library one.  Fault-injection sites
 (``"service.execute"``, ``"service.journal"``) are compiled in so every
 path above is provable with :mod:`repro.faults` instead of luck.
 """
@@ -94,7 +93,6 @@ from ..errors import (
 from ..io.run_checkpoint import RunCheckpointer
 from .jobspec import PRIORITIES, JobSpec
 from .journal import JobJournal
-from .pools import WarmEnginePool
 from .retry import RetryPolicy
 from .store import ResultStore
 
@@ -333,8 +331,6 @@ class JobQueue:
         instant cache hits never occupy a slot).
     store:
         Result cache (a fresh in-memory :class:`ResultStore` by default).
-    pool:
-        Warm engine pool to keep open for the queue's lifetime (optional).
     coalesce:
         Attach duplicate in-flight submissions to the running leader
         instead of executing them twice (default on).
@@ -363,7 +359,6 @@ class JobQueue:
         workers: int = 2,
         max_queued: int = 64,
         store: ResultStore | None = None,
-        pool: WarmEnginePool | None = None,
         coalesce: bool = True,
         history: int = 1024,
         journal: str | Path | None = None,
@@ -379,7 +374,6 @@ class JobQueue:
         self.workers = workers
         self.max_queued = max_queued
         self.store = store if store is not None else ResultStore()
-        self.pool = pool
         self.coalesce = coalesce
         self.history = history
         self._run_sweep = _run_sweep
@@ -424,9 +418,6 @@ class JobQueue:
         if journal is not None:
             pending = JobJournal.replay(journal)
             self.journal = JobJournal(journal)
-
-        if self.pool is not None:
-            self.pool.open()
 
         from concurrent.futures import ThreadPoolExecutor
 
@@ -665,8 +656,6 @@ class JobQueue:
         with self._lock:
             followers = self._followers.pop(job.fingerprint, [])
             self._active.pop(job.fingerprint, None)
-        if self.pool is not None:
-            self.pool.after_job()
         for follower in followers:
             if outcome == JobState.DONE:
                 assert job.results is not None
@@ -1027,8 +1016,6 @@ class JobQueue:
             )
         if self.journal is not None:
             self.journal.close()
-        if self.pool is not None:
-            self.pool.close()
         if problems:
             raise ServiceError(
                 "job queue shutdown leaked threads: " + "; ".join(problems)

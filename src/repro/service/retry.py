@@ -27,10 +27,12 @@ from __future__ import annotations
 
 import builtins
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .. import errors
+from ..core.config import _coerce_float, _coerce_int
 from ..errors import ConfigurationError
 
 __all__ = ["RetryPolicy", "DEFAULT_TRANSIENT"]
@@ -70,9 +72,26 @@ class RetryPolicy:
     transient: tuple[str, ...] = DEFAULT_TRANSIENT
 
     def __post_init__(self) -> None:
+        # Type checks first, naming the wire field, so the range checks
+        # below compare numbers (JSON carries strings, floats and NaN).
+        set_field = object.__setattr__
+        set_field(
+            self,
+            "max_attempts",
+            _coerce_int("retry.max_attempts", self.max_attempts),
+        )
+        for name in ("base_delay", "max_delay", "factor", "jitter"):
+            value = _coerce_float(f"retry.{name}", getattr(self, name))
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"field 'retry.{name}': expected a finite number, got "
+                    f"{value}"
+                )
+            set_field(self, name, value)
         if self.max_attempts < 1:
             raise ConfigurationError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
+                f"field 'retry.max_attempts': must be >= 1, got "
+                f"{self.max_attempts}"
             )
         if self.base_delay < 0 or self.max_delay < 0:
             raise ConfigurationError("retry delays must be >= 0")
@@ -84,8 +103,15 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"jitter must be in [0, 1], got {self.jitter}"
             )
-        if not isinstance(self.transient, tuple):
-            object.__setattr__(self, "transient", tuple(self.transient))
+        transient = self.transient
+        if not isinstance(transient, (list, tuple)) or not all(
+            isinstance(n, str) for n in transient
+        ):
+            raise ConfigurationError(
+                "field 'retry.transient': expected a list of exception "
+                f"class names, got {transient!r}"
+            )
+        set_field(self, "transient", tuple(transient))
         for name in self.transient:
             _resolve(name)  # fail fast on unknown names
 
@@ -137,18 +163,11 @@ class RetryPolicy:
             raise ConfigurationError(
                 f"unknown retry policy field(s): {', '.join(unknown)}"
             )
-        transient = data.get("transient", DEFAULT_TRANSIENT)
-        if isinstance(transient, str) or not all(
-            isinstance(n, str) for n in transient
-        ):
-            raise ConfigurationError(
-                "retry 'transient' must be a list of exception class names"
-            )
         return cls(
             max_attempts=data.get("max_attempts", 1),
             base_delay=data.get("base_delay", 0.1),
             max_delay=data.get("max_delay", 30.0),
             factor=data.get("factor", 2.0),
             jitter=data.get("jitter", 0.5),
-            transient=tuple(transient),
+            transient=data.get("transient", DEFAULT_TRANSIENT),
         )

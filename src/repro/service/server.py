@@ -19,7 +19,7 @@ method      path                           meaning
 ``DELETE``  ``/jobs/<id>``                 cancel a queued or running job ->
                                            ``200`` (``cancelled`` says whether it
                                            was still cancellable), ``404`` unknown
-``GET``     ``/stats``                     queue / store / pool counters
+``GET``     ``/stats``                     queue / store counters
 ``GET``     ``/healthz``                   liveness probe
 ==========  =============================  =======================================
 
@@ -94,7 +94,17 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": error, "detail": detail}, headers)
 
     def _read_json_body(self) -> Any:
-        length = int(self.headers.get("Content-Length", 0))
+        raw_length = self.headers.get("Content-Length", "0")
+        try:
+            length = int(raw_length)
+        except ValueError:
+            # The body's extent is unknown, so the connection cannot be
+            # reused for another request.
+            self.close_connection = True
+            raise ConfigurationError(
+                f"header 'Content-Length': expected a byte count, got "
+                f"{raw_length!r}"
+            ) from None
         if length <= 0:
             raise ConfigurationError("request body is empty (expected JSON)")
         if length > _MAX_BODY:
@@ -275,12 +285,10 @@ class SweepServer:
         return f"http://{self.host}:{self.port}"
 
     def stats(self) -> dict[str, Any]:
-        pool = self.queue.pool
         return {
             "version": __version__,
             "queue": self.queue.stats(),
             "store": self.queue.store.stats(),
-            "pool": pool.stats() if pool is not None else None,
         }
 
     # -- lifecycle -------------------------------------------------------------

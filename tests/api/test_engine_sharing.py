@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from repro.api import Simulation, run_sweep
 from repro.core import EvolutionConfig
-from repro.core.engine import _PAIR_SHARE, shared_engine_pairs
+from repro.core.engine import (
+    _PAIR_SHARE,
+    pair_sharing_active,
+    shared_engine_pairs,
+)
 
 
 def config(seed: int, **overrides) -> EvolutionConfig:
@@ -55,6 +61,39 @@ class TestSharedEnginePairs:
                 config(7, noise=0.02, expected_fitness=True, generations=200)
             ).run()
             assert not store
+
+
+class TestConcurrentSweeps:
+    def test_overlapping_blocks_on_two_threads(self):
+        """Two service workers can run sharing sweeps at once: the first to
+        finish must not switch sharing off under the other, and the last
+        to finish must not leave it on for the rest of the process."""
+        a_entered, b_entered, a_left = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def first():
+            with shared_engine_pairs():
+                a_entered.set()
+                b_entered.wait(10)
+            a_left.set()
+
+        def second():
+            a_entered.wait(10)
+            with shared_engine_pairs():
+                b_entered.set()
+                a_left.wait(10)
+                seen["active_after_first_left"] = pair_sharing_active()
+
+        threads = [threading.Thread(target=f) for f in (first, second)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert a_left.is_set()
+        assert seen == {"active_after_first_left": True}
+        assert not pair_sharing_active()
+        assert not _PAIR_SHARE.store
 
 
 class TestRunSweepSharing:

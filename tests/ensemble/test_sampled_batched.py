@@ -433,7 +433,7 @@ class TestConfigAndBackends:
         with pytest.raises(ConfigurationError, match="--sampled-batched"):
             backend.validate(EvolutionConfig(n_ssets=8, noise=0.05))
 
-    @pytest.mark.parametrize("name", ["baseline", "multiprocess", "des"])
+    @pytest.mark.parametrize("name", ["baseline", "des"])
     def test_bit_parity_backends_point_to_the_flag(self, name):
         from repro.api.backends import get_backend
 

@@ -167,12 +167,11 @@ def test_sigkill_midqueue_then_restart_completes_every_job(tmp_path):
 def test_sigkill_midrun_then_restart_resumes_from_snapshot(tmp_path):
     wal = tmp_path / "jobs.wal"
     ckpt = tmp_path / "ckpt"
-    # One long checkpointed run.  Engine pair sharing stays off at *both*
-    # levels — the spec's intra-sweep flag and the server's warm pool —
-    # because cross-run pair sharing is the deterministic mode that
-    # (correctly) refuses mid-run snapshots: a resume rebuilds only its
-    # own live pairs, so the shared store would diverge from an
-    # uninterrupted process.
+    # One long checkpointed run on a server started with default flags.
+    # The spec turns intra-sweep pair sharing off, because cross-run pair
+    # sharing is the deterministic mode that (correctly) refuses mid-run
+    # snapshots: a resume rebuilds only its own live pairs, so the shared
+    # store would diverge from an uninterrupted process.
     config = EvolutionConfig(
         n_ssets=8, generations=1500, rounds=16, seed=2300,
         checkpoint_every=300,
@@ -180,7 +179,7 @@ def test_sigkill_midrun_then_restart_resumes_from_snapshot(tmp_path):
     spec = JobSpec(configs=(config,), share_engine=False)
 
     process, client = start_server(
-        ["--workers", "1", "--no-warm-pool", "--journal", str(wal),
+        ["--workers", "1", "--journal", str(wal),
          "--checkpoint-dir", str(ckpt), "--faults", SLOW_PLAN],
     )
     try:
@@ -202,7 +201,7 @@ def test_sigkill_midrun_then_restart_resumes_from_snapshot(tmp_path):
     assert list(ckpt.glob("unit-*/gen-*/meta.json"))  # durable snapshot
 
     process, client = start_server(
-        ["--workers", "1", "--no-warm-pool", "--journal", str(wal),
+        ["--workers", "1", "--journal", str(wal),
          "--checkpoint-dir", str(ckpt)],
     )
     try:

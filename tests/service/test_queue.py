@@ -9,7 +9,7 @@ import pytest
 
 from repro.core import EvolutionConfig
 from repro.errors import ConfigurationError, QueueFullError, ServiceError
-from repro.service import JobQueue, JobSpec, JobState, WarmEnginePool
+from repro.service import JobQueue, JobSpec, JobState
 
 
 def spec_for(seed: int, n: int = 1, **overrides) -> JobSpec:
@@ -90,14 +90,6 @@ class TestExecution:
         with JobQueue(workers=1) as queue:
             with pytest.raises(ConfigurationError, match="warp-drive"):
                 queue.submit(spec_for(seed=80, backend="warp-drive"))
-
-    def test_warm_pool_lifecycle(self):
-        pool = WarmEnginePool()
-        with JobQueue(workers=1, pool=pool) as queue:
-            assert pool.is_open
-            job = queue.submit(spec_for(seed=85))
-            assert job.wait(timeout=60)
-        assert not pool.is_open  # closed with the queue
 
 
 class TestScheduling:

@@ -18,7 +18,7 @@ from repro.io import result_to_dict
 from repro.service import JobQueue, JobSpec, SweepClient, SweepServer
 
 #: Execution-envelope keys that legitimately differ between a service run
-#: and a direct run_sweep call (timing; warm-pool evaluation counters).
+#: and a direct run_sweep call (timing; pair-sharing evaluation counters).
 VOLATILE = ("wallclock_seconds", "cache_hits", "cache_misses", "backend")
 
 

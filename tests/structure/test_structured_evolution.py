@@ -140,15 +140,6 @@ class TestStructuredRuns:
         assert report is not None
         assert report.structure == config.canonical_structure()
 
-    def test_multiprocess_matches_event(self):
-        config = EvolutionConfig(
-            n_ssets=16, generations=1200, seed=5, structure="ring:k=2"
-        )
-        event = Simulation(config, backend="event").run()
-        pooled = Simulation(config, backend="multiprocess", workers=2).run()
-        assert event_hash(event) == event_hash(pooled)
-        assert population_hash(event) == population_hash(pooled)
-
     def test_structured_differs_from_well_mixed(self):
         base = EvolutionConfig(n_ssets=36, generations=2500, seed=17)
         ring = base.with_updates(structure="ring:k=4")
@@ -248,7 +239,6 @@ class TestBackendStructureGuards:
 
         assert get_backend("event").supports_structures
         assert get_backend("serial").supports_structures
-        assert get_backend("multiprocess").supports_structures
         assert not get_backend("baseline").supports_structures
         assert not get_backend("des").supports_structures
 

@@ -61,7 +61,7 @@ class TestBackendsCommand:
     def test_lists_all_builtins(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("baseline", "serial", "event", "multiprocess", "des"):
+        for name in ("baseline", "serial", "event", "ensemble", "des"):
             assert name in out
 
 
@@ -98,16 +98,26 @@ class TestEvolveBackends:
         assert main(["evolve", *SMALL, "--backend", "event"]) == 0
         assert dominant_line(capsys) == serial_line
 
-    def test_multiprocess(self, capsys):
-        assert main(
-            ["evolve", *SMALL, "--backend", "multiprocess", "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "dominant:" in out and "backend=multiprocess" in out
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(SystemExit):
             main(["evolve", "--backend", "warp-drive"])
+
+    def test_retired_multiprocess_backend_lists_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["evolve", *SMALL, "--backend", "multiprocess"]
+            )
+        err = capsys.readouterr().err
+        assert "invalid choice: 'multiprocess'" in err
+        for name in ("baseline", "des", "ensemble", "event", "serial"):
+            assert name in err
+
+    def test_workers_is_a_sweep_flag_only(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["evolve", *SMALL, "--workers", "2"])
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
+        args = build_parser().parse_args(["sweep", *SMALL, "--workers", "2"])
+        assert args.workers == 2
 
     def test_new_science_flags(self, capsys):
         assert main(
@@ -167,16 +177,6 @@ class TestSweepCommand:
                  for l in out.splitlines() if l.startswith("[memory=")]
         assert len(set(seeds)) == 3
 
-    def test_multiprocess_backend_sweep(self, capsys):
-        """--workers feeds the backend's pool; runs execute serially."""
-        assert main(
-            ["sweep", "--ssets", "8", "--generations", "100", "--rounds",
-             "16", "--runs", "2", "--backend", "multiprocess",
-             "--workers", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert out.count("dominant:") == 2
-
     def test_multiple_memories(self, capsys):
         assert main(
             ["sweep", "--ssets", "8", "--generations", "100", "--rounds",
@@ -184,6 +184,24 @@ class TestSweepCommand:
         ) == 0
         out = capsys.readouterr().out
         assert "[memory=1 run=0" in out and "[memory=2 run=0" in out
+
+
+class TestServeFlags:
+    def test_benchmark_serve_argv_parses(self):
+        """The repository benchmark launches the server with this argv."""
+        args = build_parser().parse_args(
+            ["serve", "--port", "0", "--workers", "1", "--no-warm-pool"]
+        )
+        assert (args.port, args.workers) == (0, 1)
+
+    def test_retired_warm_pool_flag_is_accepted(self):
+        args = build_parser().parse_args(["serve", "--warm-pool"])
+        assert args.command == "serve"
+
+    def test_retired_warm_pool_flag_is_hidden(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--help"])
+        assert "warm-pool" not in capsys.readouterr().out
 
 
 class TestStructureFlag:
