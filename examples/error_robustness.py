@@ -11,9 +11,10 @@ Part one quantifies that claim with the exact Markov engine: long-run
 cooperation rates of self-play pairs across error rates.  Part two lets
 evolution confirm it — a noisy replicate ensemble on the batched
 sampled-fitness fast path (``sampled_batched=True`` over the ensemble
-backend, every event generation's sampled games fused into one vectorised
-kernel call across lanes), reporting which strategies win at each error
-rate and whether the winners still cooperate with themselves.
+backend, which advances the lanes in waves of one event each and fuses a
+wave's sampled games into one vectorised kernel call), reporting which
+strategies win at each error rate and whether the winners still cooperate
+with themselves.
 
 Run:  python examples/error_robustness.py
 """
@@ -103,10 +104,12 @@ def evolved_robustness() -> None:
                 configs, backend="ensemble", base_seed=MASTER_SEED
             )
             elapsed = time.perf_counter() - started
-            # The modal winner across replicates, plus how cooperative the
-            # winners stay with themselves at this error rate.
+            # The modal winner across replicates (ties go to the earliest
+            # replicate, so the row does not depend on hash order), plus
+            # how cooperative the winners stay with themselves at this
+            # error rate.
             winners = [result.dominant()[0] for result in results]
-            modal = max(set(winners), key=winners.count)
+            modal = max(winners, key=winners.count)
             coop = sum(
                 stationary_cooperation_rate(w, w, noise) for w in winners
             ) / len(winners)

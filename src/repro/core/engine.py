@@ -79,6 +79,7 @@ from .states import num_states
 from .strategy import Strategy
 from .vectorgame import (
     cycle_payoffs_pairs,
+    noise_flip_codes,
     play_pairs_uniforms,
     sampled_draws_per_round,
     stack_tables,
@@ -1000,16 +1001,30 @@ class SampledFitnessEngine(PayoffCache):
             strategy.defect_probabilities() if self.mixed else strategy.table
         )
 
-    def draw_uniforms(self, n_games: int) -> np.ndarray:
-        """Pre-draw one batch's uniforms from the dedicated stream.
+    def draw_uniforms(
+        self, n_games: int, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Pre-draw ``n_games`` games' uniforms from the dedicated stream.
 
-        Shape ``(rounds, draws_per_round, n_games)`` — the layout
-        :func:`~repro.core.vectorgame.play_pairs_uniforms` consumes.  The
-        ensemble driver calls this per lane and concatenates the blocks
-        along the games axis, which keeps every lane's stream consumption
-        identical to its serial run.
+        The draw is ``rng.random((rounds, draws_per_round, n_games))`` —
+        the float layout :func:`~repro.core.vectorgame.play_pairs_uniforms`
+        consumes — and is returned as is when ``out`` is ``None``.  With
+        ``out``, this engine's slot of a fused call's kernel input, the
+        block is stored there in the kernel's input form instead and
+        ``out`` is returned: reduced to ``(rounds, n_games)`` uint8 noise
+        flip codes for pure configurations, the floats themselves for mixed
+        ones, whose move draws compare against table probabilities.  Either
+        way the stream advances by the same draws, so a lane's consumption
+        does not depend on who shares its kernel call.
         """
-        return self.rng.random((self.rounds, self.draws_per_round, n_games))
+        block = self.rng.random((self.rounds, self.draws_per_round, n_games))
+        if out is None:
+            return block
+        if self.mixed:
+            out[...] = block
+        else:
+            noise_flip_codes(block, self.noise, out=out)
+        return out
 
     def _play_games(
         self, games: list[tuple[Strategy, Strategy]]
@@ -1155,52 +1170,65 @@ class SampledFitnessEngine(PayoffCache):
     ) -> list[tuple[float, float]]:
         """Execute many ``(engine, plan)`` pairs as **one** kernel call.
 
-        Each engine draws its own plan's uniform block (so a lane's stream
-        consumption is independent of who else is in the batch), the blocks
-        and game lists concatenate along the games axis, and the fused
+        The plans' games concatenate along the games axis, and each engine
+        draws its own plan's games (:meth:`draw_uniforms`) straight into
+        the plan's slot of the call's kernel input, so a lane's stream
+        consumption is independent of who else is in the batch; the fused
         kernel preserves every lane's bits — which is what makes each
-        ensemble lane bit-identical to its same-seed serial run.  Returns
+        ensemble lane bit-identical to its same-seed serial run.  The input
+        costs ``rounds`` bytes per game (flip codes) in pure
+        configurations and ``rounds * draws_per_round * 8`` bytes in mixed
+        ones.  Only the plans' a-side (focal) totals are computed.  Returns
         one ``(fitness_a, fitness_b)`` per pair, in order.
         """
-        offsets: list[int] = []
         rows: list[np.ndarray] = []
         a_idx: list[int] = []
         b_idx: list[int] = []
-        blocks: list[np.ndarray] = []
-        for engine, plan in pairs:
-            offset = len(rows)
-            offsets.append(offset)
+        row_offsets: list[int] = []
+        counts: list[int] = []
+        for _, plan in pairs:
+            row_offsets.append(len(rows))
+            counts.append(plan.n_games)
             rows.extend(plan.rows)
-            a_idx.extend(i + offset for i in plan.a_idx)
-            b_idx.extend(i + offset for i in plan.b_idx)
-            if plan.n_games:
-                blocks.append(engine.draw_uniforms(plan.n_games))
-                engine.games_played += plan.n_games
-                engine.batches += 1
-        pay_a: np.ndarray | None = None
+            a_idx.extend(plan.a_idx)
+            b_idx.extend(plan.b_idx)
+        pay: list[float] = []
         if a_idx:
             head = pairs[0][0]
-            uniforms = (
-                blocks[0]
-                if len(blocks) == 1
-                else np.concatenate(blocks, axis=2)
+            draws = (
+                np.empty((head.rounds, head.draws_per_round, len(a_idx)))
+                if head.mixed
+                else np.empty((head.rounds, len(a_idx)), dtype=np.uint8)
             )
+            lo = 0
+            for (engine, _), n in zip(pairs, counts):
+                if n:
+                    engine.draw_uniforms(n, out=draws[..., lo : lo + n])
+                    engine.games_played += n
+                    engine.batches += 1
+                    lo += n
+            # Plan-local row numbers -> rows of the stacked tables.
+            shift = np.repeat(row_offsets, counts)
             pay_a, _ = play_pairs_uniforms(
-                np.stack(rows),
-                np.asarray(a_idx, dtype=np.intp),
-                np.asarray(b_idx, dtype=np.intp),
+                np.array(rows),
+                np.add(a_idx, shift),
+                np.add(b_idx, shift),
                 head.rounds,
                 head.payoff,
                 head.noise,
-                uniforms,
+                draws,
+                b_totals=False,
             )
+            pay = pay_a.tolist()
         results: list[tuple[float, float]] = []
         cursor = 0
-        for engine, plan in pairs:
+        for (_, plan), n in zip(pairs, counts):
             fits = [plan.base[0], plan.base[1]]
-            for k in range(plan.n_games):
-                fits[plan.sides[k]] += plan.weights[k] * pay_a[cursor + k]
-            cursor += plan.n_games
+            for side, weight, value in zip(
+                plan.sides, plan.weights, pay[cursor : cursor + n]
+            ):
+                fits[side] += weight * value
+            cursor += n
             results.append((float(fits[0]), float(fits[1])))
         return results
 

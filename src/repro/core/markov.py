@@ -39,6 +39,24 @@ def _effective_defect_probs(strategy: Strategy, noise: float) -> np.ndarray:
     return p * (1.0 - noise) + (1.0 - p) * noise
 
 
+def _markov_step(dist: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """One round of the joint chain: the state distribution after it.
+
+    ``dist`` is ``(..., S)`` over views, ``probs`` ``(..., S, 4)`` the
+    move-pair probabilities per view.  View ``v = hi * S/4 + lo`` (``hi``
+    its two oldest bits) moves under code ``c`` to ``(lo << 2) | c``, so
+    the successor distribution is the ``(..., 4, S/4, 4)`` reshape of the
+    flow ``dist * probs`` summed over ``hi``.  That sum adds the four
+    views sharing ``lo`` in ascending ``hi`` — the order a per-code
+    ``np.add.at`` scatter over the views adds them — so it is bit-equal to
+    that scatter (pinned by the test suite against it).
+    """
+    n_states = probs.shape[-2]
+    flow = dist[..., :, None] * probs
+    flow = flow.reshape(*flow.shape[:-2], 4, n_states // 4, 4)
+    return flow.sum(axis=-3).reshape(dist.shape)
+
+
 def transition_model(
     strategy_a: Strategy,
     strategy_b: Strategy,
@@ -93,7 +111,7 @@ def expected_payoffs(
     """
     if rounds < 1:
         raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
-    successors, probs = transition_model(strategy_a, strategy_b, noise)
+    _, probs = transition_model(strategy_a, strategy_b, noise)
     n_states = probs.shape[0]
     vec = payoff.vector
     # Expected per-round payoff to A given the current view, and to B
@@ -115,10 +133,7 @@ def expected_payoffs(
         total_a += float(dist @ round_pay_a)
         total_b += float(dist @ round_pay_b)
         total_coop += float(dist @ coop_per_round)
-        nxt = np.zeros(n_states, dtype=np.float64)
-        for code in range(4):
-            np.add.at(nxt, successors[:, code], dist * probs[:, code])
-        dist = nxt
+        dist = _markov_step(dist, probs)
     return total_a, total_b, total_coop / (2 * rounds)
 
 
@@ -165,29 +180,16 @@ def expected_payoffs_many(
     probs[:, :, 2] = pa[None, :] * (1 - pb)
     probs[:, :, 3] = pa[None, :] * pb
 
-    mask = n_states - 1
-    successors = np.empty((n_states, 4), dtype=np.int64)
-    for code in range(4):
-        successors[:, code] = ((views << 2) | code) & mask
-
     round_pay_a = probs @ payoff.vector  # (K, S)
     round_pay_b = probs @ payoff.vector[[0, 2, 1, 3]]  # code 2a+b -> B's payoff
     dist = np.zeros((k, n_states), dtype=np.float64)
     dist[:, 0] = 1.0
     totals_a = np.zeros(k, dtype=np.float64)
     totals_b = np.zeros(k, dtype=np.float64)
-    rows = np.arange(k)[:, None]
     for _ in range(rounds):
         totals_a += (dist * round_pay_a).sum(axis=1)
         totals_b += (dist * round_pay_b).sum(axis=1)
-        nxt = np.zeros_like(dist)
-        for code in range(4):
-            np.add.at(
-                nxt,
-                (rows, successors[None, :, code]),
-                dist * probs[:, :, code],
-            )
-        dist = nxt
+        dist = _markov_step(dist, probs)
     return totals_a, totals_b
 
 
@@ -205,17 +207,14 @@ def stationary_cooperation_rate(
     alternation.  Useful for the error-robustness analysis: TFT vs TFT under
     errors drifts to ~50% cooperation, while WSLS vs WSLS recovers to ~1.
     """
-    successors, probs = transition_model(strategy_a, strategy_b, noise)
+    _, probs = transition_model(strategy_a, strategy_b, noise)
     n_states = probs.shape[0]
     coop_per_round = probs[:, 0] + 0.5 * (probs[:, 1] + probs[:, 2])
     dist = np.zeros(n_states, dtype=np.float64)
     dist[0] = 1.0  # the game actually starts from the all-cooperate history
     avg = dist.copy()
     for it in range(1, max_iter + 1):
-        nxt = np.zeros(n_states, dtype=np.float64)
-        for code in range(4):
-            np.add.at(nxt, successors[:, code], dist * probs[:, code])
-        dist = nxt
+        dist = _markov_step(dist, probs)
         new_avg = avg + (dist - avg) / (it + 1)
         if it > 8 and np.abs(new_avg - avg).sum() < tol:
             avg = new_avg

@@ -32,6 +32,7 @@ __all__ = [
     "stack_tables",
     "play_pairs",
     "play_pairs_uniforms",
+    "noise_flip_codes",
     "sampled_draws_per_round",
     "payoff_matrix",
     "cycle_payoffs_pairs",
@@ -159,6 +160,24 @@ def sampled_draws_per_round(mixed: bool, noise: float) -> int:
     return (2 if mixed else 0) + (2 if noise > 0.0 else 0)
 
 
+def noise_flip_codes(
+    uniforms: np.ndarray, noise: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Reduce pure games' noise draws to 2-bit flip codes.
+
+    ``uniforms`` is a ``(rounds, 2, n_games)`` block of
+    :func:`play_pairs_uniforms` draws for pure tables (slots ``[a_noise,
+    b_noise]``).  Returns the ``(rounds, n_games)`` uint8 codes ``2 *
+    flip_a + flip_b`` (written into ``out`` when given, which may be a
+    strided slot of a larger array) — all a pure game reads of its draws,
+    in one byte per round instead of sixteen.
+    """
+    flipped = np.less(uniforms, noise)
+    out = np.left_shift(flipped[:, 0], 1, out=out, dtype=np.uint8)
+    out |= flipped[:, 1]
+    return out
+
+
 def play_pairs_uniforms(
     tables: np.ndarray,
     a_idx: np.ndarray,
@@ -167,7 +186,8 @@ def play_pairs_uniforms(
     payoff: PayoffMatrix,
     noise: float,
     uniforms: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+    b_totals: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """:func:`play_pairs` over pre-drawn uniforms.
 
     ``uniforms`` has shape ``(rounds, D, n_games)`` with ``D =``
@@ -180,15 +200,23 @@ def play_pairs_uniforms(
     pairings.  Every per-round operation is elementwise per game, so
     concatenating several callers' games (and their uniform blocks) along
     the games axis preserves each caller's bits — the property the batched
-    sampled engine uses to fuse one generation's (or one ensemble
-    generation's many lanes') games into a single kernel call.
+    sampled engine uses to fuse many lanes' games into a single kernel
+    call.
+
+    Pure tables read nothing of their draws but the noise flips, so for
+    them ``uniforms`` may instead be the ``(rounds, n_games)`` uint8 codes
+    :func:`noise_flip_codes` makes of the float block — same bits.  The
+    kernel then *consumes* that array: it writes each round's joint move
+    code over the round's flip code.  A game costs ``rounds`` bytes of
+    input this way, against ``rounds * D * 8`` bytes of float draws.
 
     ``tables`` is a pre-stacked ``(K, 4**n)`` array in the
     :func:`stack_tables` layout: uint8 rows play deterministically per
     view, float rows are defection probabilities resolved against the mix
-    draw.  Results are float64 arrays.
+    draw.  Results are float64 arrays; with ``b_totals=False`` the b-side
+    totals are not computed and ``None`` stands in for them.
 
-    The games are short (~10**2 elements per array), so the cost is
+    The games are short (10**2–10**3 elements per array), so the cost is
     NumPy call dispatch, not arithmetic; the implementation minimises
     calls per round while keeping the bits of the round loop above:
 
@@ -197,15 +225,17 @@ def play_pairs_uniforms(
       (:func:`_mirror_row`) of a's.  The walk tracks only a's view, as a
       flat index ``row * 4**n + view`` into the stacked tables, and reads
       b's move from b's row pre-permuted by the mirror.
-    * **Flips up front.**  Noise flips do not depend on the play, so a
-      single ``uniforms < noise`` before the loop yields every (round,
-      game)'s 2-bit flip code; each round xors its moves into its codes.
+    * **Flips up front.**  Noise flips do not depend on the play, so one
+      comparison before the loop (:func:`noise_flip_codes`) yields every
+      (round, game)'s 2-bit flip code; each round xors its moves into its
+      codes.
     * **Per-row preparation.**  a's table is pre-shifted: its entry at a
       view is the flat index of the next view with a's move in place, so
       one gather, or-ing in b's move and xor-ing in the flips advance the
-      walk (five calls per pure round).  The prepared tables scale with
-      ``K * 4**n`` and are built once per call; a per-game table would
-      scale with ``n_games * 4**n``, which costs far more at deep memory.
+      walk, and one masked store keeps the round's joint code (six calls
+      per pure round).  The prepared tables scale with ``K * 4**n`` and
+      are built once per call; a per-game table would scale with
+      ``n_games * 4**n``, which costs far more at deep memory.
     * **Payoffs after the loop, in round order.**  The joint code of every
       round is kept in a ``(rounds, n_games)`` array; each side's payoffs
       are gathered from it and summed with ``np.add.accumulate`` along the
@@ -229,11 +259,19 @@ def play_pairs_uniforms(
             "mixed tables); pure noiseless pairings are deterministic — "
             "use cycle_payoffs_pairs"
         )
-    expected_shape = (rounds, draws, n_games)
+    flip_codes = not mixed and uniforms.dtype == np.uint8
+    expected_shape = (
+        (rounds, n_games) if flip_codes else (rounds, draws, n_games)
+    )
     if tuple(uniforms.shape) != expected_shape:
+        layout = (
+            "(rounds, n_games) flip codes"
+            if flip_codes
+            else "(rounds, draws_per_round, n_games)"
+        )
         raise ConfigurationError(
-            f"uniforms must have shape (rounds, draws_per_round, n_games) "
-            f"= {expected_shape}, got {tuple(uniforms.shape)}"
+            f"uniforms must have shape {layout} = {expected_shape}, got "
+            f"{tuple(uniforms.shape)}"
         )
     n_states = tables.shape[1]
     row_base = np.arange(tables.shape[0], dtype=np.intp) * n_states
@@ -244,57 +282,72 @@ def play_pairs_uniforms(
     # Entry v: v's successor view before the round's moves are or-ed in.
     shift = (np.arange(n_states, dtype=np.intp) << 2) & (n_states - 1)
     b_at_a_view = tables.take(_mirror_row(n_states), axis=1).ravel()
-    # Each side owns ``side`` consecutive slots per round, in the order
-    # [a_mix?, a_noise?, b_mix?, b_noise?].
-    side = draws // 2
-    # ``walk[r]`` starts as round r's flip code ``2 * flip_a + flip_b``;
-    # the round xors into it the flat index of every game's next view.
-    if noise > 0.0:
-        flipped = uniforms[:, side - 1::side] < noise
-        walk = np.left_shift(flipped[:, 0], 1, dtype=np.intp)
-        walk |= flipped[:, 1]
-    else:
-        walk = np.zeros((rounds, n_games), dtype=np.intp)
 
     if mixed:
+        # Each side owns ``side`` consecutive slots per round, in the
+        # order [a_mix, a_noise?, b_mix, b_noise?].  ``codes[r]`` starts
+        # as round r's flip code ``2 * flip_a + flip_b``; the round xors
+        # into it the flat index of every game's next view.
+        side = draws // 2
+        if noise > 0.0:
+            codes = noise_flip_codes(uniforms[:, side - 1::side], noise)
+            codes = codes.astype(np.intp)
+        else:
+            codes = np.zeros((rounds, n_games), dtype=np.intp)
         p_a = tables.ravel()
         next_base = (shift + row_base[:, None]).ravel()
-        for out, u_a, u_b in zip(walk, uniforms[:, 0], uniforms[:, side]):
+        for out, u_a, u_b in zip(codes, uniforms[:, 0], uniforms[:, side]):
             code = (u_a < p_a.take(at)) << 1
             code |= u_b < b_at_a_view.take(at + b_offset)
             out ^= code
             out |= next_base.take(at)
             at = out
+        codes &= 3  # 2 * move_a + move_b
     else:
+        codes = uniforms if flip_codes else noise_flip_codes(uniforms, noise)
         # a's move pre-shifted into bit 1 of its successor's flat index.
         step_a = np.add(shift, row_base[:, None])
         step_a |= tables << 1
         step_a = step_a.ravel()
-        for out in walk:
+        for out in codes:
             step = step_a.take(at)
             step |= b_at_a_view.take(at + b_offset)
-            out ^= step
-            at = out
+            step ^= out
+            # The low two bits of the flat index are the joint code
+            # 2 * move_a + move_b.
+            np.bitwise_and(step, 3, out=out, casting="unsafe")
+            at = step
 
-    codes = np.bitwise_and(walk, 3, out=walk)  # 2 * move_a + move_b
     vec = payoff.vector
     return (
         _round_ordered_totals(vec, codes),
-        _round_ordered_totals(vec[_SWAP_CODE], codes),
+        _round_ordered_totals(vec[_SWAP_CODE], codes) if b_totals else None,
     )
+
+
+#: Rounds per payoff gather in :func:`_round_ordered_totals`: bounds its
+#: float64 temporaries at ``2 * 8 * _TOTALS_CHUNK`` bytes per game however
+#: long the games are.
+_TOTALS_CHUNK = 32
 
 
 def _round_ordered_totals(vec: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Per-game sums of ``vec[codes]`` down a ``(rounds, n_games)`` array.
 
     ``np.add.accumulate`` adds strictly in round order, like a round loop
-    does, whatever the number of games.
+    does, whatever the number of games; each chunk of rounds starts from
+    the previous chunk's totals.
     """
-    per_round = vec.take(codes)
-    np.add.accumulate(per_round, axis=0, out=per_round)
+    total = None
+    for lo in range(0, codes.shape[0], _TOTALS_CHUNK):
+        per_round = vec.take(codes[lo : lo + _TOTALS_CHUNK])
+        if total is not None:
+            per_round[0] += total
+        np.add.accumulate(per_round, axis=0, out=per_round)
+        total = per_round[-1]
     # ``+ 0.0`` copies the totals out and turns a -0.0 total into the 0.0
     # a round loop's zero start gives.
-    return per_round[-1] + 0.0
+    return total + 0.0
 
 
 def cycle_payoffs_pairs(

@@ -56,40 +56,47 @@ calls.  An LRU-capped blocked store (``paymat_block`` with
 on the wave order — they are provenance, and such groups already refuse
 checkpoints.
 
-**Hooks** keep their per-lane contracts under waves.  A lane's progress
-tick fires once per event generation, after its last event of that
+**Hooks** keep their per-lane contracts under waves, on both paths below
+(:func:`_before_wave`, :func:`_after_wave`).  A lane's progress tick
+fires once per event generation, after its last event of that
 generation, with its running counts; its ``record_every`` snapshots due
 before a generation are taken before its first event of it, and the one
 due at it after its last; ``record_events`` records follow each lane's
 event order.  ``faults.hook("driver.generation")`` fires once per (lane,
 event generation), before the lane's first event of it — as the serial
 drivers do for a one-lane group, once per lane-generation for a wider
-one.  Cancellation is checked once per wave.
+one.  Cancellation is checked once per wave, and checkpoints are taken at
+batch boundaries.
 
 Regimes:
 
 * **deterministic** (pure strategies, no noise, integer payoffs, ``engine``
   on) — the shared-engine fast path above.
-* **expected** Markov fitness, non-integer payoffs, or ``engine=False`` —
-  lanes run with per-lane evaluators (the exact serial objects:
-  :class:`~repro.core.engine.FitnessEngine` or the legacy
-  :class:`~repro.core.payoff_cache.PayoffCache`), still sharing the merged
-  event scan.  The expected regime cannot share one matrix bit-identically
-  across lanes — its Markov kernel is not perspective-symmetric in the last
-  ulp, so entry values depend on which lane evaluated a pair first.
+* **expected** Markov fitness, non-integer payoffs, ``engine=False`` or a
+  custom structure — lanes run with per-lane evaluators (the exact serial
+  objects: :class:`~repro.core.engine.FitnessEngine` or the legacy
+  :class:`~repro.core.payoff_cache.PayoffCache`) through
+  :func:`_run_group_generic`, still sharing the merged event scan and the
+  same waves, one batch of events at a time.  The expected regime cannot
+  share one matrix bit-identically across lanes — its Markov kernel is not
+  perspective-symmetric in the last ulp, so entry values depend on which
+  lane evaluated a pair first.
 * **sampled-stochastic** fitness is rejected by default: every game is an
   independent draw from the per-lane games stream, so there is nothing to
   share without changing the trajectory (use the ``event`` backend per
   run).  With the explicit ``sampled_batched=True`` opt-in
   (``--sampled-batched``) lanes instead carry per-lane
   :class:`~repro.core.engine.SampledFitnessEngine` evaluators over
-  dedicated ``("nature", "sampled")`` streams, and a generation's event
-  lanes are evaluated as **one** fused
+  dedicated ``("nature", "sampled")`` streams on the generic path, and a
+  wave's PC lanes are evaluated as **one** fused
   :func:`~repro.core.vectorgame.play_pairs_uniforms` kernel call
   (:meth:`~repro.core.engine.SampledFitnessEngine.eval_plans`).  Each
-  lane pre-draws its own uniform block, so its trajectory is bit-identical
-  to the same-seed serial ``sampled_batched`` run — and statistically
-  equivalent to the scalar legacy path.
+  lane draws its own games into its slot of the call's input, reduced to
+  one byte of noise flips per game and round, so its trajectory is
+  bit-identical to the same-seed serial ``sampled_batched`` run — and
+  statistically equivalent to the scalar legacy path.  A 64-lane,
+  500-generation memory-2 sweep is ~95 such calls instead of ~500, one
+  per generation with PC events.
 """
 
 from __future__ import annotations
@@ -153,6 +160,14 @@ _NO_SIDS = np.zeros(0, dtype=np.int64)
 #: around three per lane balances both, so the window length adapts to the
 #: configured mutation rate (64 generations at the paper's mu = 0.05).
 _MUTANTS_PER_WINDOW = 3.2
+
+
+#: Expected events per batch of the per-lane evaluator path.  A batch's
+#: wave schedule and its lists cost a few hundred bytes per event, so long
+#: wide sweeps split into batches of about this many events (~1,700
+#: generations of 64 lanes at the paper's rates); the event flags are
+#: drawn from the same stream words however the generations split.
+_GENERIC_BATCH_EVENTS = 1 << 14
 
 
 def _fill_window(mutation_rate: float) -> int:
@@ -701,6 +716,12 @@ def _run_group_shared(
     pre_hooks = fault is not None or every > 0
     post_hooks = progress is not None or every > 0
 
+    def take_snapshot(r: int, generation: int) -> None:
+        _snapshot_lane(results[r], engine, sids[r], generation)
+
+    def counts(r: int) -> tuple[int, int, int]:
+        return int(n_pc[r]), int(n_adopt[r]), int(n_mut[r])
+
     base = start_gen
     remaining = generations - start_gen
     while remaining > 0:
@@ -819,24 +840,10 @@ def _run_group_shared(
                     cancel.check()
                 c0, c1 = bounds[w], bounds[w + 1]
                 if pre_hooks:
-                    for c in range(c0, c1):
-                        if not firsts[c]:
-                            continue
-                        r, gen = lanes[c], gens[c]
-                        if fault is not None:
-                            fault(generation=gen)
-                        # The serial driver snapshots after applying a
-                        # generation's events; emit the lane's pending
-                        # snapshots strictly before this event generation
-                        # (its state is unchanged in between).
-                        pending = next_snap[r]
-                        while pending is not None and pending < gen:
-                            if pending < generations:
-                                _snapshot_lane(
-                                    results[r], engine, sids[r], pending
-                                )
-                            pending += every
-                        next_snap[r] = pending
+                    _before_wave(
+                        c0, c1, firsts, lanes, gens, fault, next_snap, every,
+                        generations, take_snapshot,
+                    )
 
                 p0, p1 = pc_bounds[w], pc_bounds[w + 1]
                 m0, m1 = mu_bounds[w], mu_bounds[w + 1]
@@ -884,31 +891,10 @@ def _run_group_shared(
                         )
 
                 if post_hooks:
-                    for c in range(c0, c1):
-                        if not lasts[c]:
-                            continue
-                        r, gen = lanes[c], gens[c]
-                        if progress is not None:
-                            # One tick per (lane, event generation), after
-                            # the lane's last event of that generation —
-                            # the serial drivers' cadence, so each lane's
-                            # tick stream matches across backends.
-                            progress(
-                                ProgressTick(
-                                    run_index=r,
-                                    generation=gen,
-                                    generations=generations,
-                                    n_pc_events=int(n_pc[r]),
-                                    n_adoptions=int(n_adopt[r]),
-                                    n_mutations=int(n_mut[r]),
-                                )
-                            )
-                        if next_snap[r] == gen:
-                            if gen < generations:
-                                _snapshot_lane(
-                                    results[r], engine, sids[r], gen
-                                )
-                            next_snap[r] = gen + every
+                    _after_wave(
+                        c0, c1, lasts, lanes, gens, progress, counts,
+                        next_snap, every, generations, take_snapshot,
+                    )
 
             if m_end > mi:
                 engine.release(pins)
@@ -924,12 +910,9 @@ def _run_group_shared(
             # state is unchanged since their generation), so the snapshot
             # list rides along in the capture.
             for r in range(n_lanes):
-                pending = next_snap[r]
-                while pending is not None and pending < base:
-                    if pending < generations:
-                        _snapshot_lane(results[r], engine, sids[r], pending)
-                    pending += every
-                next_snap[r] = pending
+                _flush_snapshots(
+                    next_snap, r, base, every, generations, take_snapshot
+                )
             meta_save, arrays_save = _capture_group_shared(
                 configs, base, engine, pops, sids, results, next_snap,
                 events_rngs, pc_decoders, mu_decoders, adopt_counts,
@@ -939,11 +922,9 @@ def _run_group_shared(
 
     # Snapshots scheduled after each lane's last event.
     for r in range(n_lanes):
-        pending = next_snap[r]
-        while pending is not None and pending < generations:
-            _snapshot_lane(results[r], engine, sids[r], pending)
-            pending += every
-        next_snap[r] = pending
+        _flush_snapshots(
+            next_snap, r, generations, every, generations, take_snapshot
+        )
 
     elapsed = time.perf_counter() - started
     for r, result in enumerate(results):
@@ -999,6 +980,72 @@ def _snapshot_lane(
             dominant_share=int(counts.max()) / lane_sids.shape[0],
         )
     )
+
+
+def _flush_snapshots(
+    next_snap: list, r: int, before: int, every: int, generations: int,
+    take,
+) -> None:
+    """Take lane ``r``'s ``record_every`` snapshots due strictly before
+    generation ``before`` (none at or past the run's end) and advance its
+    schedule; ``take(r, generation)`` records one."""
+    pending = next_snap[r]
+    while pending is not None and pending < before:
+        if pending < generations:
+            take(r, pending)
+        pending += every
+    next_snap[r] = pending
+
+
+def _before_wave(
+    c0: int, c1: int, firsts: list, lanes: list, gens: list, fault,
+    next_snap: list, every: int, generations: int, take,
+) -> None:
+    """The hooks due before wave entries ``c0 .. c1`` apply.
+
+    At each lane's first event of a generation: the ``driver.generation``
+    fault site, then the lane's snapshots due strictly before that
+    generation — the serial drivers snapshot after a generation's events,
+    and the lane's state is unchanged in between.
+    """
+    for c in range(c0, c1):
+        if firsts[c]:
+            r, gen = lanes[c], gens[c]
+            if fault is not None:
+                fault(generation=gen)
+            _flush_snapshots(next_snap, r, gen, every, generations, take)
+
+
+def _after_wave(
+    c0: int, c1: int, lasts: list, lanes: list, gens: list, progress,
+    counts, next_snap: list, every: int, generations: int, take,
+) -> None:
+    """The hooks due after wave entries ``c0 .. c1`` applied.
+
+    At each lane's last event of a generation: one progress tick with the
+    lane's running ``counts(r)`` — the serial drivers' cadence, so each
+    lane's tick stream matches across backends — then the lane's snapshot
+    if one is due at that generation.
+    """
+    for c in range(c0, c1):
+        if lasts[c]:
+            r, gen = lanes[c], gens[c]
+            if progress is not None:
+                n_pc, n_adopt, n_mut = counts(r)
+                progress(
+                    ProgressTick(
+                        run_index=r,
+                        generation=gen,
+                        generations=generations,
+                        n_pc_events=n_pc,
+                        n_adoptions=n_adopt,
+                        n_mutations=n_mut,
+                    )
+                )
+            if next_snap[r] == gen:
+                if gen < generations:
+                    take(r, gen)
+                next_snap[r] = gen + every
 
 
 class _Waves(NamedTuple):
@@ -1198,14 +1245,19 @@ def _run_group_generic(
     batch_size: int,
 ) -> tuple[list[EvolutionResult], dict]:
     """Advance one signature-group of lanes with per-lane evaluators (the
-    expected-fitness regime, non-integer payoffs, and ``engine=False``),
-    sharing only the merged event scan.
+    expected-fitness regime, non-integer payoffs, ``engine=False``, custom
+    structures and opt-in ``sampled_batched`` lanes), batch by batch, each
+    batch in waves.
 
-    Opt-in ``sampled_batched`` lanes additionally share the sampled-game
-    kernel: a generation's event lanes collect their plans and evaluate
-    them as one fused :meth:`SampledFitnessEngine.eval_plans` call — each
-    lane's uniform block comes off its own dedicated stream, so every
-    lane stays bit-identical to its same-seed serial run.
+    The lanes share the merged event scan and the wave schedule of the
+    shared path (:func:`_wave_schedule`, over the whole batch): wave ``w``
+    applies every lane's ``w``-th event of the batch, through the lane's
+    own evaluator, streams and population, so each lane keeps its serial
+    event order and trajectory.  Sampled lanes also share the sampled-game
+    kernel: a wave's PC lanes collect their plans and evaluate them as one
+    fused :meth:`SampledFitnessEngine.eval_plans` call, each lane drawing
+    its games off its own dedicated stream, so every lane stays
+    bit-identical to its same-seed serial run.
     """
     started = time.perf_counter()
     cfg = configs[0]
@@ -1314,6 +1366,22 @@ def _run_group_generic(
                 lane_meta["mu_rng"]
             )
 
+    pre_hooks = fault is not None or every > 0
+    post_hooks = progress is not None or every > 0
+
+    def take_snapshot(r: int, generation: int) -> None:
+        _maybe_snapshot(results[r], pops[r], generation, force=True)
+
+    def counts(r: int) -> tuple[int, int, int]:
+        result = results[r]
+        return result.n_pc_events, result.n_adoptions, result.n_mutations
+
+    events_per_generation = n_lanes * (cfg.pc_rate + cfg.mutation_rate)
+    if events_per_generation > 0:
+        batch_size = min(
+            batch_size,
+            max(1, int(_GENERIC_BATCH_EVENTS / events_per_generation)),
+        )
     base = start_gen
     remaining = generations - start_gen
     while remaining > 0:
@@ -1323,37 +1391,44 @@ def _run_group_generic(
         pc_flags, mu_flags = _draw_flags(
             events_rngs, cfg.pc_rate, cfg.mutation_rate, batch
         )
-        event_cols = np.nonzero((pc_flags | mu_flags).any(axis=0))[0]
-        for col in event_cols.tolist():
-            gen = base + col
+        pc_gen, pc_lane = np.nonzero(pc_flags.T)
+        mu_gen, mu_lane = np.nonzero(mu_flags.T)
+        if pc_gen.shape[0] or mu_gen.shape[0]:
+            waves = _wave_schedule(pc_gen, pc_lane, mu_gen, mu_lane)
+            lanes = waves.lane.tolist()
+            gens = (waves.gen + base).tolist()
+            firsts = waves.first.tolist()
+            lasts = waves.last.tolist()
+            bounds = waves.bounds.tolist()
+            pc_bounds = waves.pc_bounds.tolist()
+            n_waves = len(bounds) - 1
+        else:
+            n_waves = 0
+        for w in range(n_waves):
             if cancel is not None:
                 cancel.check()
-            if fault is not None:
-                fault(generation=gen)
-            pc_lanes = np.flatnonzero(pc_flags[:, col]).tolist()
-            mu_lanes = np.flatnonzero(mu_flags[:, col]).tolist()
-            if every > 0:
-                for r in set(pc_lanes) | set(mu_lanes):
-                    pending = next_snap[r]
-                    while pending is not None and pending < gen:
-                        if pending < generations:
-                            _maybe_snapshot(
-                                results[r], pops[r], pending, force=True
-                            )
-                        pending += every
-                    next_snap[r] = pending
-
-            # Draw every event lane's PC selection first (each lane has its
-            # own pc stream, so the draw/evaluate interleaving across lanes
-            # is trajectory-neutral), then evaluate fitness: per lane for
-            # the legacy evaluators, or — in sampled_batched mode — all
-            # lanes' sampled games fused into one kernel call, each lane's
-            # uniform block drawn from its own dedicated stream.
-            drawn: list[tuple[int, int, int, float]] = []
-            for r in pc_lanes:
+            c0, c1 = bounds[w], bounds[w + 1]
+            if pre_hooks:
+                _before_wave(
+                    c0, c1, firsts, lanes, gens, fault, next_snap, every,
+                    generations, take_snapshot,
+                )
+            # The wave's PC events (entries c0 .. c_mu), then its
+            # mutations.  Each PC lane draws its selection first (each lane
+            # has its own pc stream, so the draw/evaluate interleaving
+            # across lanes is trajectory-neutral), then fitness is
+            # evaluated: per lane for the legacy evaluators, or — in
+            # sampled_batched mode — every PC lane's sampled games fused
+            # into one kernel call, each lane drawing its games from its
+            # own dedicated stream.
+            c_mu = c0 + pc_bounds[w + 1] - pc_bounds[w]
+            drawn: list[tuple[int, int, int, int, float]] = []
+            for c in range(c0, c_mu):
+                r = lanes[c]
                 rng = pc_rngs[r]
                 teacher, learner = structure.select_pair(rng)
-                drawn.append((r, teacher, learner, float(rng.random())))
+                uniform = float(rng.random())
+                drawn.append((r, gens[c], teacher, learner, uniform))
             if sampled_mode and drawn:
                 fits = SampledFitnessEngine.eval_plans(
                     [
@@ -1364,7 +1439,7 @@ def _run_group_generic(
                                 include_self,
                             ),
                         )
-                        for r, teacher, learner, _ in drawn
+                        for r, _, teacher, learner, _ in drawn
                     ]
                 )
             else:
@@ -1373,9 +1448,11 @@ def _run_group_generic(
                         pops[r], teacher, learner, evaluators[r],
                         include_self,
                     )
-                    for r, teacher, learner, _ in drawn
+                    for r, _, teacher, learner, _ in drawn
                 ]
-            for (r, teacher, learner, uniform), (ft, fl) in zip(drawn, fits):
+            for (r, gen, teacher, learner, uniform), (ft, fl) in zip(
+                drawn, fits
+            ):
                 if not downhill and not ft > fl:
                     adopted = False
                 else:
@@ -1398,7 +1475,8 @@ def _run_group_generic(
                         )
                     )
 
-            for r in mu_lanes:
+            for c in range(c_mu, c1):
+                r = lanes[c]
                 rng = mu_rngs[r]
                 target = int(rng.integers(n_ssets))
                 strategy = make_mutant(rng, memory)
@@ -1408,7 +1486,7 @@ def _run_group_generic(
                 if record_events:
                     result.events.append(
                         EventRecord(
-                            generation=gen,
+                            generation=gens[c],
                             kind="mutation",
                             source=target,
                             target=target,
@@ -1416,26 +1494,11 @@ def _run_group_generic(
                         )
                     )
 
-            if progress is not None:
-                for r in sorted(set(pc_lanes) | set(mu_lanes)):
-                    result = results[r]
-                    progress(
-                        ProgressTick(
-                            run_index=r,
-                            generation=gen,
-                            generations=generations,
-                            n_pc_events=result.n_pc_events,
-                            n_adoptions=result.n_adoptions,
-                            n_mutations=result.n_mutations,
-                        )
-                    )
-
-            if every > 0:
-                for r in set(pc_lanes) | set(mu_lanes):
-                    if next_snap[r] == gen:
-                        if gen < generations:
-                            _maybe_snapshot(results[r], pops[r], gen, force=True)
-                        next_snap[r] = gen + every
+            if post_hooks:
+                _after_wave(
+                    c0, c1, lasts, lanes, gens, progress, counts, next_snap,
+                    every, generations, take_snapshot,
+                )
         base += batch
         remaining -= batch
         if (
@@ -1444,14 +1507,9 @@ def _run_group_generic(
             and 0 < base < generations
         ):
             for r in range(n_lanes):
-                pending = next_snap[r]
-                while pending is not None and pending < base:
-                    if pending < generations:
-                        _maybe_snapshot(
-                            results[r], pops[r], pending, force=True
-                        )
-                    pending += every
-                next_snap[r] = pending
+                _flush_snapshots(
+                    next_snap, r, base, every, generations, take_snapshot
+                )
             meta_save, arrays_save = _capture_group_generic(
                 configs, base, pops, evaluators, results, next_snap,
                 events_rngs, pc_rngs, mu_rngs,
@@ -1459,11 +1517,9 @@ def _run_group_generic(
             sink.save(unit, base, meta_save, arrays_save)
 
     for r in range(n_lanes):
-        pending = next_snap[r]
-        while pending is not None and pending < generations:
-            _maybe_snapshot(results[r], pops[r], pending, force=True)
-            pending += every
-        next_snap[r] = pending
+        _flush_snapshots(
+            next_snap, r, generations, every, generations, take_snapshot
+        )
 
     elapsed = time.perf_counter() - started
     for r, result in enumerate(results):

@@ -25,7 +25,12 @@ from repro.core import (
     tft,
     wsls,
 )
-from repro.core.vectorgame import play_pairs_uniforms, sampled_draws_per_round
+from repro.core.vectorgame import (
+    noise_flip_codes,
+    play_pairs_uniforms,
+    sampled_draws_per_round,
+)
+from repro.errors import ConfigurationError
 from repro.rng import make_rng
 
 
@@ -210,6 +215,70 @@ class TestVectorEngine:
         )
         assert _same_bits(pay_a, ref_a)
         assert _same_bits(pay_b, ref_b)
+
+    @given(
+        seed=st.integers(0, 10_000),
+        memory=st.integers(1, 4),
+        noise=st.one_of(
+            st.sampled_from([0.01, 0.5, 1.0]), st.floats(0.01, 1.0)
+        ),
+        rounds=st.integers(1, 250),
+        blocks=st.lists(st.integers(0, 120), min_size=1, max_size=5).filter(
+            lambda sizes: 1 <= sum(sizes) <= 300
+        ),
+        payoff=st.sampled_from(_KERNEL_PAYOFFS),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_flip_codes_match_float_uniforms(
+        self, seed, memory, noise, rounds, blocks, payoff
+    ):
+        # Lanes' blocks of uneven sizes, each drawn from its own stream and
+        # reduced into its slot of one fused flip-code array, give every
+        # lane the bits of its float-uniform call and of play_pairs.
+        rng = make_rng(seed)
+        strategies = [random_pure(rng, memory) for _ in range(5)]
+        tables, _, _ = stack_tables(strategies)
+        n_games = sum(blocks)
+        a_idx = rng.integers(0, len(strategies), size=n_games)
+        b_idx = rng.integers(0, len(strategies), size=n_games)
+        codes = np.empty((rounds, n_games), dtype=np.uint8)
+        want_a, want_b = [], []
+        lo = 0
+        for lane, size in enumerate(blocks):
+            games = slice(lo, lo + size)
+            block = make_rng(seed + 1 + lane).random((rounds, 2, size))
+            noise_flip_codes(block, noise, out=codes[:, games])
+            ref_a, ref_b = play_pairs(
+                strategies, a_idx[games], b_idx[games], rounds, payoff,
+                noise, rng=make_rng(seed + 1 + lane),
+            )
+            pay_a, pay_b = play_pairs_uniforms(
+                tables, a_idx[games], b_idx[games], rounds, payoff, noise,
+                block,
+            )
+            assert _same_bits(pay_a, ref_a) and _same_bits(pay_b, ref_b)
+            want_a.append(ref_a)
+            want_b.append(ref_b)
+            lo += size
+        pay_a, pay_b = play_pairs_uniforms(
+            tables, a_idx, b_idx, rounds, payoff, noise, codes.copy()
+        )
+        assert _same_bits(pay_a, np.concatenate(want_a))
+        assert _same_bits(pay_b, np.concatenate(want_b))
+        only_a, no_b = play_pairs_uniforms(
+            tables, a_idx, b_idx, rounds, payoff, noise, codes,
+            b_totals=False,
+        )
+        assert no_b is None and _same_bits(only_a, pay_a)
+
+    def test_flip_codes_need_pure_tables(self):
+        rng = make_rng(4)
+        tables, _, _ = stack_tables([random_mixed(rng, 1) for _ in range(2)])
+        codes = np.zeros((6, 2), dtype=np.uint8)
+        with pytest.raises(ConfigurationError, match="draws_per_round"):
+            play_pairs_uniforms(
+                tables, [0, 1], [1, 0], 6, PayoffMatrix(), 0.1, codes
+            )
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_uniforms_kernel_game_bits_independent_of_batch(self, mixed):

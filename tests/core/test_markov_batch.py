@@ -1,7 +1,11 @@
 """Tests for the vectorised one-vs-many Markov kernel and expected-fitness mode."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EvolutionConfig,
@@ -16,8 +20,83 @@ from repro.core import (
     tft,
     wsls,
 )
+from repro.core import PayoffMatrix, markov, stationary_cooperation_rate
 from repro.core.markov import expected_payoffs_many
 from repro.rng import make_rng
+
+
+def _scatter_step(dist, probs):
+    """The reference chain step: one ``np.add.at`` scatter per move code.
+
+    View ``v`` moves under code ``c`` to ``((v << 2) | c) & mask``; the
+    scatter adds each view's flow into its successor in view order.
+    """
+    n_states = probs.shape[-2]
+    views = np.arange(n_states)
+    nxt = np.zeros_like(dist)
+    for code in range(4):
+        successors = ((views << 2) | code) & (n_states - 1)
+        if dist.ndim == 1:
+            np.add.at(nxt, successors, dist * probs[:, code])
+        else:
+            rows = np.arange(dist.shape[0])[:, None]
+            np.add.at(
+                nxt, (rows, successors[None, :]), dist * probs[:, :, code]
+            )
+    return nxt
+
+
+def _same_bits(x, y) -> bool:
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+class TestReshapeStepMatchesScatter:
+    """The reshape-and-sum chain step is bit-equal to the scatter step."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        memory=st.integers(1, 4),
+        mixed=st.booleans(),
+        n_opponents=st.integers(1, 39),
+        rounds=st.integers(1, 249),
+        payoff=st.sampled_from(
+            [
+                PayoffMatrix(),
+                PayoffMatrix(
+                    reward=3.1, sucker=0.27, temptation=5.3, punishment=1.13
+                ),
+            ]
+        ),
+        noise=st.sampled_from([0.0, 0.01, 0.05, 0.3]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_expected_payoffs_bit_equal(
+        self, seed, memory, mixed, n_opponents, rounds, payoff, noise
+    ):
+        rng = make_rng(seed)
+        draw = random_mixed if mixed else random_pure
+        focal = draw(rng, memory)
+        opponents = [draw(rng, memory) for _ in range(n_opponents)]
+        many = expected_payoffs_many(focal, opponents, rounds, payoff, noise)
+        one = expected_payoffs(focal, opponents[0], rounds, payoff, noise)
+        coop = stationary_cooperation_rate(
+            focal, opponents[0], noise, max_iter=rounds
+        )
+        with mock.patch.object(markov, "_markov_step", _scatter_step):
+            ref_many = expected_payoffs_many(
+                focal, opponents, rounds, payoff, noise
+            )
+            ref_one = expected_payoffs(
+                focal, opponents[0], rounds, payoff, noise
+            )
+            ref_coop = stationary_cooperation_rate(
+                focal, opponents[0], noise, max_iter=rounds
+            )
+        assert _same_bits(many[0], ref_many[0])
+        assert _same_bits(many[1], ref_many[1])
+        assert _same_bits(one, ref_one)
+        assert _same_bits(coop, ref_coop)
 
 
 class TestBatchKernel:

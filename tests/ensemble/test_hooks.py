@@ -31,6 +31,25 @@ def collect_ticks(configs, backend, **sweep_opts):
     return ticks, results
 
 
+def by_run(ticks) -> dict:
+    """Each lane's ticks in emission order: lanes may interleave, but a
+    lane's own ticks must come out in generation order."""
+    grouped = defaultdict(list)
+    for t in ticks:
+        grouped[t.run_index].append(
+            (t.generation, t.n_pc_events, t.n_adoptions, t.n_mutations)
+        )
+    return dict(grouped)
+
+
+#: Regimes whose multi-lane groups run the ensemble's generic
+#: (per-lane evaluator) path.
+GENERIC_REGIMES = {
+    "expected": dict(expected_fitness=True, noise=0.05),
+    "sampled": dict(noise=0.05, sampled_batched=True),
+}
+
+
 class TestProgressParity:
     def test_ticks_fire_per_event_generation(self):
         configs = sweep_configs(1)
@@ -47,17 +66,6 @@ class TestProgressParity:
         configs = sweep_configs(4)
         event_ticks, _ = collect_ticks(configs, "event", dedupe=False)
         ens_ticks, _ = collect_ticks(configs, "ensemble", dedupe=False)
-
-        # Each lane's ticks in emission order: lanes may interleave, but a
-        # lane's own ticks must come out in generation order.
-        def by_run(ticks):
-            grouped = defaultdict(list)
-            for t in ticks:
-                grouped[t.run_index].append(
-                    (t.generation, t.n_pc_events, t.n_adoptions, t.n_mutations)
-                )
-            return dict(grouped)
-
         assert by_run(ens_ticks) == by_run(event_ticks)
 
     def test_ensemble_ticks_match_on_graph_structure(self):
@@ -67,13 +75,15 @@ class TestProgressParity:
         assert len(ens_ticks) == len(event_ticks)
 
     def test_generic_path_ticks_match(self):
-        # expected_fitness forces the ensemble's generic (non-shared) group
-        # path; hooks must behave identically there.
-        configs = sweep_configs(2, expected_fitness=True, noise=0.05)
-        event_ticks, _ = collect_ticks(configs, "event", dedupe=False)
-        ens_ticks, _ = collect_ticks(configs, "ensemble", dedupe=False)
-        assert len(ens_ticks) == len(event_ticks)
-        assert {t.run_index for t in ens_ticks} == {0, 1}
+        # Expected and sampled groups run the ensemble's generic group
+        # path in lane waves; each lane's ticks must still match its event
+        # run's, tick for tick and in order.
+        for overrides in GENERIC_REGIMES.values():
+            configs = sweep_configs(4, generations=300, **overrides)
+            event_ticks, _ = collect_ticks(configs, "event", dedupe=False)
+            ens_ticks, _ = collect_ticks(configs, "ensemble", dedupe=False)
+            assert by_run(ens_ticks) == by_run(event_ticks)
+            assert set(by_run(ens_ticks)) == {0, 1, 2, 3}
 
     def test_tick_fraction_and_remap(self):
         configs = sweep_configs(3)
@@ -93,6 +103,27 @@ class TestProgressParity:
                 a.population.strategy_matrix(),
                 b.population.strategy_matrix(),
             )
+
+
+class TestGenericPathRecords:
+    @pytest.mark.parametrize("regime", sorted(GENERIC_REGIMES))
+    def test_events_and_snapshots_match_event_runs(self, regime):
+        # record_events follow each lane's event order, and record_every
+        # snapshots land before a lane's first event of a later generation
+        # or after its last event of theirs, as in the event driver.
+        configs = sweep_configs(
+            4, generations=300, record_every=37, **GENERIC_REGIMES[regime]
+        )
+        ensemble = run_sweep(configs, backend="ensemble", dedupe=False)
+        event = run_sweep(configs, backend="event", dedupe=False)
+        for ens, evt in zip(ensemble, event):
+            assert ens.events and ens.events == evt.events
+            assert [s.generation for s in ens.snapshots] == [
+                s.generation for s in evt.snapshots
+            ]
+            for a, b in zip(ens.snapshots, evt.snapshots):
+                assert a.dominant_share == b.dominant_share
+                assert np.array_equal(a.strategy_matrix, b.strategy_matrix)
 
 
 class TestRecorderUnderEnsemble:

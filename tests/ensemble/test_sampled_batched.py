@@ -227,6 +227,13 @@ class TestEnsembleLaneParity:
     def test_include_self_play(self):
         self.check(batched_configs(n=3, include_self_play=True))
 
+    def test_short_batches_keep_bits(self):
+        # Waves restart at every batch edge; lanes keep their trajectories.
+        configs = batched_configs(n=4, memory_steps=2)
+        results = run_ensemble(configs, batch_size=37)
+        for config, result in zip(configs, results):
+            assert_identical(result, run_event_driven(config))
+
     def test_heterogeneous_batch(self):
         """Batched noisy lanes grouped alongside deterministic lanes in
         one run_ensemble call; everyone keeps their serial trajectory."""
@@ -386,6 +393,75 @@ class TestCheckpointResume:
         with checkpoint_scope(pinned):
             for a, b in zip(run_ensemble(configs), clean):
                 assert_identical(a, b)
+
+    def test_four_lane_group_resumes_from_every_boundary(self):
+        # 700 generations at a 300-generation cadence: two full batches
+        # and a short last one, each advanced in lane waves.
+        configs = [
+            EvolutionConfig(
+                **{
+                    **self.CONFIG,
+                    "memory_steps": 2,
+                    "generations": 700,
+                    "checkpoint_every": 300,
+                    "record_every": 70,
+                    "seed": 90 + i,
+                }
+            )
+            for i in range(4)
+        ]
+        clean = [run_event_driven(c) for c in configs]
+        sink = MemorySink()
+        with checkpoint_scope(sink):
+            for a, b in zip(run_ensemble(configs), clean):
+                assert_identical(a, b)
+        (unit,) = sink.saved
+        generations = [g for g, _, _ in sink.saved[unit]]
+        assert generations == [300, 600]
+        for index, generation in enumerate(generations):
+            pinned = MemorySink()
+            pinned.saved[unit] = [sink.saved[unit][index]]
+            with checkpoint_scope(pinned):
+                resumed = run_ensemble(configs)
+            for a, b in zip(resumed, clean):
+                assert a.resumed_from_generation == generation
+                assert_identical(a, b)
+
+
+class TestWaveFusion:
+    """A multi-lane sampled group makes one kernel call per event wave."""
+
+    def test_one_kernel_call_per_wave(self, monkeypatch):
+        import repro.core.engine as engine_module
+
+        configs = batched_configs(n=8, memory_steps=2, generations=400)
+        real = engine_module.play_pairs_uniforms
+        calls: list[int] = []
+
+        def counting(tables, a_idx, b_idx, *args, **kwargs):
+            calls.append(len(a_idx))
+            return real(tables, a_idx, b_idx, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "play_pairs_uniforms", counting)
+        serial = [run_event_driven(c) for c in configs]
+        serial_games = sum(calls)
+        calls.clear()
+        ensemble = run_ensemble(configs)
+        for a, b in zip(ensemble, serial):
+            assert_identical(a, b)
+        # Wave w holds every lane's w-th event (each lane's events in
+        # serial order, PC before mutation); it calls the kernel iff one of
+        # them is a PC event.
+        kinds = [[e.kind for e in result.events] for result in serial]
+        pc_waves = sum(
+            any(w < len(k) and k[w] == "pc" for k in kinds)
+            for w in range(max(map(len, kinds)))
+        )
+        pc_generations = len(
+            {e.generation for r in serial for e in r.events if e.kind == "pc"}
+        )
+        assert len(calls) == pc_waves < pc_generations
+        assert sum(calls) == serial_games
 
 
 class TestConfigAndBackends:

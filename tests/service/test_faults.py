@@ -218,20 +218,23 @@ class TestDriverIntegration:
         assert stats["hits"] == 3  # fired exactly at the 3rd event generation
 
     def test_ensemble_site_fires_once_per_lane_generation(self):
-        # A multi-lane group advances lanes in waves, so the site fires
-        # once per (lane, event generation), before the lane's events of
-        # that generation apply.
-        configs = [self.CONFIG.with_updates(seed=41 + r) for r in range(3)]
-        expected = sum(
-            len({e.generation for e in result.events})
-            for result in run_sweep(configs, backend="event")
-        )
-        plan = plan_for(
-            {"site": "driver.generation", "after": 10_000_000}
-        )
-        with faults.armed(plan):
-            run_sweep(configs, backend="ensemble")
-        assert plan.stats()[0]["hits"] == expected
+        # A multi-lane group advances lanes in waves — deterministic lanes
+        # on the shared path, sampled ones on the generic path — so the
+        # site fires once per (lane, event generation), before the lane's
+        # events of that generation apply.
+        sampled = self.CONFIG.with_updates(noise=0.05, sampled_batched=True)
+        for config in (self.CONFIG, sampled):
+            configs = [config.with_updates(seed=41 + r) for r in range(3)]
+            expected = sum(
+                len({e.generation for e in result.events})
+                for result in run_sweep(configs, backend="event")
+            )
+            plan = plan_for(
+                {"site": "driver.generation", "after": 10_000_000}
+            )
+            with faults.armed(plan):
+                run_sweep(configs, backend="ensemble")
+            assert plan.stats()[0]["hits"] == expected
 
     def test_disarmed_run_is_unperturbed(self):
         baseline = run_sweep([self.CONFIG], backend="event")[0]
