@@ -156,7 +156,8 @@ class _PinnedSnapshotSink:
 
     ``load_latest`` ignores the unit key — the caller pinned the artifact,
     and the driver's own resume validation refuses any science mismatch
-    with the field-by-field did-you-mean error
+    with the field-by-field did-you-mean error, and a snapshot of another
+    science version with an error naming both versions
     (:func:`repro.core.runstate.validate_resume_config`).  Saves forward
     to a real :class:`~repro.io.run_checkpoint.RunCheckpointer` when
     ``--checkpoint-dir`` is also given, and are dropped otherwise.

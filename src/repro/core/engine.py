@@ -62,6 +62,7 @@ regime split:
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 from typing import Callable, Iterator
@@ -79,7 +80,6 @@ from .states import num_states
 from .strategy import Strategy
 from .vectorgame import (
     cycle_payoffs_pairs,
-    noise_flip_codes,
     play_pairs_uniforms,
     sampled_draws_per_round,
     stack_tables,
@@ -876,6 +876,49 @@ class FitnessEngine:
             )
 
 
+def _flip_budget(moves: int, noise: float) -> int:
+    """Doubles one chunk of a pure flip draw takes for ``moves`` undecided
+    moves (:meth:`SampledFitnessEngine.draw_uniforms`).
+
+    The expected flip count plus three of its standard deviations, plus
+    two: one for a flip and one for the gap that overshoots.  About one
+    event in a thousand (0.10–0.15%) then needs a top-up.  The rule fixes
+    how far each event advances the stream, so it is part of the draw
+    contract.
+    """
+    expected = moves * noise
+    return int(expected + 3.0 * math.sqrt(expected)) + 2
+
+
+def _flip_codes(
+    rounds: int, flips: list[np.ndarray], counts: list[int]
+) -> np.ndarray:
+    """``(rounds, sum(counts))`` uint8 flip codes from events' flip draws.
+
+    Event ``e`` owns the next ``counts[e]`` game columns, and ``flips[e]``
+    holds its flip positions in the ``(rounds, 2, counts[e])`` move order
+    of :meth:`SampledFitnessEngine.draw_uniforms`.  A flip of side a sets
+    bit 1 of its (round, game) code, one of side b bit 0 — the ``2 *
+    flip_a + flip_b`` codes :func:`~repro.core.vectorgame.
+    play_pairs_uniforms` reads.  One zeroed array, one scatter per side.
+    """
+    n_games = sum(counts)
+    codes = np.zeros((rounds, n_games), dtype=np.uint8)
+    sizes = [f.shape[0] for f in flips]
+    games = np.repeat(counts, sizes)
+    first = np.repeat(np.cumsum(counts) - counts, sizes)
+    rnd, rest = np.divmod(np.concatenate(flips), 2 * games)
+    side_b = rest >= games
+    cell = rnd * n_games
+    cell += first
+    cell += rest
+    cell -= games * side_b
+    flat = codes.reshape(-1)
+    flat[cell[~side_b]] = 2
+    flat[cell[side_b]] |= 1
+    return codes
+
+
 class SampledPlan:
     """The sampled games one PC event needs, collected but not yet played.
 
@@ -930,19 +973,28 @@ class SampledFitnessEngine(PayoffCache):
     games are evaluated through one vectorised
     :func:`~repro.core.vectorgame.play_pairs_uniforms` call per batch
     instead of the scalar :func:`~repro.core.game.play_game` loop, with
-    uniforms pre-drawn from a **dedicated** Philox stream (``("nature",
-    "sampled")``).  Pure-noiseless pairs that arise in mixed-strategy
-    configurations still go through the inherited deterministic cache
-    (those payoffs carry no randomness).
+    each event's randomness pre-drawn from a **dedicated** Philox stream
+    (``("nature", "sampled")``, see :meth:`draw_uniforms`).  Pure
+    configurations draw only the noise flips, as geometric gaps between
+    them; mixed ones draw one uniform per table move and per noise flip.
+    Pure-noiseless pairs that arise in mixed-strategy configurations still
+    go through the inherited deterministic cache (those payoffs carry no
+    randomness).
 
     Contract: per-seed reproducible, and bit-identical between the serial
-    drivers and the ensemble driver's per-lane trajectories (pre-drawn
-    uniform blocks concatenate along the games axis without changing any
-    lane's bits — see :func:`~repro.core.vectorgame.play_pairs_uniforms`).
+    drivers and the ensemble driver's per-lane trajectories (each event's
+    draw depends only on its own games and stream, and the events' kernel
+    inputs concatenate along the games axis without changing any lane's
+    bits — see :func:`~repro.core.vectorgame.play_pairs_uniforms`).
     Deliberately **not** bit-identical to the scalar legacy sampled path:
     the draws come from a different stream in a different shape, so
     batched-vs-legacy agreement is statistical (KS / CI tests in the
-    suite), which is exactly the trade the opt-in flag announces.
+    suite), which is exactly the trade the opt-in flag announces.  Every
+    flip is still an independent Bernoulli(``noise``) event per move, so
+    the two paths sample the same distribution.  The pure noisy draw is
+    science version 2 (:func:`repro.core.runstate.science_version`):
+    checkpoint unit keys and job fingerprints carry it, so results and
+    snapshots of the earlier per-move uniform draw are never reused.
     """
 
     def __init__(
@@ -970,6 +1022,10 @@ class SampledFitnessEngine(PayoffCache):
         #: draws) even for pure tables, so the per-round draw count stays
         #: constant across the run and across ensemble lanes.
         self.mixed = mixed
+        # log1p(-noise), the flip draw's divisor (-inf at noise 1: every
+        # gap is then 0).
+        with np.errstate(divide="ignore"):
+            self._log_keep = float(np.log1p(-noise))
         self.games_played = 0
         self.batches = 0
 
@@ -1001,30 +1057,67 @@ class SampledFitnessEngine(PayoffCache):
             strategy.defect_probabilities() if self.mixed else strategy.table
         )
 
-    def draw_uniforms(
-        self, n_games: int, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Pre-draw ``n_games`` games' uniforms from the dedicated stream.
+    def draw_uniforms(self, n_games: int) -> np.ndarray:
+        """Draw one event's randomness for ``n_games`` games from the
+        dedicated stream.
 
-        The draw is ``rng.random((rounds, draws_per_round, n_games))`` —
-        the float layout :func:`~repro.core.vectorgame.play_pairs_uniforms`
-        consumes — and is returned as is when ``out`` is ``None``.  With
-        ``out``, this engine's slot of a fused call's kernel input, the
-        block is stored there in the kernel's input form instead and
-        ``out`` is returned: reduced to ``(rounds, n_games)`` uint8 noise
-        flip codes for pure configurations, the floats themselves for mixed
-        ones, whose move draws compare against table probabilities.  Either
-        way the stream advances by the same draws, so a lane's consumption
-        does not depend on who shares its kernel call.
+        **Pure configurations** draw only the noise flips.  The event's
+        ``rounds * 2 * n_games`` moves are taken in the flat order of a
+        ``(rounds, 2, n_games)`` array — round, then side (0 is a, the
+        focal side; 1 is b), then game — and each flip costs one double
+        ``u`` of ``rng.random``: the next flip skips ``floor(log1p(-u) /
+        log1p(-noise))`` moves (NumPy's ``log1p`` both times).  That
+        inverts the geometric law of the gaps between Bernoulli(``noise``)
+        successes, so every move still flips independently with
+        probability ``noise``.  The doubles are drawn in chunks of
+        :func:`_flip_budget` over the moves still undecided: when a chunk's
+        gaps fall short of the last move, the next chunk tops them up, and
+        the doubles after the first gap that overshoots are drawn and
+        discarded.  Returns the sorted int64 flip positions in that flat
+        order; :func:`_flip_codes` turns them into the kernel's flip codes.
+        At noise 0.01 a 200-round game costs about four doubles instead of
+        400.
+
+        The gaps invert ``rng.random`` rather than call
+        ``Generator.geometric``: NEP 19 does not promise that method's
+        stream across NumPy releases, while ``rng.random`` is the stream
+        every other sampled draw here already rests on.  ``log1p`` is the
+        one transcendental in the draw; its last bit may differ between
+        NumPy builds, which moves a flip only where a quotient lies within
+        an ulp of an integer.
+
+        **Mixed configurations** draw ``rng.random((rounds,
+        draws_per_round, n_games))``, the float layout
+        :func:`~repro.core.vectorgame.play_pairs_uniforms` consumes: their
+        move draws compare against table probabilities.
+
+        Either way the stream advances by an amount that depends only on
+        this event's games, so a lane's consumption does not depend on who
+        shares its kernel call.
         """
-        block = self.rng.random((self.rounds, self.draws_per_round, n_games))
-        if out is None:
-            return block
         if self.mixed:
-            out[...] = block
-        else:
-            noise_flip_codes(block, self.noise, out=out)
-        return out
+            return self.rng.random(
+                (self.rounds, self.draws_per_round, n_games)
+            )
+        moves = self.rounds * 2 * n_games
+        chunks: list[np.ndarray] = []
+        covered = 0
+        while covered < moves:
+            gaps = np.log1p(
+                -self.rng.random(_flip_budget(moves - covered, self.noise))
+            )
+            gaps /= self._log_keep
+            # Every gap past the last move overshoots alike; the clamp
+            # keeps the cast and the sums finite at tiny noise.
+            np.minimum(gaps, moves, out=gaps)
+            flips = gaps.astype(np.int64)
+            flips += 1
+            flips[0] += covered - 1
+            np.cumsum(flips, out=flips)
+            covered = int(flips[-1]) + 1
+            chunks.append(flips)
+        flips = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        return flips[: np.searchsorted(flips, moves)]
 
     def _play_games(
         self, games: list[tuple[Strategy, Strategy]]
@@ -1040,6 +1133,8 @@ class SampledFitnessEngine(PayoffCache):
             )
         tables = np.stack(plan.rows)
         uniforms = self.draw_uniforms(plan.n_games)
+        if not self.mixed:
+            uniforms = _flip_codes(self.rounds, [uniforms], [plan.n_games])
         self.games_played += plan.n_games
         self.batches += 1
         return play_pairs_uniforms(
@@ -1171,15 +1266,16 @@ class SampledFitnessEngine(PayoffCache):
         """Execute many ``(engine, plan)`` pairs as **one** kernel call.
 
         The plans' games concatenate along the games axis, and each engine
-        draws its own plan's games (:meth:`draw_uniforms`) straight into
-        the plan's slot of the call's kernel input, so a lane's stream
-        consumption is independent of who else is in the batch; the fused
-        kernel preserves every lane's bits — which is what makes each
-        ensemble lane bit-identical to its same-seed serial run.  The input
-        costs ``rounds`` bytes per game (flip codes) in pure
-        configurations and ``rounds * draws_per_round * 8`` bytes in mixed
-        ones.  Only the plans' a-side (focal) totals are computed.  Returns
-        one ``(fitness_a, fitness_b)`` per pair, in order.
+        draws its own plan's games (:meth:`draw_uniforms`), so a lane's
+        stream consumption is independent of who else is in the batch; the
+        fused kernel preserves every lane's bits — which is what makes each
+        ensemble lane bit-identical to its same-seed serial run.  In pure
+        configurations the call zeroes one ``(rounds, n_games)`` uint8
+        flip-code array and scatters every plan's flips into its columns
+        (:func:`_flip_codes`): ``rounds`` bytes per game.  Mixed ones
+        concatenate the float draws, ``rounds * draws_per_round * 8`` bytes
+        per game.  Only the plans' a-side (focal) totals are computed.
+        Returns one ``(fitness_a, fitness_b)`` per pair, in order.
         """
         rows: list[np.ndarray] = []
         a_idx: list[int] = []
@@ -1195,18 +1291,19 @@ class SampledFitnessEngine(PayoffCache):
         pay: list[float] = []
         if a_idx:
             head = pairs[0][0]
-            draws = (
-                np.empty((head.rounds, head.draws_per_round, len(a_idx)))
-                if head.mixed
-                else np.empty((head.rounds, len(a_idx)), dtype=np.uint8)
-            )
-            lo = 0
+            draws: list[np.ndarray] = []
+            sizes: list[int] = []
             for (engine, _), n in zip(pairs, counts):
                 if n:
-                    engine.draw_uniforms(n, out=draws[..., lo : lo + n])
+                    draws.append(engine.draw_uniforms(n))
+                    sizes.append(n)
                     engine.games_played += n
                     engine.batches += 1
-                    lo += n
+            kernel_draws = (
+                np.concatenate(draws, axis=-1)
+                if head.mixed
+                else _flip_codes(head.rounds, draws, sizes)
+            )
             # Plan-local row numbers -> rows of the stacked tables.
             shift = np.repeat(row_offsets, counts)
             pay_a, _ = play_pairs_uniforms(
@@ -1216,7 +1313,7 @@ class SampledFitnessEngine(PayoffCache):
                 head.rounds,
                 head.payoff,
                 head.noise,
-                draws,
+                kernel_draws,
                 b_totals=False,
             )
             pay = pay_a.tolist()

@@ -62,6 +62,7 @@ from .runstate import (
     restore_events,
     restore_population,
     restore_snapshots,
+    science_version,
     unit_key,
     validate_resume_config,
 )
@@ -341,11 +342,13 @@ def _capture_run_state(
     """
     pop_meta, pop_arrays = capture_population(population)
     eval_meta, eval_arrays = capture_evaluator(evaluator, population)
+    config_dict = config.to_dict()
     meta = {
         "version": RUN_STATE_VERSION,
+        "science_version": science_version(config_dict),
         "kind": "run",
         "generation": int(generation),
-        "config": config.to_dict(),
+        "config": config_dict,
         "structure": config.canonical_structure(),
         "nature": nature.stream_states(),
         "counters": {
@@ -388,7 +391,11 @@ def _resume_run_state(sink, unit: str, config: EvolutionConfig, nature: NatureAg
             f"{meta.get('version')!r} (this build reads "
             f"version {RUN_STATE_VERSION})"
         )
-    validate_resume_config([meta["config"]], [config.to_dict()])
+    validate_resume_config(
+        [meta["config"]],
+        [config.to_dict()],
+        saved_version=int(meta.get("science_version", 1)),
+    )
     nature.restore_stream_states(meta["nature"])
     population = restore_population(meta["population"], arrays)
     evaluator = restore_evaluator(

@@ -32,6 +32,12 @@ run's config dict(s) with execution-only fields stripped
 run asking the same science question.  :func:`validate_resume_config`
 produces the did-you-mean mismatch report the CLI surfaces.
 
+A config can also ask its question under a newer **science version**
+(:func:`science_version`): the same fields, a changed trajectory contract.
+The unit key and the job fingerprint hash any version above 1, and every
+snapshot carries its version, so neither a checkpoint directory nor a
+pinned artifact continues a run under a different contract.
+
 Unsupported regimes (:func:`checkpointing_supported`) simply do not arm —
 the run executes exactly as before, no snapshots are written, and a
 service replay falls back to full re-execution: cross-run engine pair
@@ -73,6 +79,8 @@ __all__ = [
     "decode_bitgen",
     "generator_state",
     "restore_generator",
+    "science_version",
+    "science_fields",
     "unit_key",
     "config_mismatches",
     "validate_resume_config",
@@ -210,10 +218,37 @@ def restore_generator(rng: np.random.Generator, data: Mapping[str, Any]) -> None
 # -- unit identity + config validation ----------------------------------------
 
 
-def _stripped(config_dict: Mapping[str, Any]) -> dict[str, Any]:
-    return {
+def science_version(config_dict: Mapping[str, Any]) -> int:
+    """Version of the trajectory contract a run of ``config_dict`` follows.
+
+    2 for pure ``sampled_batched`` configurations with ``noise > 0``, whose
+    noise flips are drawn as geometric gaps
+    (:meth:`~repro.core.engine.SampledFitnessEngine.draw_uniforms`); 1 for
+    every other configuration.  Bump a regime's version whenever its
+    trajectories change for unchanged configs.
+    """
+    if (
+        config_dict.get("sampled_batched")
+        and not config_dict.get("mixed_strategies")
+        and not config_dict.get("expected_fitness")
+        and config_dict.get("noise", 0.0) > 0.0
+    ):
+        return 2
+    return 1
+
+
+def science_fields(config_dict: Mapping[str, Any]) -> dict[str, Any]:
+    """The part of a config dict that the unit key and the job fingerprint
+    hash: every field but the resume-neutral ones, plus the
+    :func:`science_version` when it is above 1 (so version-1 keys are
+    those of builds that predate versioning)."""
+    fields = {
         k: v for k, v in config_dict.items() if k not in RESUME_NEUTRAL_FIELDS
     }
+    version = science_version(config_dict)
+    if version != 1:
+        fields["science_version"] = version
+    return fields
 
 
 def unit_key(config_dicts: list[dict[str, Any]]) -> str:
@@ -223,10 +258,10 @@ def unit_key(config_dicts: list[dict[str, Any]]) -> str:
     single run, the ordered lane dicts for an ensemble group) and nothing
     else — so the same question asked with a different checkpoint cadence
     or paymat layout still finds its snapshot, while any science change
-    misses cleanly.
+    misses cleanly (:func:`science_fields`).
     """
     blob = json.dumps(
-        [_stripped(d) for d in config_dicts],
+        [science_fields(d) for d in config_dicts],
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -252,19 +287,38 @@ def validate_resume_config(
     saved_dicts: list[dict[str, Any]],
     current_dicts: list[dict[str, Any]],
     *,
+    saved_version: int = 1,
     source: str = "checkpoint",
 ) -> None:
-    """Refuse a resume whose config differs in any science-bearing field.
+    """Refuse a resume whose config differs in any science-bearing field,
+    or whose snapshot follows another science version.
 
-    The error names every differing field with both values (the CLI's
-    did-you-mean message), so a near-miss — wrong seed, wrong structure
-    spec — is diagnosable without opening the snapshot.
+    ``saved_version`` is the snapshot's ``science_version`` (1 when its
+    meta has none: it predates versioning).  The config error names every
+    differing field with both values (the CLI's did-you-mean message), so
+    a near-miss — wrong seed, wrong structure spec — is diagnosable
+    without opening the snapshot.
     """
     if len(saved_dicts) != len(current_dicts):
         raise CheckpointError(
             f"{source} holds state for {len(saved_dicts)} run(s), the "
             f"current request has {len(current_dicts)}"
         )
+    for current in current_dicts:
+        version = science_version(current)
+        if version != saved_version:
+            regime = (
+                "pure sampled_batched noise"
+                if 2 in (version, saved_version)
+                else "this configuration's"
+            )
+            raise CheckpointError(
+                f"{source} was written under science version "
+                f"{saved_version} of the {regime} regime; this build runs "
+                f"version {version}, so the run would continue under "
+                "another trajectory contract — start it again from "
+                "generation 0"
+            )
     problems: list[str] = []
     for i, (saved, current) in enumerate(zip(saved_dicts, current_dicts)):
         for line in config_mismatches(saved, current):

@@ -91,10 +91,11 @@ Regimes:
   wave's PC lanes are evaluated as **one** fused
   :func:`~repro.core.vectorgame.play_pairs_uniforms` kernel call
   (:meth:`~repro.core.engine.SampledFitnessEngine.eval_plans`).  Each
-  lane draws its own games into its slot of the call's input, reduced to
-  one byte of noise flips per game and round, so its trajectory is
-  bit-identical to the same-seed serial ``sampled_batched`` run — and
-  statistically equivalent to the scalar legacy path.  A 64-lane,
+  lane draws its own event's noise flips from its own stream (geometric
+  gaps in pure configurations), and the call scatters them into its
+  columns of one byte of flip codes per game and round, so its
+  trajectory is bit-identical to the same-seed serial ``sampled_batched``
+  run — and statistically equivalent to the scalar legacy path.  A 64-lane,
   500-generation memory-2 sweep is ~95 such calls instead of ~500, one
   per generation with PC events.
 """
@@ -141,6 +142,7 @@ from ..core.runstate import (
     restore_events,
     restore_population,
     restore_snapshots,
+    science_version,
     unit_key,
     validate_resume_config,
 )
@@ -384,7 +386,11 @@ def _load_group_state(sink, unit: str, configs: list[EvolutionConfig],
             f"run-state checkpoint is format v{version}; this build reads "
             f"v{RUN_STATE_VERSION}"
         )
-    validate_resume_config(meta["configs"], [c.to_dict() for c in configs])
+    validate_resume_config(
+        meta["configs"],
+        [c.to_dict() for c in configs],
+        saved_version=int(meta.get("science_version", 1)),
+    )
     return meta, arrays
 
 
@@ -450,12 +456,15 @@ def _capture_group_shared(
     arrays["engine_pair_a"] = pair_i.astype(np.int64)
     arrays["engine_pair_b"] = pair_j.astype(np.int64)
     arrays["engine_lane_fills"] = engine.lane_fills.copy()
+    config_dicts = [c.to_dict() for c in configs]
     meta = {
         "version": RUN_STATE_VERSION,
+        # One signature group: every lane shares the version.
+        "science_version": science_version(config_dicts[0]),
         "kind": "ensemble",
         "mode": "shared",
         "generation": int(base),
-        "configs": [c.to_dict() for c in configs],
+        "configs": config_dicts,
         "lanes": lanes,
         "engine": {
             "fills": int(engine.fills),
@@ -506,12 +515,15 @@ def _capture_group_generic(
         )
         for key, value in lane_arrays.items():
             arrays[f"l{r}_{key}"] = value
+    config_dicts = [c.to_dict() for c in configs]
     meta = {
         "version": RUN_STATE_VERSION,
+        # One signature group: every lane shares the version.
+        "science_version": science_version(config_dicts[0]),
         "kind": "ensemble",
         "mode": "generic",
         "generation": int(base),
-        "configs": [c.to_dict() for c in configs],
+        "configs": config_dicts,
         "lanes": lanes,
         "engine": None,
     }

@@ -10,12 +10,18 @@ hashes to a stable :meth:`fingerprint` that keys the result cache.
 The fingerprint covers the **science only**: the ordered config dicts,
 minus the resume-neutral execution fields
 (:data:`repro.core.runstate.RESUME_NEUTRAL_FIELDS` — checkpoint cadence,
-paymat blocking, pool caps).  Execution options (backend,
-workers, priority, engine sharing) are likewise excluded — every backend
-follows the bit-identical trajectory for a given config and seed (pinned
-by the repo's parity suites), so an ``ensemble``-executed result is a
-valid cache hit for an ``event``-backend request, and a run submitted
-*with* checkpointing hits the cache entry its uncheckpointed twin wrote.
+paymat blocking, pool caps), plus each config's science version
+(:func:`repro.core.runstate.science_version`) when it is above 1 — the
+same :func:`~repro.core.runstate.science_fields` the checkpoint unit key
+hashes.  A version bump changes the trajectories of unchanged configs,
+so it must miss every result cached under the old contract; version-1
+fingerprints are those of builds that predate versioning.  Execution
+options (backend, workers, priority, engine sharing) are likewise
+excluded — every backend follows the bit-identical trajectory for a
+given config and seed (pinned by the repo's parity suites), so an
+``ensemble``-executed result is a valid cache hit for an
+``event``-backend request, and a run submitted *with* checkpointing hits
+the cache entry its uncheckpointed twin wrote.
 Two submissions collide iff they ask for the same runs in the same order.
 """
 
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from ..core.config import EvolutionConfig
-from ..core.runstate import RESUME_NEUTRAL_FIELDS
+from ..core.runstate import science_fields
 from ..errors import ConfigurationError
 from .retry import RetryPolicy
 
@@ -158,14 +164,7 @@ class JobSpec:
         if cached is None:
             payload = {
                 "format": SPEC_FORMAT_VERSION,
-                "configs": [
-                    {
-                        k: v
-                        for k, v in c.to_dict().items()
-                        if k not in RESUME_NEUTRAL_FIELDS
-                    }
-                    for c in self.configs
-                ],
+                "configs": [science_fields(c.to_dict()) for c in self.configs],
             }
             canonical = json.dumps(
                 payload, sort_keys=True, separators=(",", ":")

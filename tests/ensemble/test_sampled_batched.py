@@ -21,12 +21,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import EvolutionConfig
-from repro.core.engine import SampledFitnessEngine
+from repro.core.engine import SampledFitnessEngine, _flip_codes
 from repro.core.evolution import run_event_driven, run_serial
 from repro.core.game import play_game
-from repro.core.runstate import checkpoint_scope, checkpointing_supported
+from repro.core.runstate import (
+    checkpoint_scope,
+    checkpointing_supported,
+    generator_state,
+)
 from repro.core.strategy import random_pure, tft, wsls
 from repro.ensemble import lane_signature, run_ensemble
 from repro.errors import ConfigurationError
@@ -87,24 +93,34 @@ class TestEngine:
 
     def test_fused_eval_plans_preserve_each_plans_bits(self):
         """The load-bearing property: an engine's results depend only on
-        its own plan and stream, never on who else is in the fused batch."""
+        its own plan and stream, never on who else is in the fused batch —
+        also when the lanes' plans hold different numbers of games, so
+        every lane's flips land at an uneven column offset."""
         rng = make_rng(31)
-        strategies = [random_pure(rng, 1) for _ in range(8)]
-
-        def plan_for(engine):
-            plan = engine.pc_plan(_population(strategies), _WELL_MIXED, 0, 3)
-            return plan
-
-        solo_a = self.make(seed=1)
-        solo_b = self.make(seed=2)
-        fused_a = self.make(seed=1)
-        fused_b = self.make(seed=2)
-        solo = [
-            SampledFitnessEngine.eval_plans([(solo_a, plan_for(solo_a))])[0],
-            SampledFitnessEngine.eval_plans([(solo_b, plan_for(solo_b))])[0],
+        populations = [
+            [random_pure(rng, 1) for _ in range(8)],
+            [random_pure(rng, 1) for _ in range(3)] * 4,
+            [tft(1)] * 5 + [wsls(1)] * 2,
+            [random_pure(rng, 1) for _ in range(13)],
         ]
+
+        def plan_for(engine, strategies):
+            return engine.pc_plan(_population(strategies), _WELL_MIXED, 0, 3)
+
+        solo = []
+        sizes = []
+        for seed, strategies in enumerate(populations, start=1):
+            engine = self.make(seed=seed)
+            plan = plan_for(engine, strategies)
+            sizes.append(plan.n_games)
+            solo.append(SampledFitnessEngine.eval_plans([(engine, plan)])[0])
+        assert len(set(sizes)) == len(sizes)  # uneven lanes
+        fused_engines = [self.make(seed=seed) for seed in (1, 2, 3, 4)]
         fused = SampledFitnessEngine.eval_plans(
-            [(fused_a, plan_for(fused_a)), (fused_b, plan_for(fused_b))]
+            [
+                (engine, plan_for(engine, strategies))
+                for engine, strategies in zip(fused_engines, populations)
+            ]
         )
         assert solo == fused  # bitwise: float equality intended
 
@@ -116,8 +132,12 @@ class TestEngine:
         others = [random_pure(rng, 1) for _ in range(6)]
         batched = self.make(seed=5).payoffs_to_many(me, others)
         replay = self.make(seed=5)
-        uniforms = replay.draw_uniforms(len(others))
-        # Re-play through the kernel with the same pre-drawn block.
+        # The pure draw yields flip positions; the kernel reads them as
+        # flip codes.
+        uniforms = _flip_codes(
+            replay.rounds, [replay.draw_uniforms(len(others))], [len(others)]
+        )
+        # Re-play through the kernel with the same pre-drawn flips.
         from repro.core.vectorgame import play_pairs_uniforms
 
         tables, a_idx, b_idx = _gather_tables(me, others)
@@ -151,6 +171,164 @@ class TestEngine:
         stats = engine.stats()
         assert stats["games_played"] == 3
         assert stats["batches"] == 1
+
+
+def reference_flips(rng, rounds, n_games, noise):
+    """Slow gap-by-gap statement of the pure flip draw: ``(rounds,
+    n_games)`` flip codes of one event, consuming ``rng`` as the engine
+    must.
+
+    Moves run in ``(rounds, 2, n_games)`` order; a flip skips
+    ``floor(log1p(-u) / log1p(-noise))`` moves for one double ``u``.
+    Doubles come in chunks of the expected flip count plus three standard
+    deviations plus two; a chunk that falls short of the last move is
+    topped up by the next, and the doubles past the overshoot are drawn
+    and discarded.
+    """
+    moves = rounds * 2 * n_games
+    with np.errstate(divide="ignore"):
+        log_keep = np.log1p(-noise)
+    codes = np.zeros((rounds, n_games), dtype=np.uint8)
+    at, covered = -1, 0
+    while covered < moves:
+        expected = (moves - covered) * noise
+        chunk = int(expected + 3.0 * math.sqrt(expected)) + 2
+        overshot = False
+        # NumPy's log1p over the chunk, as the engine computes it (its
+        # last bit may differ from math.log1p's).
+        for log_u in np.log1p(-rng.random(chunk)):
+            if overshot:
+                continue  # drawn and discarded
+            at += 1 + math.floor(log_u / log_keep)
+            if at >= moves:
+                overshot = True
+                continue
+            rnd, rest = divmod(at, 2 * n_games)
+            side, game = divmod(rest, n_games)
+            codes[rnd, game] |= 2 >> side
+        covered = moves if overshot else at + 1
+    return codes
+
+
+def same_stream_position(a, b):
+    return generator_state(a) == generator_state(b)
+
+
+class TestFlipDraw:
+    """The pure draw against its gap-by-gap statement, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        noise=st.one_of(
+            st.sampled_from([1e-6, 0.01, 0.5, 1.0]), st.floats(1e-6, 1.0)
+        ),
+        rounds=st.integers(1, 250),
+        events=st.lists(st.integers(1, 300), min_size=1, max_size=3).filter(
+            lambda sizes: sum(sizes) <= 300
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_codes_and_stream_match_reference(
+        self, seed, noise, rounds, events
+    ):
+        # A lane's successive events, drawn from one stream and scattered
+        # side by side into one fused flip-code array.
+        engine = SampledFitnessEngine(
+            rounds=rounds, noise=noise, rng=make_rng(seed)
+        )
+        flips = [engine.draw_uniforms(n) for n in events]
+        codes = _flip_codes(rounds, flips, events)
+        rng = make_rng(seed)
+        want = np.concatenate(
+            [reference_flips(rng, rounds, n, noise) for n in events], axis=1
+        )
+        assert np.array_equal(codes, want)
+        assert same_stream_position(engine.rng, rng)
+
+    def test_top_up(self):
+        # Seed 687 puts more than 75 (= 52 + 3 * sqrt(52) + 2) flips into
+        # this 200-round, 13-game event at noise 0.01, so its gaps fall
+        # short and a second chunk tops them up.
+        rounds, n_games, noise = 200, 13, 0.01
+        first = int(52 + 3.0 * math.sqrt(52)) + 2
+        engine = SampledFitnessEngine(
+            rounds=rounds, noise=noise, rng=make_rng(687)
+        )
+        flips = engine.draw_uniforms(n_games)
+        assert len(flips) >= first - 1
+        one_chunk = make_rng(687)
+        one_chunk.random(first)
+        assert not same_stream_position(engine.rng, one_chunk)
+        rng = make_rng(687)
+        assert np.array_equal(
+            _flip_codes(rounds, [flips], [n_games]),
+            reference_flips(rng, rounds, n_games, noise),
+        )
+        assert same_stream_position(engine.rng, rng)
+
+    def test_mixed_configs_keep_float_draws(self):
+        engine = SampledFitnessEngine(
+            rounds=7, noise=0.1, rng=make_rng(4), mixed=True
+        )
+        assert np.array_equal(
+            engine.draw_uniforms(5), make_rng(4).random((7, 4, 5))
+        )
+
+
+class TestFlipStatistics:
+    """The pure draw samples Bernoulli(noise) per move.
+
+    Seeded, so the outcome is fixed; each check is a test at level
+    alpha = 0.001: |z| < 3.2905 for the flip count, and chi-square below
+    its 0.999 quantile (16.266 at 3 degrees of freedom, 43.820 at 19) for
+    the joint codes and the gaps.
+    """
+
+    Z = 3.2905
+    CHI2_3 = 16.266
+    CHI2_19 = 43.820
+
+    @staticmethod
+    def chi_square(observed, probabilities):
+        expected = observed.sum() * np.asarray(probabilities)
+        return float(((observed - expected) ** 2 / expected).sum())
+
+    @pytest.mark.parametrize("noise", [0.01, 0.3])
+    def test_flips_are_bernoulli_per_move(self, noise):
+        rounds, n_games, events = 200, 13, 400
+        engine = SampledFitnessEngine(
+            rounds=rounds, noise=noise, rng=make_rng(2024)
+        )
+        flips = [engine.draw_uniforms(n_games) for _ in range(events)]
+        per_event = rounds * 2 * n_games
+        moves = per_event * events
+        # Per-move flip rate.
+        count = sum(f.shape[0] for f in flips)
+        z = (count - moves * noise) / math.sqrt(moves * noise * (1 - noise))
+        assert abs(z) < self.Z
+        # The four joint codes 2 * flip_a + flip_b of a (round, game).
+        codes = _flip_codes(rounds, flips, [n_games] * events)
+        keep = 1.0 - noise
+        joint = [keep * keep, keep * noise, noise * keep, noise * noise]
+        observed = np.bincount(codes.ravel(), minlength=4)
+        assert self.chi_square(observed, joint) < self.CHI2_3
+        # Gaps between successive flips of the whole move sequence (the
+        # events laid end to end): geometric, in 20 cells of width
+        # ``width``, the last one open.  A gap of k fits in the sequence
+        # at moves - 1 - k places, which weights its probability.
+        at = np.concatenate(
+            [f + e * per_event for e, f in enumerate(flips)]
+        )
+        gaps = np.diff(at) - 1
+        width = max(1, round(3.0 / (20 * noise)))
+        cells = np.minimum(gaps // width, 19)
+        k = np.arange(moves - 1)
+        weight = (moves - 1 - k) * keep**k
+        law = np.bincount(
+            np.minimum(k // width, 19), weights=weight, minlength=20
+        )
+        observed = np.bincount(cells, minlength=20)
+        assert self.chi_square(observed, law / law.sum()) < self.CHI2_19
 
 
 class _WellMixedStub:
@@ -462,6 +640,34 @@ class TestWaveFusion:
         )
         assert len(calls) == pc_waves < pc_generations
         assert sum(calls) == serial_games
+
+
+class TestGolden:
+    """One small pure batched run, pinned.
+
+    The pin changes only with a sampled science-version bump
+    (:func:`repro.core.runstate.science_version`): the pure noisy draw is
+    part of the trajectory contract, so a change to it must bump the
+    version and regenerate this pin.
+    """
+
+    CONFIG = dict(
+        memory_steps=1, n_ssets=8, generations=1500, rounds=16, noise=0.05,
+        sampled_batched=True, seed=2014,
+    )
+    COUNTERS = (153, 75, 84)  # PC events, adoptions, mutations
+    FINAL = ["1101", "1111", "0101", "0101", "0110", "0101", "1111", "0110"]
+
+    @pytest.mark.parametrize("driver", [run_event_driven, run_ensemble],
+                             ids=["event", "ensemble"])
+    def test_pinned_run(self, driver):
+        config = EvolutionConfig(**self.CONFIG)
+        result = (
+            driver([config])[0] if driver is run_ensemble else driver(config)
+        )
+        counters = (result.n_pc_events, result.n_adoptions, result.n_mutations)
+        assert counters == self.COUNTERS
+        assert [s.bits() for s in result.population.strategies()] == self.FINAL
 
 
 class TestConfigAndBackends:
