@@ -160,22 +160,19 @@ def sampled_draws_per_round(mixed: bool, noise: float) -> int:
     return (2 if mixed else 0) + (2 if noise > 0.0 else 0)
 
 
-def noise_flip_codes(
-    uniforms: np.ndarray, noise: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def noise_flip_codes(uniforms: np.ndarray, noise: float) -> np.ndarray:
     """Reduce pure games' noise draws to 2-bit flip codes.
 
     ``uniforms`` is a ``(rounds, 2, n_games)`` block of
     :func:`play_pairs_uniforms` draws for pure tables (slots ``[a_noise,
     b_noise]``).  Returns the ``(rounds, n_games)`` uint8 codes ``2 *
-    flip_a + flip_b`` (written into ``out`` when given, which may be a
-    strided slot of a larger array) — all a pure game reads of its draws,
-    in one byte per round instead of sixteen.
+    flip_a + flip_b`` — all a pure game reads of its draws, in one byte
+    per round instead of sixteen.
     """
     flipped = np.less(uniforms, noise)
-    out = np.left_shift(flipped[:, 0], 1, out=out, dtype=np.uint8)
-    out |= flipped[:, 1]
-    return out
+    codes = np.left_shift(flipped[:, 0], 1, dtype=np.uint8)
+    codes |= flipped[:, 1]
+    return codes
 
 
 def play_pairs_uniforms(
@@ -223,26 +220,40 @@ def play_pairs_uniforms(
     * **One joint view per game.**  Both players record the same
       realised moves, so b's view is always the perspective swap
       (:func:`_mirror_row`) of a's.  The walk tracks only a's view, as a
-      flat index ``row * 4**n + view`` into the stacked tables, and reads
-      b's move from b's row pre-permuted by the mirror.
+      flat index into a table of successor views, and reads b's move
+      through the mirror.
     * **Flips up front.**  Noise flips do not depend on the play, so one
       comparison before the loop (:func:`noise_flip_codes`) yields every
       (round, game)'s 2-bit flip code; each round xors its moves into its
       codes.
-    * **Per-row preparation.**  a's table is pre-shifted: its entry at a
-      view is the flat index of the next view with a's move in place, so
-      one gather, or-ing in b's move and xor-ing in the flips advance the
-      walk, and one masked store keeps the round's joint code (six calls
-      per pure round).  The prepared tables scale with ``K * 4**n`` and
-      are built once per call; a per-game table would scale with
-      ``n_games * 4**n``, which costs far more at deep memory.
-    * **Payoffs after the loop, in round order.**  The joint code of every
-      round is kept in a ``(rounds, n_games)`` array; each side's payoffs
-      are gathered from it and summed with ``np.add.accumulate`` along the
-      rounds, which adds strictly in round order like the loop does.
+    * **A successor table per game while it pays.**  While ``4**n <=
+      2 * rounds``, each game gets its own joint successor table
+      (:func:`_walk_joint`): entry ``g * 4**n + v`` is the flat index of
+      game ``g``'s next view from view ``v`` with both moves in its low
+      two bits, so a pure round is one gather and one in-place xor of the
+      round's flip codes (two calls).  The tables hold ``n_games * 4**n``
+      entries, so past the rule their set-up costs more than the walk
+      saves, and the walk prepares each stacked row once instead
+      (:func:`_walk_rows`: a's row pre-shifted into next-view form, b's
+      read through the mirror; six calls per round, ``K * 4**n`` set-up).
+      On real calls of ~900 games and 200 rounds the joint walk is ~2.5×
+      faster at memory 2, ~1.4× at memory 4, about even at memory 5 and
+      ~1.9× slower at memory 6; the constant 2 is where the two cross at
+      memory 3–5 over 8–800 rounds.  The joint walk gathers with a plain
+      ``take``: ``np.take(..., out=)`` buffers in raise mode and ran ~1.7×
+      slower per round.  It widens the flip codes to intp 32 rounds at a
+      time, because xor-ing uint8 into intp cost ~1.8× an intp-by-intp
+      xor.
+    * **Payoffs after the loop.**  The joint code of every round is kept
+      in a ``(rounds, n_games)`` array, and each side's payoffs are
+      gathered from it.  Integer payoffs with ``rounds * max|payoff| <
+      2**53`` are summed in int64 (:func:`_integer_totals`): every partial
+      sum is then an integer float64 holds exactly, so every order of
+      addition, the round loop's included, gives the same bits.  Other
+      payoffs are summed with ``np.add.accumulate`` along the rounds,
+      which adds strictly in round order like the loop does.
       ``sum(axis=0)`` would not: on a single game it switches to pairwise
-      summation, so a game's bits would depend on its batch under
-      non-integer payoffs.
+      summation, so a game's bits would depend on its batch.
     """
     a_idx = np.asarray(a_idx, dtype=np.intp)
     b_idx = np.asarray(b_idx, dtype=np.intp)
@@ -274,61 +285,168 @@ def play_pairs_uniforms(
             f"{tuple(uniforms.shape)}"
         )
     n_states = tables.shape[1]
+    if mixed:
+        codes = _walk_mixed(tables, a_idx, b_idx, uniforms, noise, draws)
+    else:
+        codes = uniforms if flip_codes else noise_flip_codes(uniforms, noise)
+        if n_states <= _JOINT_WALK_VIEWS_PER_ROUND * rounds:
+            _walk_joint(tables, a_idx, b_idx, codes)
+        else:
+            _walk_rows(tables, a_idx, b_idx, codes)
+
+    vec = payoff.vector
+    # Integer payoffs whose every partial sum stays below 2**53 add exactly
+    # in any order, so the int64 sums carry the round loop's bits.
+    totals = (
+        _integer_totals
+        if _exact_integer_sums(vec, rounds, 2.0**53)
+        else _round_ordered_totals
+    )
+    return (
+        totals(vec, codes),
+        totals(vec[_SWAP_CODE], codes) if b_totals else None,
+    )
+
+
+#: The pure walk gives each game its own successor table while a game's
+#: ``4**n`` views number at most this many per round played (see
+#: :func:`play_pairs_uniforms`).
+_JOINT_WALK_VIEWS_PER_ROUND = 2
+
+#: Rounds per chunk: the joint walk widens its flip codes, and the payoff
+#: sums gather, this many rounds at a time, which bounds their 8-byte
+#: temporaries at a few ``_ROUND_CHUNK`` entries per game however long the
+#: games are.
+_ROUND_CHUNK = 32
+
+
+def _successor_shift(n_states: int) -> np.ndarray:
+    """Entry ``v``: ``v``'s successor view before the round's moves are
+    or-ed into its low two bits."""
+    return (np.arange(n_states, dtype=np.intp) << 2) & (n_states - 1)
+
+
+def _walk_joint(
+    tables: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray, codes: np.ndarray
+) -> None:
+    """Pure walk on one joint successor table per game.
+
+    Overwrites each round of the ``(rounds, n_games)`` uint8 flip ``codes``
+    with the round's joint move code ``2 * move_a + move_b``.  Entry ``g *
+    4**n + v`` of the table is the flat index of game ``g``'s next view
+    from view ``v``, both moves in its low two bits, so a round is one
+    gather and one xor of its flip codes.
+    """
+    n_states = tables.shape[1]
+    # Built in uint8 and widened once; b's row is read through the mirror.
+    moves = tables[a_idx] << 1
+    moves |= tables.take(_mirror_row(n_states), axis=1)[b_idx]
+    joint = moves.astype(np.intp)
+    joint += _successor_shift(n_states)
+    at = np.arange(a_idx.shape[0], dtype=np.intp) * n_states  # all-C starts
+    joint += at[:, None]
+    joint = joint.ravel()
+    for lo in range(0, codes.shape[0], _ROUND_CHUNK):
+        chunk = codes[lo : lo + _ROUND_CHUNK].astype(np.intp)
+        for flips in chunk:
+            flips ^= joint.take(at)
+            at = flips
+        np.bitwise_and(
+            chunk, 3, out=codes[lo : lo + _ROUND_CHUNK], casting="unsafe"
+        )
+
+
+def _walk_rows(
+    tables: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray, codes: np.ndarray
+) -> None:
+    """Pure walk over the stacked rows, prepared once per call.
+
+    Same contract as :func:`_walk_joint`.  a's row is pre-shifted: its
+    entry at a view is the flat index of the next view with a's move in
+    bit 1, so one gather, or-ing in b's move (read from b's row permuted
+    by the mirror) and xor-ing in the flips advance the walk, and one
+    masked store keeps the round's joint code.
+    """
+    n_states = tables.shape[1]
+    row_base = np.arange(tables.shape[0], dtype=np.intp) * n_states
+    at = row_base[a_idx]
+    b_offset = row_base[b_idx] - at
+    b_at_a_view = tables.take(_mirror_row(n_states), axis=1).ravel()
+    step_a = np.add(_successor_shift(n_states), row_base[:, None])
+    step_a |= tables << 1
+    step_a = step_a.ravel()
+    for out in codes:
+        step = step_a.take(at)
+        step |= b_at_a_view.take(at + b_offset)
+        step ^= out
+        # The low two bits of the flat index are the joint code.
+        np.bitwise_and(step, 3, out=out, casting="unsafe")
+        at = step
+
+
+def _walk_mixed(
+    tables: np.ndarray,
+    a_idx: np.ndarray,
+    b_idx: np.ndarray,
+    uniforms: np.ndarray,
+    noise: float,
+    draws: int,
+) -> np.ndarray:
+    """Walk over mixed (float) tables; returns the ``(rounds, n_games)``
+    intp joint move codes.
+
+    Each side owns ``draws // 2`` consecutive slots per round, in the
+    order [a_mix, a_noise?, b_mix, b_noise?].  ``codes[r]`` starts as
+    round r's flip code ``2 * flip_a + flip_b``; the round xors into it
+    the flat index of every game's next view.
+    """
+    n_states = tables.shape[1]
     row_base = np.arange(tables.shape[0], dtype=np.intp) * n_states
     # Flat index of each game's a-row at view 0 (all-C), and the offset
     # from there to b's row; the gathers raise IndexError on a bad row.
     at = row_base[a_idx]
     b_offset = row_base[b_idx] - at
-    # Entry v: v's successor view before the round's moves are or-ed in.
-    shift = (np.arange(n_states, dtype=np.intp) << 2) & (n_states - 1)
     b_at_a_view = tables.take(_mirror_row(n_states), axis=1).ravel()
-
-    if mixed:
-        # Each side owns ``side`` consecutive slots per round, in the
-        # order [a_mix, a_noise?, b_mix, b_noise?].  ``codes[r]`` starts
-        # as round r's flip code ``2 * flip_a + flip_b``; the round xors
-        # into it the flat index of every game's next view.
-        side = draws // 2
-        if noise > 0.0:
-            codes = noise_flip_codes(uniforms[:, side - 1::side], noise)
-            codes = codes.astype(np.intp)
-        else:
-            codes = np.zeros((rounds, n_games), dtype=np.intp)
-        p_a = tables.ravel()
-        next_base = (shift + row_base[:, None]).ravel()
-        for out, u_a, u_b in zip(codes, uniforms[:, 0], uniforms[:, side]):
-            code = (u_a < p_a.take(at)) << 1
-            code |= u_b < b_at_a_view.take(at + b_offset)
-            out ^= code
-            out |= next_base.take(at)
-            at = out
-        codes &= 3  # 2 * move_a + move_b
+    side = draws // 2
+    if noise > 0.0:
+        codes = noise_flip_codes(uniforms[:, side - 1::side], noise)
+        codes = codes.astype(np.intp)
     else:
-        codes = uniforms if flip_codes else noise_flip_codes(uniforms, noise)
-        # a's move pre-shifted into bit 1 of its successor's flat index.
-        step_a = np.add(shift, row_base[:, None])
-        step_a |= tables << 1
-        step_a = step_a.ravel()
-        for out in codes:
-            step = step_a.take(at)
-            step |= b_at_a_view.take(at + b_offset)
-            step ^= out
-            # The low two bits of the flat index are the joint code
-            # 2 * move_a + move_b.
-            np.bitwise_and(step, 3, out=out, casting="unsafe")
-            at = step
+        codes = np.zeros((uniforms.shape[0], a_idx.shape[0]), dtype=np.intp)
+    p_a = tables.ravel()
+    next_base = (_successor_shift(n_states) + row_base[:, None]).ravel()
+    for out, u_a, u_b in zip(codes, uniforms[:, 0], uniforms[:, side]):
+        code = (u_a < p_a.take(at)) << 1
+        code |= u_b < b_at_a_view.take(at + b_offset)
+        out ^= code
+        out |= next_base.take(at)
+        at = out
+    codes &= 3  # 2 * move_a + move_b
+    return codes
 
-    vec = payoff.vector
+
+def _exact_integer_sums(vec: np.ndarray, rounds: int, bound: float) -> bool:
+    """Whether ``rounds`` of the payoff values ``vec`` sum exactly below
+    ``bound``: every value is an integer and ``rounds * max|value| <
+    bound``, which bounds every partial sum as well."""
+    # Four Python floats: cheaper than array reductions at fill sizes of
+    # a few pairs.
+    values = vec.tolist()
     return (
-        _round_ordered_totals(vec, codes),
-        _round_ordered_totals(vec[_SWAP_CODE], codes) if b_totals else None,
+        all(v.is_integer() for v in values)
+        and rounds * max(map(abs, values)) < bound
     )
 
 
-#: Rounds per payoff gather in :func:`_round_ordered_totals`: bounds its
-#: float64 temporaries at ``2 * 8 * _TOTALS_CHUNK`` bytes per game however
-#: long the games are.
-_TOTALS_CHUNK = 32
+def _integer_totals(vec: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Per-game sums of integer-valued ``vec[codes]`` down a ``(rounds,
+    n_games)`` array, exact in int64 (callers check
+    :func:`_exact_integer_sums` against 2**53 first)."""
+    ivec = vec.astype(np.int64)
+    total = np.zeros(codes.shape[1], dtype=np.int64)
+    for lo in range(0, codes.shape[0], _ROUND_CHUNK):
+        total += ivec.take(codes[lo : lo + _ROUND_CHUNK]).sum(axis=0)
+    return total.astype(np.float64)
 
 
 def _round_ordered_totals(vec: np.ndarray, codes: np.ndarray) -> np.ndarray:
@@ -339,8 +457,8 @@ def _round_ordered_totals(vec: np.ndarray, codes: np.ndarray) -> np.ndarray:
     the previous chunk's totals.
     """
     total = None
-    for lo in range(0, codes.shape[0], _TOTALS_CHUNK):
-        per_round = vec.take(codes[lo : lo + _TOTALS_CHUNK])
+    for lo in range(0, codes.shape[0], _ROUND_CHUNK):
+        per_round = vec.take(codes[lo : lo + _ROUND_CHUNK])
         if total is not None:
             per_round[0] += total
         np.add.accumulate(per_round, axis=0, out=per_round)
@@ -415,19 +533,11 @@ def cycle_payoffs_pairs(
     mask = n_states - 1
     mirror = _mirror_row(n_states)
     vec = payoff.vector
-    if compact_sums:
-        # Four Python floats: cheaper than array reductions at fill sizes
-        # of a few pairs.
-        values = vec.tolist()
-        if not (
-            all(v.is_integer() for v in values)
-            and rounds * max(map(abs, values)) < 2.0**24
-        ):
-            raise ConfigurationError(
-                "compact_sums needs integer payoffs with rounds * "
-                f"max|payoff| < 2**24, got rounds={rounds} and payoff "
-                f"{values}"
-            )
+    if compact_sums and not _exact_integer_sums(vec, rounds, 2.0**24):
+        raise ConfigurationError(
+            "compact_sums needs integer payoffs with rounds * max|payoff| "
+            f"< 2**24, got rounds={rounds} and payoff {vec.tolist()}"
+        )
 
     # One-round tables, per pairing and view state: the joint move code
     # played from view v, the successor view, and both sides' round

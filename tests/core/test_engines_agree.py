@@ -25,6 +25,7 @@ from repro.core import (
     tft,
     wsls,
 )
+from repro.core import vectorgame
 from repro.core.vectorgame import (
     noise_flip_codes,
     play_pairs_uniforms,
@@ -247,7 +248,7 @@ class TestVectorEngine:
         for lane, size in enumerate(blocks):
             games = slice(lo, lo + size)
             block = make_rng(seed + 1 + lane).random((rounds, 2, size))
-            noise_flip_codes(block, noise, out=codes[:, games])
+            codes[:, games] = noise_flip_codes(block, noise)
             ref_a, ref_b = play_pairs(
                 strategies, a_idx[games], b_idx[games], rounds, payoff,
                 noise, rng=make_rng(seed + 1 + lane),
@@ -331,3 +332,225 @@ class TestVectorEngine:
             play_pairs_uniforms(
                 tables, a_idx, b_idx, 10, PayoffMatrix(), 0.1, uniforms
             )
+
+
+def _joint_edge(memory: int) -> int:
+    """Fewest rounds at which the pure walk gives each game its own
+    successor table: ``4**n <= 2 * rounds``."""
+    return -(-(4**memory) // 2)
+
+
+def _whole(lo: int, hi: int):
+    return st.integers(lo, hi).map(float)
+
+
+def _oracle_payoff(kind: str, rounds: int):
+    """Payoffs of one kind for the kernel oracle.  ``"2**46"`` entries
+    put ``rounds * max|payoff|`` past 2**53 from 128 rounds on, where the
+    round-ordered float sums round the odd totals (an int64 sum there
+    would change their bits); ``"near 2**53"`` puts it within a few
+    ``rounds`` of 2**53, on either side."""
+    if kind == "paper":
+        return st.just(PayoffMatrix())
+    if kind == "non-integer":
+        return st.just(_KERNEL_PAYOFFS[1])
+    if kind == "-0.0":
+        return st.just(
+            PayoffMatrix(-0.0, -0.0, -0.0, -0.0, require_dilemma=False)
+        )
+    if kind == "2**46":
+        return st.just(
+            PayoffMatrix(
+                reward=2.0**46 + 1,
+                sucker=-(2.0**46) + 3,
+                temptation=2.0**46 + 5,
+                punishment=7.0,
+                require_dilemma=False,
+            )
+        )
+    if kind == "near 2**53":
+        top = 2**53 // rounds
+        entry = _whole(-top, top)
+        return st.builds(
+            PayoffMatrix,
+            reward=_whole(top - 2, top + 2),
+            sucker=entry,
+            temptation=entry,
+            punishment=entry,
+            require_dilemma=st.just(False),
+        )
+    entry = _whole(-10, 10) if kind == "small integers" else _finite_payoff
+    return st.builds(
+        PayoffMatrix,
+        reward=entry,
+        sucker=entry,
+        temptation=entry,
+        punishment=entry,
+        require_dilemma=st.just(False),
+    )
+
+
+_ORACLE_PAYOFF_KINDS = (
+    "paper", "non-integer", "-0.0", "2**46", "near 2**53",
+    "small integers", "floats",
+)
+
+
+def _spy(monkeypatch, names: tuple[str, ...]) -> list[str]:
+    """Record, in order, which of the named ``vectorgame`` helpers run."""
+    ran: list[str] = []
+    for name in names:
+        real = getattr(vectorgame, name)
+
+        def spy(*args, _name=name, _real=real):
+            ran.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(vectorgame, name, spy)
+    return ran
+
+
+class TestSampledKernelWalks:
+    """The uniform kernel's two pure walks and two payoff sums, each
+    against the rng-driven round loop and against each other."""
+
+    @pytest.mark.parametrize("memory", range(1, 7))
+    @given(
+        seed=st.integers(0, 10_000),
+        layout=st.sampled_from(["codes", "floats", "mixed"]),
+        n_games=st.integers(1, 40),
+        kind=st.sampled_from(_ORACLE_PAYOFF_KINDS),
+        b_totals=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_kernel_matches_round_loop(
+        self, memory, seed, layout, n_games, kind, b_totals, data
+    ):
+        # Rounds on both sides of the walk rule and at the chunk edges.
+        edge = _joint_edge(memory)
+        rounds = data.draw(
+            st.one_of(
+                st.integers(1, 250),
+                st.sampled_from([31, 32, 33, 64, max(1, edge - 1), edge]),
+            ),
+            label="rounds",
+        )
+        payoff = data.draw(_oracle_payoff(kind, rounds), label="payoff")
+        mixed = layout == "mixed"
+        noise = data.draw(
+            st.sampled_from([0.0, 0.3] if mixed else [0.01, 0.3]),
+            label="noise",
+        )
+        rng = make_rng(seed)
+        strategies = [random_pure(rng, memory) for _ in range(4)]
+        if mixed:
+            strategies += [random_mixed(rng, memory) for _ in range(2)]
+        tables, _, _ = stack_tables(strategies)
+        a_idx = rng.integers(0, len(strategies), size=n_games)
+        b_idx = rng.integers(0, len(strategies), size=n_games)
+        ref_a, ref_b = play_pairs(
+            strategies, a_idx, b_idx, rounds, payoff, noise,
+            rng=make_rng(seed + 1),
+        )
+        draws = sampled_draws_per_round(mixed, noise)
+        uniforms = make_rng(seed + 1).random((rounds, draws, n_games))
+        if layout == "codes":
+            uniforms = noise_flip_codes(uniforms, noise)
+        pay_a, pay_b = play_pairs_uniforms(
+            tables, a_idx, b_idx, rounds, payoff, noise, uniforms,
+            b_totals=b_totals,
+        )
+        assert _same_bits(pay_a, ref_a)
+        if b_totals:
+            assert _same_bits(pay_b, ref_b)
+        else:
+            assert pay_b is None
+
+    @given(
+        seed=st.integers(0, 10_000),
+        memory=st.integers(1, 6),
+        rounds=st.integers(1, 80),
+        n_games=st.integers(1, 60),
+        noise=st.sampled_from([0.01, 0.3, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_joint_and_row_walks_agree(
+        self, seed, memory, rounds, n_games, noise
+    ):
+        # Whatever the rule picks, both walks give the same joint codes.
+        rng = make_rng(seed)
+        tables, _, _ = stack_tables(
+            [random_pure(rng, memory) for _ in range(5)]
+        )
+        a_idx = rng.integers(0, 5, size=n_games)
+        b_idx = rng.integers(0, 5, size=n_games)
+        flips = noise_flip_codes(rng.random((rounds, 2, n_games)), noise)
+        joint, rows = flips.copy(), flips.copy()
+        vectorgame._walk_joint(tables, a_idx, b_idx, joint)
+        vectorgame._walk_rows(tables, a_idx, b_idx, rows)
+        assert joint.dtype == rows.dtype == np.uint8
+        assert joint.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("memory", range(1, 7))
+    def test_walk_rule_edge(self, memory, monkeypatch):
+        # Per-game tables from the first round count with 4**n <= 2 *
+        # rounds on, the prepared rows below it; both give the round
+        # loop's bits.
+        ran = _spy(monkeypatch, ("_walk_joint", "_walk_rows"))
+        rng = make_rng(memory)
+        strategies = [random_pure(rng, memory) for _ in range(3)]
+        tables, _, _ = stack_tables(strategies)
+        a_idx = rng.integers(0, 3, size=12)
+        b_idx = rng.integers(0, 3, size=12)
+        edge = _joint_edge(memory)
+        for rounds, walk in ((edge, "_walk_joint"), (edge - 1, "_walk_rows")):
+            if rounds < 1:
+                continue
+            ran.clear()
+            ref_a, ref_b = play_pairs(
+                strategies, a_idx, b_idx, rounds, PayoffMatrix(), 0.1,
+                rng=make_rng(rounds),
+            )
+            uniforms = make_rng(rounds).random((rounds, 2, 12))
+            pay_a, pay_b = play_pairs_uniforms(
+                tables, a_idx, b_idx, rounds, PayoffMatrix(), 0.1,
+                noise_flip_codes(uniforms, 0.1),
+            )
+            assert ran == [walk]
+            assert _same_bits(pay_a, ref_a) and _same_bits(pay_b, ref_b)
+
+    @pytest.mark.parametrize(
+        "top, rounds, totals",
+        [
+            # 256 * 2**45 == 2**53: from there on the sums keep round order.
+            (2.0**45, 255, "_integer_totals"),
+            (2.0**45, 256, "_round_ordered_totals"),
+            (2.0**46 + 5, 200, "_round_ordered_totals"),
+        ],
+    )
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_integer_sum_bound(self, top, rounds, totals, mixed, monkeypatch):
+        ran = _spy(monkeypatch, ("_integer_totals", "_round_ordered_totals"))
+        payoff = PayoffMatrix(
+            reward=top, sucker=-3.0, temptation=top - 1, punishment=1.0,
+            require_dilemma=False,
+        )
+        rng = make_rng(9)
+        strategies = [random_pure(rng, 2) for _ in range(3)]
+        if mixed:
+            strategies.append(random_mixed(rng, 2))
+        tables, _, _ = stack_tables(strategies)
+        a_idx = rng.integers(0, len(strategies), size=20)
+        b_idx = rng.integers(0, len(strategies), size=20)
+        noise = 0.05
+        ref_a, ref_b = play_pairs(
+            strategies, a_idx, b_idx, rounds, payoff, noise, rng=make_rng(3)
+        )
+        draws = sampled_draws_per_round(mixed, noise)
+        pay_a, pay_b = play_pairs_uniforms(
+            tables, a_idx, b_idx, rounds, payoff, noise,
+            make_rng(3).random((rounds, draws, 20)),
+        )
+        assert ran == [totals, totals]
+        assert _same_bits(pay_a, ref_a) and _same_bits(pay_b, ref_b)

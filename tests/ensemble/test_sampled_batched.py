@@ -405,6 +405,24 @@ class TestEnsembleLaneParity:
     def test_include_self_play(self):
         self.check(batched_configs(n=3, include_self_play=True))
 
+    def test_deep_memory_row_walk(self, monkeypatch):
+        # Memory 5 at 16 rounds: 4**5 views > 2 * 16, so every kernel call
+        # takes the prepared-row walk, which the shallower lane tests
+        # (per-game tables) never reach.
+        from repro.core import vectorgame
+
+        walks: list[str] = []
+        for name in ("_walk_joint", "_walk_rows"):
+            real = getattr(vectorgame, name)
+
+            def spy(*args, _name=name, _real=real):
+                walks.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(vectorgame, name, spy)
+        self.check(batched_configs(n=4, memory_steps=5, generations=1500))
+        assert walks and set(walks) == {"_walk_rows"}
+
     def test_short_batches_keep_bits(self):
         # Waves restart at every batch edge; lanes keep their trajectories.
         configs = batched_configs(n=4, memory_steps=2)
