@@ -126,6 +126,9 @@ def _load_resume_artifact(path: Path):
     wins).  A *file* can only be a version-1 population checkpoint
     (``.npz``) — those hold a final population, not mid-run state, and get
     a :class:`~repro.errors.CheckpointError` pointing at the right flags.
+    An ensemble snapshot whose layout (``mode``) is not the one its
+    configurations run now (:func:`repro.ensemble.driver._group_mode`) is
+    refused as well: the driver would start that group again from zero.
     """
     from .errors import CheckpointError
     from .io.run_checkpoint import load_run_checkpoint
@@ -143,12 +146,31 @@ def _load_resume_artifact(path: Path):
         last_error: CheckpointError | None = None
         for candidate in reversed(generations):
             try:
-                return load_run_checkpoint(candidate)
+                found = load_run_checkpoint(candidate)
+                break
             except CheckpointError as err:
                 last_error = err
-        assert last_error is not None
-        raise last_error
-    return load_run_checkpoint(path)
+        else:
+            assert last_error is not None
+            raise last_error
+    else:
+        found = load_run_checkpoint(path)
+    meta = found[0]
+    if meta.get("kind") == "ensemble":
+        # The ensemble driver starts a group afresh from a snapshot of
+        # another layout; a pinned artifact must not rerun silently.
+        from .ensemble.driver import _group_mode
+
+        saved = meta.get("mode")
+        runs = _group_mode(EvolutionConfig.from_dict(meta["configs"][0]))
+        if saved != runs:
+            raise CheckpointError(
+                f"{path}: the snapshot holds the {saved!r} ensemble layout, "
+                f"but this build runs its configurations in the {runs!r} "
+                "layout and cannot continue it — start the sweep again from "
+                "generation 0"
+            )
+    return found
 
 
 class _PinnedSnapshotSink:

@@ -890,6 +890,93 @@ def _flip_budget(moves: int, noise: float) -> int:
     return int(expected + 3.0 * math.sqrt(expected)) + 2
 
 
+def _gap_positions(
+    doubles: np.ndarray,
+    starts: np.ndarray,
+    moves: int,
+    covered: int,
+    log_keep: float,
+) -> np.ndarray:
+    """Flip positions from consecutive chunks of gap doubles.
+
+    Chunk ``i`` of ``doubles`` starts at ``starts[i]``, and each chunk
+    begins a flip sequence whose first ``covered`` moves are decided:
+    each double ``u`` puts the next flip ``floor(log1p(-u) / log_keep)``
+    moves past the previous one.  Returns every chunk's positions,
+    ascending within the chunk, concatenated; a chunk's last position plus
+    one is how many moves it has decided.  ``moves`` is at least every
+    chunk's move count.
+    """
+    gaps = np.log1p(-doubles)
+    gaps /= log_keep
+    # A gap that reaches its chunk's last move overshoots whatever its
+    # size; the clamp keeps the cast and the sums finite at tiny noise.
+    np.minimum(gaps, moves, out=gaps)
+    flips = gaps.astype(np.int64)
+    flips += 1
+    flips[starts] += covered - 1
+    if starts.shape[0] > 1:
+        # Each chunk's first step less the previous chunk's total: one
+        # running sum over all chunks then restarts at every chunk.
+        flips[starts[1:]] -= np.add.reduceat(flips, starts)[:-1]
+    np.cumsum(flips, out=flips)
+    return flips
+
+
+def _draw_flips(
+    rngs: list, moves, noise: float, log_keep: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every lane's noise flips for one wave: the concatenated flip
+    positions of all lanes and the number of positions of each.
+
+    Lane ``i`` draws the flips of its ``moves[i]`` moves from ``rngs[i]``
+    by :meth:`SampledFitnessEngine.draw_uniforms`' contract: one
+    ``rng.random`` chunk of :func:`_flip_budget` doubles per lane, then
+    one transform of the whole wave's doubles (:func:`_gap_positions`),
+    then a top-up from the lane's own stream for the rare lane whose gaps
+    fall short of its last move.  NumPy's ``log1p`` gives the same bits
+    for a double wherever it sits in the array, so each lane's flips are
+    those of its own one-lane draw, and its stream advances by the same
+    amount.  A lane's positions ascend, and those at or past its last
+    move (the overshoot and the discarded doubles after it) are left in:
+    :func:`_scatter_flips` drops them.
+    """
+    moves = np.asarray(moves, dtype=np.int64)
+    # _flip_budget over the array: the same correctly rounded operations.
+    expected = moves * noise
+    budgets = (expected + 3.0 * np.sqrt(expected)).astype(np.int64) + 2
+    ends = np.cumsum(budgets)
+    doubles = np.empty(int(ends[-1]))
+    lo = 0
+    for rng, hi in zip(rngs, ends.tolist()):
+        rng.random(out=doubles[lo:hi])
+        lo = hi
+    flips = _gap_positions(
+        doubles, ends - budgets, int(moves.max()), 0, log_keep
+    )
+    short = flips[ends - 1] + 1 < moves
+    if short.any():
+        lanes = np.split(flips, ends[:-1])
+        one = np.zeros(1, dtype=np.int64)
+        for i in np.flatnonzero(short).tolist():
+            lane_moves = int(moves[i])
+            chunks = [lanes[i]]
+            covered = int(lanes[i][-1]) + 1
+            while covered < lane_moves:
+                budget = _flip_budget(lane_moves - covered, noise)
+                chunks.append(
+                    _gap_positions(
+                        rngs[i].random(budget), one, lane_moves, covered,
+                        log_keep,
+                    )
+                )
+                covered = int(chunks[-1][-1]) + 1
+            lanes[i] = np.concatenate(chunks)
+        budgets = np.array([f.shape[0] for f in lanes], dtype=np.int64)
+        flips = np.concatenate(lanes)
+    return flips, budgets
+
+
 def _flip_codes(
     rounds: int, flips: list[np.ndarray], counts: list[int]
 ) -> np.ndarray:
@@ -900,23 +987,69 @@ def _flip_codes(
     of :meth:`SampledFitnessEngine.draw_uniforms`.  A flip of side a sets
     bit 1 of its (round, game) code, one of side b bit 0 — the ``2 *
     flip_a + flip_b`` codes :func:`~repro.core.vectorgame.
-    play_pairs_uniforms` reads.  One zeroed array, one scatter per side.
+    play_pairs_uniforms` reads.  One zeroed array, one scatter.
     """
-    n_games = sum(counts)
-    codes = np.zeros((rounds, n_games), dtype=np.uint8)
-    sizes = [f.shape[0] for f in flips]
+    return _scatter_flips(
+        rounds, np.concatenate(flips), [f.shape[0] for f in flips], counts
+    )
+
+
+def _scatter_flips(
+    rounds: int, flips: np.ndarray, sizes, counts
+) -> np.ndarray:
+    """:func:`_flip_codes` over events' flips already concatenated, event
+    ``e`` holding the next ``sizes[e]`` of them.
+
+    Positions at or past an event's last move (as :func:`_draw_flips`
+    leaves them) land in one extra row past the last round, which the
+    returned view leaves out.  A (round, game) cell gets at most one flip
+    per side, so adding 2 per side-a flip and 1 per side-b flip sets its
+    code.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    n_games = int(counts.sum())
+    codes = np.zeros((rounds + 1, n_games), dtype=np.uint8)
     games = np.repeat(counts, sizes)
     first = np.repeat(np.cumsum(counts) - counts, sizes)
-    rnd, rest = np.divmod(np.concatenate(flips), 2 * games)
+    two_g = 2 * games
+    flips = np.minimum(flips, rounds * two_g)
+    # Float division floors exactly for integers below 2**53, faster than
+    # an integer divmod.
+    rnd = (flips / two_g).astype(np.int64)
+    rest = flips - rnd * two_g
     side_b = rest >= games
     cell = rnd * n_games
     cell += first
     cell += rest
     cell -= games * side_b
-    flat = codes.reshape(-1)
-    flat[cell[~side_b]] = 2
-    flat[cell[side_b]] |= 1
-    return codes
+    np.add.at(codes.reshape(-1), cell, 2 >> side_b.view(np.uint8))
+    return codes[:rounds]
+
+
+def _insertion_runs(
+    lane_sids: np.ndarray, lane_stamps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each lane's distinct strategies in histogram insertion order.
+
+    ``lane_sids`` and ``lane_stamps`` are ``(k, n_ssets)``; SSets holding
+    the same strategy share its insertion stamp, and stamps rise in
+    insertion order.  Returns ``(lane, sid, count)`` with one entry per
+    distinct strategy of each lane, lane by lane, each lane's strategies
+    in ascending stamp order — the order of its ``StrategyHistogram``.
+    """
+    k, n = lane_stamps.shape
+    # Flat positions of each lane's SSets in stamp order.
+    order = np.argsort(lane_stamps, axis=1)
+    order += np.arange(0, k * n, n)[:, None]
+    order = order.ravel()
+    stamps = lane_stamps.ravel()[order].reshape(k, n)
+    first = np.ones((k, n), dtype=bool)
+    np.not_equal(stamps[:, 1:], stamps[:, :-1], out=first[:, 1:])
+    starts = np.flatnonzero(first)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1] = k * n
+    return starts // n, lane_sids.ravel()[order[starts]], ends - starts
 
 
 class SampledPlan:
@@ -980,6 +1113,13 @@ class SampledFitnessEngine(PayoffCache):
     Pure-noiseless pairs that arise in mixed-strategy configurations still
     go through the inherited deterministic cache (those payoffs carry no
     randomness).
+
+    Three entry points play the games: :meth:`pc_pair_fitness` (one PC
+    event, the serial drivers), :meth:`eval_plans` (many events' plans in
+    one kernel call: the ensemble's per-lane evaluator path, which serves
+    mixed and graph lanes) and :meth:`eval_wave` (the same for pure noisy
+    well-mixed lanes built as arrays from the ensemble's shared strategy
+    pool, with no engine object per lane).
 
     Contract: per-seed reproducible, and bit-identical between the serial
     drivers and the ensemble driver's per-lane trajectories (each event's
@@ -1100,23 +1240,7 @@ class SampledFitnessEngine(PayoffCache):
                 (self.rounds, self.draws_per_round, n_games)
             )
         moves = self.rounds * 2 * n_games
-        chunks: list[np.ndarray] = []
-        covered = 0
-        while covered < moves:
-            gaps = np.log1p(
-                -self.rng.random(_flip_budget(moves - covered, self.noise))
-            )
-            gaps /= self._log_keep
-            # Every gap past the last move overshoots alike; the clamp
-            # keeps the cast and the sums finite at tiny noise.
-            np.minimum(gaps, moves, out=gaps)
-            flips = gaps.astype(np.int64)
-            flips += 1
-            flips[0] += covered - 1
-            np.cumsum(flips, out=flips)
-            covered = int(flips[-1]) + 1
-            chunks.append(flips)
-        flips = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        flips, _ = _draw_flips([self.rng], [moves], self.noise, self._log_keep)
         return flips[: np.searchsorted(flips, moves)]
 
     def _play_games(
@@ -1328,6 +1452,100 @@ class SampledFitnessEngine(PayoffCache):
             cursor += n
             results.append((float(fits[0]), float(fits[1])))
         return results
+
+    @staticmethod
+    def eval_wave(
+        tables: np.ndarray,
+        lane_sids: np.ndarray,
+        lane_stamps: np.ndarray,
+        teachers: np.ndarray,
+        learners: np.ndarray,
+        rngs: list,
+        rounds: int,
+        payoff: PayoffMatrix,
+        noise: float,
+        include_self_play: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Well-mixed PC fitness of many pure noisy lanes, one event each,
+        as **one** kernel call: :meth:`eval_plans` built from arrays.
+
+        Lane ``i`` holds the sid row ``lane_sids[i]`` over the pool's
+        stacked uint8 ``tables``, its PC event's teacher and learner sids
+        are ``teachers[i]`` and ``learners[i]``, and ``rngs[i]`` is its
+        dedicated ``("nature", "sampled")`` stream.  Returns the teachers'
+        and learners' fitness, bit for bit what :meth:`pc_pair_fitness`
+        gives each lane's population.
+
+        * **Games in histogram order.**  A plan plays one game per distinct
+          strategy in ``StrategyHistogram`` insertion order (plus the
+          ``-1``-weighted self-play game), and the draws and sums follow
+          that order.  ``lane_stamps[i, j]`` is the step at which SSet
+          ``j``'s strategy entered lane ``i``'s histogram, shared by every
+          SSet holding it, so sorting a lane's SSets by stamp lists its
+          strategies in exactly that order (:func:`_insertion_runs`).
+          The games, and hence every trajectory, fingerprint and unit key,
+          stay those of science version 2; a canonical order would change
+          them and need a version bump.
+        * **Draws.**  Each lane draws its games' flips from its own
+          stream (:func:`_draw_flips`, one ``rng.random`` per lane), so
+          its stream advances as its serial run's does.
+        * **Kernel.**  Only the pool rows the wave's games touch are
+          handed to :func:`~repro.core.vectorgame.play_pairs_uniforms`.
+        * **Fold.**  ``np.bincount`` adds each side's weighted payoffs
+          into a float64 zero one game at a time, in game order: the same
+          additions, in the same order, as :meth:`eval_plans`' loop, so
+          the bits match for any payoff matrix.
+        """
+        k = lane_sids.shape[0]
+        lane, opp, count = _insertion_runs(lane_sids, lane_stamps)
+        # One entry per (lane, side, opponent); without self-play each
+        # side also plays its -1-weighted game against itself (opponent
+        # -1 until the focal sid is known).  A stable sort on (lane,
+        # side) puts the entries in plan order: per lane, the teacher's
+        # games and then the learner's, each in insertion order with the
+        # self-play game last.
+        key = 2 * lane
+        keys = [key, key + 1]
+        opps = [opp, opp]
+        count = count.astype(np.float64)
+        weights = [count, count]
+        if not include_self_play:
+            own = 2 * np.arange(k, dtype=np.int64)
+            keys += [own, own + 1]
+            opps.append(np.full(2 * k, -1, dtype=np.int64))
+            weights.append(np.full(2 * k, -1.0))
+        key = np.concatenate(keys)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        game_lane = key >> 1
+        a_sid = np.concatenate((teachers, learners))[(key & 1) * k + game_lane]
+        b_sid = np.concatenate(opps)[order]
+        b_sid = np.where(b_sid < 0, a_sid, b_sid)
+        weight = np.concatenate(weights)[order]
+
+        games = np.bincount(game_lane, minlength=k)
+        # np.log1p, as the per-event draw takes it; -inf at noise 1.
+        log_keep = float(np.log1p(-noise)) if noise < 1.0 else -math.inf
+        flips, sizes = _draw_flips(rngs, games * (2 * rounds), noise, log_keep)
+        codes = _scatter_flips(rounds, flips, sizes, games)
+        # Every game's strategies are its lane's: the pool rows the wave
+        # touches, renumbered in pool order.
+        touched = np.zeros(tables.shape[0], dtype=bool)
+        touched[lane_sids] = True
+        row_of = np.cumsum(touched) - 1
+        pay, _ = play_pairs_uniforms(
+            tables[touched],
+            row_of[a_sid],
+            row_of[b_sid],
+            rounds,
+            payoff,
+            noise,
+            codes,
+            b_totals=False,
+        )
+        pay *= weight
+        fit = np.bincount(key, weights=pay, minlength=2 * k)
+        return fit[0::2], fit[1::2]
 
     def pc_pair_fitness(
         self,

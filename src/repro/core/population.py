@@ -19,7 +19,8 @@ from .config import EvolutionConfig
 from .engine import FitnessEngine
 from .payoff_cache import PayoffCache, StrategyHistogram
 from .sset import SSet
-from .strategy import Strategy, random_mixed, random_pure
+from .states import num_states
+from .strategy import Strategy
 
 __all__ = ["Population"]
 
@@ -53,14 +54,22 @@ class Population:
     ) -> "Population":
         """Random initial population (paper Fig. 2a: "strategies are randomly
         assigned to all SSets at the start")."""
-        make = random_mixed if config.mixed_strategies else random_pure
+        # One draw for all the tables: the generator fills it in C order,
+        # exactly as one random_pure (random_mixed) call per SSet would — a
+        # pure table's 4**n bytes take whole 32-bit words.
+        memory = config.memory_steps
+        shape = (config.n_ssets, num_states(memory))
+        if config.mixed_strategies:
+            tables = rng.random(shape)
+        else:
+            tables = rng.integers(0, 2, size=shape, dtype=np.uint8)
         ssets = [
             SSet(
                 sset_id=i,
-                strategy=make(rng, config.memory_steps),
+                strategy=Strategy._trusted(table, memory),
                 n_agents=config.agents_per_sset,
             )
-            for i in range(config.n_ssets)
+            for i, table in enumerate(tables)
         ]
         return cls(ssets)
 
@@ -155,14 +164,15 @@ class Population:
     # -- mutation-preserving updates ------------------------------------------
 
     def set_strategy(self, sset_id: int, strategy: Strategy) -> None:
-        """Replace one SSet's strategy — the *only* strategy write path.
+        """Replace one SSet's strategy — the per-SSet strategy write path.
 
         Every strategy write (learning, mutation, manual surgery) must go
-        through here so the SSet list, the derived histogram, and the
-        engine's sid array / refcounts cannot desync;
-        :meth:`check_invariants` verifies the pairing.  The engine update
-        interns the new strategy *before* releasing the old one, matching
-        the histogram's add-then-remove insertion-order semantics.
+        through here or through its bulk form :meth:`reassign`, so the SSet
+        list, the derived histogram, and the engine's sid array / refcounts
+        cannot desync; :meth:`check_invariants` verifies the pairing.  The
+        engine update interns the new strategy *before* releasing the old
+        one, matching the histogram's add-then-remove insertion-order
+        semantics.
         """
         sset = self._ssets[sset_id]
         old = sset.strategy
@@ -174,6 +184,23 @@ class Population:
             old_sid = int(self._sids[sset_id])
             self._sids[sset_id] = new_sid
             self._engine.release(old_sid)
+
+    def reassign(self, strategies: list[Strategy], order: list[int]) -> None:
+        """Set every SSet's strategy at once (no engine may be bound).
+
+        The histogram is rebuilt with the strategies inserted in the order
+        their SSets take in ``order``, a permutation of the SSet ids: the
+        insertion order a run reached one :meth:`set_strategy` at a time.
+        """
+        if self._engine is not None:
+            raise SimulationError(
+                "reassign rebuilds the histogram only; unbind the engine"
+            )
+        for sset, strategy in zip(self._ssets, strategies):
+            sset.strategy = strategy
+        self.histogram = StrategyHistogram.from_strategies(
+            [strategies[i] for i in order]
+        )
 
     def adopt(self, learner_id: int, strategy: Strategy) -> None:
         """Learner SSet adopts a teacher's strategy (histogram kept in sync)."""

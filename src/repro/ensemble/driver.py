@@ -72,32 +72,43 @@ Regimes:
 
 * **deterministic** (pure strategies, no noise, integer payoffs, ``engine``
   on) — the shared-engine fast path above.
-* **expected** Markov fitness, non-integer payoffs, ``engine=False`` or a
-  custom structure — lanes run with per-lane evaluators (the exact serial
-  objects: :class:`~repro.core.engine.FitnessEngine` or the legacy
-  :class:`~repro.core.payoff_cache.PayoffCache`) through
+* **pure sampled** (``sampled_batched=True``, pure strategies, ``noise >
+  0``: science version 2) on well-mixed populations — the same shared
+  path over a pool-only :class:`~repro.ensemble.engine.EnsembleEngine`
+  (sid rows, no pair matrix): nothing is filled ahead, so each batch is
+  one window, and a wave's PC lanes play their games afresh in **one**
+  :func:`~repro.core.vectorgame.play_pairs_uniforms` call
+  (:meth:`~repro.core.engine.SampledFitnessEngine.eval_wave`).  Each lane
+  plays its strategies in its histogram's insertion order, kept as
+  per-SSet insertion stamps (:class:`_SampledLanes`), and draws its noise
+  flips as geometric gaps from its own dedicated ``("nature",
+  "sampled")`` stream, so its trajectory is bit-identical to the same-seed
+  serial ``sampled_batched`` run — and statistically equivalent to the
+  scalar legacy path.  A 64-lane, 500-generation memory-2 sweep is ~95
+  such calls, one per wave with PC events.
+* **expected** Markov fitness, non-integer payoffs, ``engine=False``, a
+  custom structure, and sampled lanes on graphs or with mixed strategies
+  — lanes run with per-lane evaluators (the exact serial objects:
+  :class:`~repro.core.engine.FitnessEngine`, the legacy
+  :class:`~repro.core.payoff_cache.PayoffCache` or
+  :class:`~repro.core.engine.SampledFitnessEngine`) through
   :func:`_run_group_generic`, still sharing the merged event scan and the
-  same waves, one batch of events at a time.  The expected regime cannot
-  share one matrix bit-identically across lanes — its Markov kernel is not
-  perspective-symmetric in the last ulp, so entry values depend on which
-  lane evaluated a pair first.
-* **sampled-stochastic** fitness is rejected by default: every game is an
+  same waves, one batch of events at a time; a wave's sampled lanes fuse
+  their plans into one kernel call
+  (:meth:`~repro.core.engine.SampledFitnessEngine.eval_plans`).  The
+  expected regime cannot share one matrix bit-identically across lanes —
+  its Markov kernel is not perspective-symmetric in the last ulp, so entry
+  values depend on which lane evaluated a pair first.
+* **sampled-stochastic** fitness without the ``sampled_batched=True``
+  opt-in (``--sampled-batched``) is rejected: every game is an
   independent draw from the per-lane games stream, so there is nothing to
   share without changing the trajectory (use the ``event`` backend per
-  run).  With the explicit ``sampled_batched=True`` opt-in
-  (``--sampled-batched``) lanes instead carry per-lane
-  :class:`~repro.core.engine.SampledFitnessEngine` evaluators over
-  dedicated ``("nature", "sampled")`` streams on the generic path, and a
-  wave's PC lanes are evaluated as **one** fused
-  :func:`~repro.core.vectorgame.play_pairs_uniforms` kernel call
-  (:meth:`~repro.core.engine.SampledFitnessEngine.eval_plans`).  Each
-  lane draws its own event's noise flips from its own stream (geometric
-  gaps in pure configurations), and the call scatters them into its
-  columns of one byte of flip codes per game and round, so its
-  trajectory is bit-identical to the same-seed serial ``sampled_batched``
-  run — and statistically equivalent to the scalar legacy path.  A 64-lane,
-  500-generation memory-2 sweep is ~95 such calls instead of ~500, one
-  per generation with PC events.
+  run).
+
+:func:`_group_mode` routes a signature group to its path; the path is
+also the ``mode`` of the group's mid-run snapshots, and a pinned snapshot
+written in the other one is refused (``repro resume``, ``evolve
+--resume-from``).
 """
 
 from __future__ import annotations
@@ -146,7 +157,7 @@ from ..core.runstate import (
     unit_key,
     validate_resume_config,
 )
-from ..core.strategy import random_mixed, random_pure
+from ..core.strategy import Strategy, random_mixed, random_pure
 from ..errors import CheckpointError, ConfigurationError
 from ..rng import SeedSequenceTree
 from ..structure import GraphStructure, InteractionModel, build_structure
@@ -164,18 +175,67 @@ _NO_SIDS = np.zeros(0, dtype=np.int64)
 _MUTANTS_PER_WINDOW = 3.2
 
 
-#: Expected events per batch of the per-lane evaluator path.  A batch's
-#: wave schedule and its lists cost a few hundred bytes per event, so long
-#: wide sweeps split into batches of about this many events (~1,700
-#: generations of 64 lanes at the paper's rates); the event flags are
-#: drawn from the same stream words however the generations split.
-_GENERIC_BATCH_EVENTS = 1 << 14
+#: Expected events per batch of the groups that advance each whole batch
+#: in waves: the per-lane evaluator path and the shared path's sampled
+#: lanes.  A batch's wave schedule, its lists and its pre-drawn decisions
+#: cost a few hundred bytes per event, so long wide sweeps split into
+#: batches of about this many events (~1,700 generations of 64 lanes at
+#: the paper's rates); the event flags are drawn from the same stream
+#: words however the generations split.
+_BATCH_EVENTS = 1 << 14
 
 
 def _fill_window(mutation_rate: float) -> int:
     if mutation_rate <= 0.0:
         return 1024
     return max(32, min(1024, round(_MUTANTS_PER_WINDOW / mutation_rate)))
+
+
+def _capped_batch_size(
+    batch_size: int, n_lanes: int, cfg: EvolutionConfig
+) -> int:
+    """``batch_size`` cut to about :data:`_BATCH_EVENTS` expected events."""
+    events_per_generation = n_lanes * (cfg.pc_rate + cfg.mutation_rate)
+    if events_per_generation > 0:
+        batch_size = min(
+            batch_size, max(1, int(_BATCH_EVENTS / events_per_generation))
+        )
+    return batch_size
+
+
+def _samples_on_pool(config: EvolutionConfig) -> bool:
+    """Whether ``config`` plays pure noisy ``sampled_batched`` games
+    (science version 2), which the shared path can run over a pool-only
+    engine."""
+    return (
+        config.sampled_batched
+        and config.is_stochastic
+        and not config.mixed_strategies
+    )
+
+
+def _group_mode(config: EvolutionConfig) -> str:
+    """The path a signature group of ``config`` runs, which is also the
+    ``mode`` its snapshots are written in: ``"shared"`` or ``"generic"``.
+
+    The shared path speaks the structure layer's two batched dialects:
+    well-mixed gathers and :class:`GraphStructure`'s CSR adjacency
+    (decoders + ``fitness_pc_graph``).  Deterministic lanes take it on
+    both; pure noisy sampled lanes on well-mixed populations only.  A
+    custom :class:`InteractionModel` subclass registered through
+    ``register_structure`` implements only the abstract per-event API, so
+    it runs the per-lane generic path (exact serial objects and draws),
+    as do every other regime and the sampled lanes of graphs and mixed
+    strategies.
+    """
+    structure = build_structure(config.structure, config.n_ssets)
+    if supports_shared_engine(config):
+        shared = structure.is_well_mixed or isinstance(
+            structure, GraphStructure
+        )
+    else:
+        shared = _samples_on_pool(config) and structure.is_well_mixed
+    return "shared" if shared else "generic"
 
 
 def lane_signature(config: EvolutionConfig) -> tuple:
@@ -278,18 +338,8 @@ def run_ensemble_detailed(
             )
         else:
             scope = nullcontext()
-        # The shared fast path speaks the structure layer's two batched
-        # dialects: well-mixed gathers and GraphStructure's CSR adjacency
-        # (decoders + fitness_pc_graph).  A custom InteractionModel
-        # subclass registered through register_structure implements only
-        # the abstract per-event API, so it runs the per-lane generic
-        # path (exact serial objects and draws) instead.
-        head = group_configs[0]
-        structure = build_structure(head.structure, head.n_ssets)
         with scope:
-            if supports_shared_engine(head) and (
-                structure.is_well_mixed or isinstance(structure, GraphStructure)
-            ):
+            if _group_mode(group_configs[0]) == "shared":
                 outs, meta = _run_group_shared(
                     group_configs, group_initial, batch_size
                 )
@@ -410,6 +460,7 @@ def _capture_group_shared(
     n_pc: list[int],
     n_adopt: list[int],
     n_mut: list[int],
+    sampled: "_SampledLanes | None",
 ) -> tuple[dict, dict]:
     """Snapshot the whole shared-engine group at a batch boundary.
 
@@ -418,7 +469,8 @@ def _capture_group_shared(
     captures its *initial* population plus the strategy tables its sids
     point at now; the shared matrix is captured as the live x live valid
     pair set (table-keyed, sid numbering is ephemeral), re-evaluated
-    bit-exactly on resume."""
+    bit-exactly on resume.  Sampled lanes have no pair matrix; each
+    captures its sampled stream and its SSets' insertion stamps instead."""
     lanes: list[dict] = []
     arrays: dict[str, np.ndarray] = {}
     for r, _config in enumerate(configs):
@@ -444,6 +496,11 @@ def _capture_group_shared(
                 "mu_stream": mu_decoders[r].state_dict(),
             }
         )
+        if sampled is not None:
+            lane_arrays["stamps"] = sampled.stamps[r].copy()
+            lanes[r]["sampled_rng"] = encode_bitgen(
+                sampled.rngs[r].bit_generator.state
+            )
         for key, value in lane_arrays.items():
             arrays[f"l{r}_{key}"] = value
     # Every live slot is some lane's member at a batch boundary (prefetch
@@ -530,7 +587,85 @@ def _capture_group_generic(
     return meta, arrays
 
 
-# -- shared deterministic engine path -----------------------------------------
+# -- shared engine path ---------------------------------------------------------
+
+
+def _insertion_stamps(pops: list[Population]) -> np.ndarray:
+    """``(R, n_ssets)`` insertion stamps seeded from each lane's
+    population: SSet ``j``'s stamp is the rank of its strategy in the
+    histogram's insertion order (not the SSet order: a population built
+    and then edited can list its strategies in any order)."""
+    stamps = np.empty((len(pops), len(pops[0])), dtype=np.int64)
+    for r, population in enumerate(pops):
+        rank = {key: i for i, key in enumerate(population.histogram.counts)}
+        stamps[r] = [rank[s.strategy.key()] for s in population.ssets]
+    return stamps
+
+
+class _SampledLanes:
+    """What pure noisy sampled lanes add to the shared path.
+
+    Their games are played afresh at every PC event, each lane's flips
+    drawn from its dedicated ``("nature", "sampled")`` stream (``rngs``),
+    in the insertion order of the lane's strategy histogram — which the
+    serial run's population keeps as a dict and the shared path keeps as
+    ``stamps``.  ``stamps[r, j]`` is the step at which SSet ``j``'s current
+    strategy entered lane ``r``: every holder of a strategy shares its
+    stamp, and a strategy that enters the lane takes a stamp above every
+    other there, so a lane's stamp order is its histogram's order.
+    """
+
+    def __init__(
+        self, config: EvolutionConfig, rngs: list, stamps: np.ndarray
+    ) -> None:
+        self.rngs = rngs
+        self.stamps = stamps
+        self.rounds = config.rounds
+        self.payoff = config.payoff
+        self.noise = config.noise
+        self.include_self = config.include_self_play
+
+    def fitness(
+        self,
+        tables: np.ndarray,
+        lane_block: np.ndarray,
+        pc_lanes: np.ndarray,
+        sid_t: np.ndarray,
+        sid_l: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The wave's PC fitness, one kernel call for all its lanes."""
+        return SampledFitnessEngine.eval_wave(
+            tables, lane_block, self.stamps[pc_lanes], sid_t, sid_l,
+            [self.rngs[r] for r in pc_lanes.tolist()],
+            self.rounds, self.payoff, self.noise, self.include_self,
+        )
+
+    def adopt(
+        self, lanes: np.ndarray, learners: np.ndarray, teachers: np.ndarray
+    ) -> None:
+        """Learners take their teachers' strategies, present already."""
+        self.stamps[lanes, learners] = self.stamps[lanes, teachers]
+
+    def mutate(
+        self,
+        sids: np.ndarray,
+        lanes: np.ndarray,
+        targets: np.ndarray,
+        mutants: np.ndarray,
+    ) -> None:
+        """Targets take their mutants; call before ``sids`` is written.
+
+        A mutant its lane holds already (the target's own strategy
+        included, when the histogram does not change) keeps that
+        strategy's place; any other enters last.
+        """
+        held = sids[lanes] == mutants[:, None]
+        stamps = self.stamps[lanes]
+        self.stamps[lanes, targets] = np.where(
+            held.any(axis=1),
+            stamps[np.arange(lanes.shape[0]), held.argmax(axis=1)],
+            stamps.max(axis=1) + 1,
+        )
 
 
 def _run_group_shared(
@@ -538,8 +673,17 @@ def _run_group_shared(
     initial: list[Population | None],
     batch_size: int,
 ) -> tuple[list[EvolutionResult], dict]:
-    """Advance one signature-group of deterministic lanes over the shared
-    engine, prefetch window by window, each window in waves."""
+    """Advance one signature-group of lanes over the shared engine,
+    prefetch window by window, each window in waves.
+
+    Deterministic lanes gather their fitness from the shared pair matrix.
+    Pure noisy sampled lanes (:func:`_samples_on_pool`) share the engine's
+    pool only: nothing is filled ahead for them, so each batch is one
+    window, capped like the generic path's batches, a wave's mutants are
+    interned as it applies them, and its fitness is played by
+    :meth:`~repro.core.engine.SampledFitnessEngine.eval_wave`
+    (:class:`_SampledLanes`).
+    """
     started = time.perf_counter()
     cfg = configs[0]
     n_lanes = len(configs)
@@ -548,7 +692,7 @@ def _run_group_shared(
     structure = build_structure(cfg.structure, n_ssets)
     well_mixed = structure.is_well_mixed
 
-    _, events_rngs, pc_rngs, mu_rngs, pops = _lane_setup(configs, initial)
+    trees, events_rngs, pc_rngs, mu_rngs, pops = _lane_setup(configs, initial)
 
     sink = _group_checkpointing(cfg, initial)
     unit = (
@@ -570,6 +714,15 @@ def _run_group_shared(
             pops[r] = restore_population(
                 meta_r["lanes"][r]["population"], lane_state[r]
             )
+    sampled = None
+    if _samples_on_pool(cfg):
+        sampled = _SampledLanes(
+            cfg,
+            [t.generator("nature", "sampled") for t in trees],
+            _insertion_stamps(pops)
+            if restored is None
+            else np.array([state["stamps"] for state in lane_state]),
+        )
 
     # Size for the worst case (every SSet distinct) plus prefetch-pin
     # headroom up front: growth doubles the dense matrix, so a big ensemble
@@ -587,6 +740,7 @@ def _run_group_shared(
         capacity=capacity,
         paymat_block=cfg.paymat_block,
         block_cap=cfg.engine_pool_cap if cfg.paymat_block else 0,
+        pairs=sampled is None,
     )
     # Well-mixed shallow memories (cheap pairs) prefill every pair a
     # window could read, so the hot loop runs check-free; deep memories
@@ -602,7 +756,10 @@ def _run_group_shared(
     # breaks the fill-once coverage invariant — those runs always take the
     # on-demand check-and-fill path (refills are bit-exact, so the
     # trajectory is unchanged; only fill counts differ).
-    full_cover = n_states <= 16 and well_mixed and not engine.evictable
+    full_cover = (
+        n_states <= 16 and well_mixed and not engine.evictable
+        and sampled is None
+    )
     sids = np.empty((n_lanes, n_ssets), dtype=np.int64)
     for r in range(n_lanes):
         # Population objects are bystanders during the shared-mode run (the
@@ -663,8 +820,8 @@ def _run_group_shared(
         for config, population in zip(configs, pops)
     ]
     if restored is None:
-        for result, population in zip(results, pops):
-            _maybe_snapshot(result, population, 0, force=True)
+        for r, result in enumerate(results):
+            _snapshot_lane(result, engine, sids[r], 0)
 
     every = cfg.record_every
     next_snap: list[int | None] = [every if every > 0 else None] * n_lanes
@@ -725,6 +882,10 @@ def _run_group_shared(
             )
             pc_decoders[r].set_state(lane_meta["pc_stream"])
             mu_decoders[r].set_state(lane_meta["mu_stream"])
+            if sampled is not None:
+                sampled.rngs[r].bit_generator.state = decode_bitgen(
+                    lane_meta["sampled_rng"]
+                )
     pre_hooks = fault is not None or every > 0
     post_hooks = progress is not None or every > 0
 
@@ -734,6 +895,8 @@ def _run_group_shared(
     def counts(r: int) -> tuple[int, int, int]:
         return int(n_pc[r]), int(n_adopt[r]), int(n_mut[r])
 
+    if sampled is not None:
+        batch_size = _capped_batch_size(batch_size, n_lanes, cfg)
     base = start_gen
     remaining = generations - start_gen
     while remaining > 0:
@@ -753,7 +916,9 @@ def _run_group_shared(
         # Event (generation, lane) pairs sorted by generation, then lane.
         pc_gen, pc_lane = np.nonzero(pc_flags.T)
         mu_gen, mu_lane = np.nonzero(mu_flags.T)
-        window = _fill_window(cfg.mutation_rate)
+        window = batch if sampled is not None else _fill_window(
+            cfg.mutation_rate
+        )
 
         # Pre-draw the whole batch's decisions per lane (exact serial
         # stream consumption; see module docstring of rawstream) into
@@ -810,7 +975,7 @@ def _run_group_shared(
             # being recycled before their events apply, and no slot is
             # interned mid-window, so none is re-tenanted mid-window.
             pins = _NO_SIDS
-            if m_end > mi:
+            if m_end > mi and sampled is None:
                 pins = engine.intern_lane(
                     mu_tables[mi:m_end], mu_keys[mi:m_end]
                 )
@@ -831,7 +996,8 @@ def _run_group_shared(
             w_uniforms = pc_uniforms[pc_at]
             w_mu_lanes = mu_lane[mu_at]
             w_targets = mu_targets[mu_at]
-            w_mutants = pins[waves.mu]
+            if sampled is None:
+                w_mutants = pins[waves.mu]
             lanes = waves.lane.tolist()
             gens = (waves.gen + base).tolist()
             firsts = waves.first.tolist()
@@ -859,16 +1025,29 @@ def _run_group_shared(
 
                 p0, p1 = pc_bounds[w], pc_bounds[w + 1]
                 m0, m1 = mu_bounds[w], mu_bounds[w + 1]
+                if sampled is None:
+                    mutants = w_mutants[m0:m1]
+                elif m1 > m0:
+                    # Nothing is filled ahead for sampled lanes, so their
+                    # mutants are interned as their wave applies them; the
+                    # reference taken here is the lane's own.
+                    at = mu_at[m0:m1]
+                    mutants = engine.intern_lane(mu_tables[at], mu_keys[at])
+                else:
+                    mutants = _NO_SIDS
                 fit_t, fit_l, adopted = _advance_wave(
                     engine, sids, structure, full_cover, include_self,
                     beta, downhill,
                     w_lanes[p0:p1], w_teachers[p0:p1], w_learners[p0:p1],
                     w_uniforms[p0:p1],
-                    w_mu_lanes[m0:m1], w_targets[m0:m1], w_mutants[m0:m1],
-                    adopt_counts, mut_counts, n_pc, n_adopt, n_mut,
+                    w_mu_lanes[m0:m1], w_targets[m0:m1], mutants,
+                    adopt_counts, mut_counts, n_pc, n_adopt, n_mut, sampled,
                 )
 
                 if record_events and p1 > p0:
+                    if sampled is not None:
+                        # As the serial sampled run records them.
+                        fit_t, fit_l = fit_t.tolist(), fit_l.tolist()
                     for c, teacher, learner, applied, ft, fl in zip(
                         range(c0, c0 + p1 - p0),
                         rec_teachers[p0:p1],
@@ -908,7 +1087,7 @@ def _run_group_shared(
                         next_snap, every, generations, take_snapshot,
                     )
 
-            if m_end > mi:
+            if pins.shape[0]:
                 engine.release(pins)
             pi, mi = p_end, m_end
         base += batch
@@ -928,7 +1107,7 @@ def _run_group_shared(
             meta_save, arrays_save = _capture_group_shared(
                 configs, base, engine, pops, sids, results, next_snap,
                 events_rngs, pc_decoders, mu_decoders, adopt_counts,
-                mut_counts, n_pc, n_adopt, n_mut,
+                mut_counts, n_pc, n_adopt, n_mut, sampled,
             )
             sink.save(unit, base, meta_save, arrays_save)
 
@@ -946,14 +1125,29 @@ def _run_group_shared(
         # with reuses its generation-0 object, so a named strategy that
         # spread by adoption keeps its name, as in the serial drivers.
         initial_strategies = {s.key(): s for s in population.strategies()}
-        changed = (
-            engine.tables[lane_sids] != population.strategy_matrix()
-        ).any(axis=1)
-        for i in np.flatnonzero(changed).tolist():
-            final = engine.strategy(int(lane_sids[i]))
-            population.set_strategy(
-                i, initial_strategies.get(final.key(), final)
+        changed = np.flatnonzero(
+            (engine.tables[lane_sids] != population.strategy_matrix()).any(
+                axis=1
             )
+        ).tolist()
+        strategies = population.strategies()
+        finals: dict[int, Strategy] = {}
+        for i in changed:
+            sid = int(lane_sids[i])
+            final = finals.get(sid)
+            if final is None:
+                final = engine.strategy(sid)
+                final = finals[sid] = initial_strategies.get(final.key(), final)
+            strategies[i] = final
+        if sampled is not None:
+            # In the lane's histogram order, where its serial run ends.
+            population.reassign(
+                strategies,
+                np.argsort(sampled.stamps[r], kind="stable").tolist(),
+            )
+        else:
+            for i in changed:
+                population.set_strategy(i, strategies[i])
         for i, sset in enumerate(population.ssets):
             sset.adoptions += int(adopt_counts[r, i])
             sset.mutations += int(mut_counts[r, i])
@@ -961,12 +1155,15 @@ def _run_group_shared(
         result.n_adoptions = int(n_adopt[r])
         result.n_mutations = int(n_mut[r])
         result.generations_run = generations
-        _maybe_snapshot(result, population, generations, force=True)
+        _snapshot_lane(result, engine, lane_sids, generations)
         # Mirror the per-run engine's accounting: two dense fitness queries
         # per PC event; pair evaluations attributed to the lane whose
         # demand triggered them (cross-lane reuse means the ensemble
-        # evaluates strictly fewer pairs than R serial runs).
-        result.cache_hits = 2 * result.n_pc_events
+        # evaluates strictly fewer pairs than R serial runs).  A sampled
+        # run caches nothing: its serial engine counts no hits or misses.
+        result.cache_hits = (
+            0 if sampled is not None else 2 * result.n_pc_events
+        )
         result.cache_misses = int(engine.lane_fills[r])
         # One fused array program: the group's wallclock is indivisible,
         # so every lane reports it (the backend report carries lane count).
@@ -1150,16 +1347,18 @@ def _advance_wave(
     n_pc: np.ndarray,
     n_adopt: np.ndarray,
     n_mut: np.ndarray,
+    sampled: "_SampledLanes | None" = None,
 ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     """Apply one wave — one event each of distinct lanes — as array steps.
 
     PC lanes gather their teacher and learner fitness in one engine call
-    and decide by the Fermi rule (:func:`~repro.core.fermi.fermi_adoptions`);
-    adoptions and mutations write the sid array, the per-SSet and per-lane
-    counters, and move the references of the sids they install and
-    replace in one :meth:`~EnsembleEngine.move_refs` call.  Returns the
-    PC events' teacher fitness, learner fitness and decisions (``None``
-    without PC events).
+    (sampled lanes play theirs in one kernel call) and decide by the Fermi
+    rule (:func:`~repro.core.fermi.fermi_adoptions`); adoptions and
+    mutations write the sid array, the per-SSet and per-lane counters, and
+    move the references of the sids they install and replace in one
+    :meth:`~EnsembleEngine.move_refs` call.  A sampled wave's ``mutants``
+    already hold their lanes' references.  Returns the PC events' teacher
+    fitness, learner fitness and decisions (``None`` without PC events).
     """
     gained = lost = _NO_SIDS
     fit_t = fit_l = adopted = None
@@ -1169,17 +1368,22 @@ def _advance_wave(
             rows = np.arange(pc_lanes.shape[0])
             sid_t = lane_block[rows, teachers]
             sid_l = lane_block[rows, learners]
-            if not full_cover:
-                engine.ensure_rows(
-                    np.concatenate((sid_t, sid_l)),
-                    np.concatenate((lane_block, lane_block)),
-                    np.concatenate((pc_lanes, pc_lanes)),
+            if sampled is not None:
+                fit_t, fit_l = sampled.fitness(
+                    engine.tables, lane_block, pc_lanes, sid_t, sid_l
                 )
-            # (With full_cover every gathered pair is valid by the
-            # coverage invariant: initial fill + window prefetch.)
-            fit_t, fit_l = engine.fitness_pc_well_mixed(
-                lane_block, sid_t, sid_l, include_self
-            )
+            else:
+                if not full_cover:
+                    engine.ensure_rows(
+                        np.concatenate((sid_t, sid_l)),
+                        np.concatenate((lane_block, lane_block)),
+                        np.concatenate((pc_lanes, pc_lanes)),
+                    )
+                # (With full_cover every gathered pair is valid by the
+                # coverage invariant: initial fill + window prefetch.)
+                fit_t, fit_l = engine.fitness_pc_well_mixed(
+                    lane_block, sid_t, sid_l, include_self
+                )
         else:
             # Graph lanes share one flat CSR gather + segment reduction
             # (and, on demand, one batched fill of every pair it reads).
@@ -1194,16 +1398,21 @@ def _advance_wave(
         learners_a = learners[adopted]
         gained = sid_t[adopted]
         lost = sid_l[adopted]
+        if sampled is not None:
+            sampled.adopt(lanes_a, learners_a, teachers[adopted])
         sids[lanes_a, learners_a] = gained
         adopt_counts[lanes_a, learners_a] += 1
         n_pc[pc_lanes] += 1
         n_adopt[lanes_a] += 1
     if mu_lanes.shape[0]:
+        if sampled is not None:
+            sampled.mutate(sids, mu_lanes, targets, mutants)
+        else:
+            gained = np.concatenate((gained, mutants))
         replaced = sids[mu_lanes, targets]
         sids[mu_lanes, targets] = mutants
         mut_counts[mu_lanes, targets] += 1
         n_mut[mu_lanes] += 1
-        gained = np.concatenate((gained, mutants))
         lost = np.concatenate((lost, replaced))
     if lost.shape[0]:
         engine.move_refs(gained, lost)
@@ -1258,8 +1467,8 @@ def _run_group_generic(
 ) -> tuple[list[EvolutionResult], dict]:
     """Advance one signature-group of lanes with per-lane evaluators (the
     expected-fitness regime, non-integer payoffs, ``engine=False``, custom
-    structures and opt-in ``sampled_batched`` lanes), batch by batch, each
-    batch in waves.
+    structures, and the ``sampled_batched`` lanes of graphs and of mixed
+    strategies), batch by batch, each batch in waves.
 
     The lanes share the merged event scan and the wave schedule of the
     shared path (:func:`_wave_schedule`, over the whole batch): wave ``w``
@@ -1269,7 +1478,9 @@ def _run_group_generic(
     kernel: a wave's PC lanes collect their plans and evaluate them as one
     fused :meth:`SampledFitnessEngine.eval_plans` call, each lane drawing
     its games off its own dedicated stream, so every lane stays
-    bit-identical to its same-seed serial run.
+    bit-identical to its same-seed serial run.  Pure noisy sampled lanes
+    on well-mixed populations run on :func:`_run_group_shared` instead
+    (:func:`_group_mode`); this path still runs them when called directly.
     """
     started = time.perf_counter()
     cfg = configs[0]
@@ -1388,12 +1599,7 @@ def _run_group_generic(
         result = results[r]
         return result.n_pc_events, result.n_adoptions, result.n_mutations
 
-    events_per_generation = n_lanes * (cfg.pc_rate + cfg.mutation_rate)
-    if events_per_generation > 0:
-        batch_size = min(
-            batch_size,
-            max(1, int(_GENERIC_BATCH_EVENTS / events_per_generation)),
-        )
+    batch_size = _capped_batch_size(batch_size, n_lanes, cfg)
     base = start_gen
     remaining = generations - start_gen
     while remaining > 0:

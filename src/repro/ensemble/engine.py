@@ -91,8 +91,47 @@ def supports_shared_engine(config: EvolutionConfig) -> bool:
     return is_integer_payoff(config.payoff)
 
 
+class _NoPairStore:
+    """The pair store of a pool-only engine: there is no pair matrix.
+
+    Sampled lanes play every game afresh, so they share the engine's
+    strategy pool and nothing else; growing, recycling and compacting the
+    pool have no pairs to move, and no pair is ever valid.
+    """
+
+    evictable = False
+
+    def grow(self, new_capacity: int) -> None:
+        pass
+
+    def invalidate_rows(self, sids: np.ndarray) -> None:
+        pass
+
+    def rebuild(self, idx: np.ndarray, new_capacity: int) -> "_NoPairStore":
+        return self
+
+    def pair_valid(self, a, b) -> np.ndarray:
+        return np.zeros(np.broadcast(a, b).shape, dtype=bool)
+
+    def stats(self) -> dict[str, int]:
+        return {
+            "paymat_bytes": 0,
+            "peak_paymat_bytes": 0,
+            "paymat_block": 0,
+            "blocks_resident": 0,
+            "blocks_evicted": 0,
+            "block_fills": 0,
+        }
+
+
 class EnsembleEngine:
-    """Dense payoff-matrix fitness shared across the lanes of an ensemble."""
+    """Dense payoff-matrix fitness shared across the lanes of an ensemble.
+
+    With ``pairs=False`` the engine is its strategy pool alone (sid
+    interning, references, recycling and compaction), with no pair matrix
+    allocated or filled; the sampled lanes of :mod:`repro.ensemble.driver`
+    use it so, and any payoff matrix is accepted then.
+    """
 
     def __init__(
         self,
@@ -103,6 +142,7 @@ class EnsembleEngine:
         capacity: int = 64,
         paymat_block: int = 0,
         block_cap: int = 0,
+        pairs: bool = True,
     ):
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
@@ -112,7 +152,7 @@ class EnsembleEngine:
             )
         if n_lanes < 1:
             raise ConfigurationError(f"n_lanes must be >= 1, got {n_lanes}")
-        if not is_integer_payoff(payoff):
+        if pairs and not is_integer_payoff(payoff):
             raise ConfigurationError(
                 "the shared ensemble engine is float-exact (hence lane-"
                 "trajectory-identical to the serial engine) only for integer "
@@ -141,8 +181,12 @@ class EnsembleEngine:
         # and summed in float64, which is bit-identical either way.
         max_total = rounds * max(abs(float(v)) for v in payoff.vector)
         self._dtype = np.float32 if max_total < 2.0**24 else np.float64
-        if paymat_block:
-            self._store: DensePairStore | BlockedPairStore = BlockedPairStore(
+        if not pairs:
+            self._store: DensePairStore | BlockedPairStore | _NoPairStore = (
+                _NoPairStore()
+            )
+        elif paymat_block:
+            self._store = BlockedPairStore(
                 capacity,
                 paymat_block,
                 self._dtype,

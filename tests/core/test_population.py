@@ -12,10 +12,12 @@ from repro.core import (
     all_c,
     all_d,
     play_game,
+    random_mixed,
     random_pure,
     tft,
     wsls,
 )
+from repro.core.runstate import generator_state
 from repro.errors import ConfigurationError
 from repro.rng import make_rng
 
@@ -127,6 +129,36 @@ class TestPopulation:
         assert pop.memory_steps == 2
         assert pop.n_agents == 30
         assert pop.strategy_matrix().shape == (10, 16)
+
+    @pytest.mark.parametrize("mixed", [False, True], ids=["pure", "mixed"])
+    @pytest.mark.parametrize("memory", [1, 2, 3, 5])
+    def test_random_population_is_one_draw_per_sset(self, memory, mixed):
+        # One bulk draw, bit for bit the per-SSet random_pure/random_mixed
+        # draws, and the stream ends at the same position; a half-word
+        # left buffered by an earlier integer draw changes nothing.
+        cfg = EvolutionConfig(
+            n_ssets=7, memory_steps=memory, mixed_strategies=mixed,
+        )
+        rng, reference = make_rng(3), make_rng(3)
+        rng.integers(5)
+        reference.integers(5)
+        pop = Population.random(cfg, rng)
+        make = random_mixed if mixed else random_pure
+        want = np.stack([make(reference, memory).table for _ in range(7)])
+        assert np.array_equal(pop.strategy_matrix(), want)
+        assert pop.strategy_matrix().dtype == want.dtype
+        assert generator_state(rng) == generator_state(reference)
+
+    def test_reassign_rebuilds_histogram_in_order(self):
+        pop = Population.from_strategies([tft(1), wsls(1), all_d(1)])
+        pop.reassign([all_c(1), tft(1), all_c(1)], order=[1, 2, 0])
+        assert [s.strategy.key() for s in pop.ssets] == [
+            all_c(1).key(), tft(1).key(), all_c(1).key()
+        ]
+        assert list(pop.histogram.counts.items()) == [
+            (tft(1).key(), 1), (all_c(1).key(), 2)
+        ]
+        pop.check_invariants()
 
     def test_ids_must_be_ordered(self):
         with pytest.raises(ConfigurationError):

@@ -42,8 +42,9 @@ def by_run(ticks) -> dict:
     return dict(grouped)
 
 
-#: Regimes whose multi-lane groups run the ensemble's generic
-#: (per-lane evaluator) path.
+#: Regimes off the deterministic fast path: expected groups run the
+#: ensemble's generic (per-lane evaluator) path, pure sampled ones the
+#: shared path over a pool-only engine.
 GENERIC_REGIMES = {
     "expected": dict(expected_fitness=True, noise=0.05),
     "sampled": dict(noise=0.05, sampled_batched=True),
@@ -75,9 +76,9 @@ class TestProgressParity:
         assert len(ens_ticks) == len(event_ticks)
 
     def test_generic_path_ticks_match(self):
-        # Expected and sampled groups run the ensemble's generic group
-        # path in lane waves; each lane's ticks must still match its event
-        # run's, tick for tick and in order.
+        # Expected and sampled groups run in lane waves over whole
+        # batches; each lane's ticks must still match its event run's,
+        # tick for tick and in order.
         for overrides in GENERIC_REGIMES.values():
             configs = sweep_configs(4, generations=300, **overrides)
             event_ticks, _ = collect_ticks(configs, "event", dedupe=False)

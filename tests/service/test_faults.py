@@ -218,12 +218,13 @@ class TestDriverIntegration:
         assert stats["hits"] == 3  # fired exactly at the 3rd event generation
 
     def test_ensemble_site_fires_once_per_lane_generation(self):
-        # A multi-lane group advances lanes in waves — deterministic lanes
-        # on the shared path, sampled ones on the generic path — so the
-        # site fires once per (lane, event generation), before the lane's
-        # events of that generation apply.
+        # A multi-lane group advances lanes in waves — deterministic and
+        # pure sampled lanes on the shared path, expected ones on the
+        # generic path — so the site fires once per (lane, event
+        # generation), before the lane's events of that generation apply.
         sampled = self.CONFIG.with_updates(noise=0.05, sampled_batched=True)
-        for config in (self.CONFIG, sampled):
+        expected = self.CONFIG.with_updates(noise=0.05, expected_fitness=True)
+        for config in (self.CONFIG, sampled, expected):
             configs = [config.with_updates(seed=41 + r) for r in range(3)]
             expected = sum(
                 len({e.generation for e in result.events})
