@@ -102,6 +102,11 @@ def is_integer_payoff(payoff: PayoffMatrix) -> bool:
     return all(float(v).is_integer() for v in payoff.vector)
 
 
+#: View states (pairs x 4**memory) one bulk deterministic fill hands the
+#: kernel per call (:meth:`FitnessEngine._fill_new_rows`): about 8 MB of
+#: kernel temporaries at ~32 bytes each, one memory-6 row over 64 sids.
+_FILL_ENTRIES = 1 << 18
+
 #: Pair-evaluation key: the two strategies' byte identities, focal first.
 _PairKey = tuple[bytes, bytes]
 #: Engine compatibility signature for shared pair stores: deterministic
@@ -580,7 +585,10 @@ class FitnessEngine:
         if is_new:
             self._sync_capacity()
             if self._evaluated is None:
-                self._fill_deterministic(sid)
+                if self._shared_pairs is None:
+                    self._fill_new_rows(1)
+                else:
+                    self._fill_shared(sid)
         return sid
 
     def intern_all(self, strategies: list[Strategy]) -> np.ndarray:
@@ -588,6 +596,10 @@ class FitnessEngine:
 
         Stacks the tables first (:func:`repro.core.vectorgame.stack_tables`)
         so a heterogeneous list fails loudly before any slot is allocated.
+        Without pair sharing, the eager deterministic regime then fills all
+        new strategies together (:meth:`_fill_new_rows`): the pairs, values
+        and ``misses`` of one-at-a-time :meth:`intern` calls, in a few
+        kernel calls instead of one per strategy.
         """
         _, memory_steps, any_mixed = stack_tables(strategies)
         if memory_steps != self.pool.memory_steps:
@@ -600,7 +612,16 @@ class FitnessEngine:
                 "engine was built for pure strategies but the population "
                 "holds mixed ones"
             )
-        return np.array([self.intern(s) for s in strategies], dtype=np.int64)
+        if self._evaluated is not None or self._shared_pairs is not None:
+            return np.array(
+                [self.intern(s) for s in strategies], dtype=np.int64
+            )
+        acquired = [self.pool.acquire(s) for s in strategies]
+        n_new = sum(is_new for _, is_new in acquired)
+        if n_new:
+            self._sync_capacity()
+            self._fill_new_rows(n_new)
+        return np.array([sid for sid, _ in acquired], dtype=np.int64)
 
     def release(self, sid: int) -> None:
         """Drop one strategy occurrence (slot recycled or retired at zero;
@@ -615,28 +636,51 @@ class FitnessEngine:
             self._evaluated[sid, :] = False
             self._evaluated[:, sid] = False
 
-    def _fill_deterministic(self, sid: int) -> None:
-        """Eager batched cycle-exact row + column fill for a new sid.
+    def _fill_new_rows(self, n_new: int) -> None:
+        """Eager batched cycle-exact fill for the ``n_new`` newest live
+        sids, interned in live order with nothing released since.
 
-        With pair sharing enabled (:func:`shared_engine_pairs`), pairs a
-        previous same-signature engine already evaluated are copied from
-        the shared store — the values are float-exact pure functions of the
-        strategy pair, so the trajectory is unchanged and only the
-        evaluation count (``misses``) shrinks; fresh evaluations are
-        published back for the runs that follow.
+        Each new sid is paired with every sid live when it arrived, itself
+        included: the row + column one-at-a-time interning fills.  Whole
+        rows go to the kernel together while they hold at most
+        :data:`_FILL_ENTRIES` view states (a single row may hold more, as
+        it always did), so a bulk fill never needs more memory than the
+        larger of that budget and one row.
+        """
+        live = self.pool.ordered_sids()
+        budget = max(1, _FILL_ENTRIES // self.pool.n_states)  # pairs/call
+        stop = live.shape[0]
+        start = stop - n_new
+        while start < stop:
+            # The sid at live position p meets live[: p + 1].
+            end, pairs = start + 1, start + 1
+            while end < stop and pairs + end + 1 <= budget:
+                pairs += end + 1
+                end += 1
+            focal = np.repeat(live[start:end], np.arange(start + 1, end + 1))
+            opponents = np.concatenate(
+                [live[: p + 1] for p in range(start, end)]
+            )
+            pay_focal, pay_opponents = cycle_payoffs_pairs(
+                self.pool.tables, focal, opponents, self.rounds, self.payoff,
+                compact_sums=self._compact_fill,
+            )
+            self._paymat[focal, opponents] = pay_focal
+            self._paymat[opponents, focal] = pay_opponents
+            self.misses += pairs
+            start = end
+
+    def _fill_shared(self, sid: int) -> None:
+        """Eager fill for a new sid with pair sharing enabled
+        (:func:`shared_engine_pairs`): pairs a previous same-signature
+        engine already evaluated are copied from the shared store — the
+        values are float-exact pure functions of the strategy pair, so the
+        trajectory is unchanged and only the evaluation count (``misses``)
+        shrinks; fresh evaluations are published back for the runs that
+        follow.
         """
         live = self.pool.ordered_sids()
         shared = self._shared_pairs
-        if shared is None:
-            focal = np.full(live.shape, sid, dtype=np.intp)
-            pay_new, pay_live = cycle_payoffs_pairs(
-                self.pool.tables, focal, live, self.rounds, self.payoff,
-                compact_sums=self._compact_fill,
-            )
-            self._paymat[sid, live] = pay_new
-            self._paymat[live, sid] = pay_live
-            self.misses += len(live)
-            return
         key_new = self.pool.strategy(sid).key()
         todo: list[int] = []
         for j in live.tolist():

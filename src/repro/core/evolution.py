@@ -12,8 +12,12 @@ Two equivalent drivers are provided:
   event flags come from a dedicated RNG stream (consumed in the same order)
   and the pc/mutation/games streams are touched only at events, this driver
   follows the **identical trajectory** to :func:`run_serial` for any seed —
-  a property pinned by the test suite.  It is what makes the paper's
-  10^7-generation validation run (Fig. 2) feasible.
+  a property pinned by the test suite.  The pc and mutation draws never
+  read the population, so each batch's PC selections and mutants are
+  pre-drawn in one call per stream (:class:`_BatchDecisions`, decoding the
+  raw Philox words through :mod:`repro.ensemble.rawstream`) before its
+  events apply.  It is what makes the paper's 10^7-generation validation
+  run (Fig. 2) feasible.
 
 Fitness is evaluated lazily: only the PC-selected teacher/learner fitness is
 computed, exactly the values the dynamics consume.  By default the values
@@ -41,12 +45,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .. import faults
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigurationError
 from ..rng import SeedSequenceTree
-from ..structure import InteractionModel, build_structure
+from ..structure import GraphStructure, InteractionModel, build_structure
 from .config import EvolutionConfig
 from .engine import FitnessEngine, SampledFitnessEngine
-from .nature import NatureAgent
+from .nature import NatureAgent, adopts
 from .payoff_cache import PayoffCache
 from .population import Population
 from .progress import ProgressTick, cancel_token, progress_callback
@@ -66,6 +70,7 @@ from .runstate import (
     unit_key,
     validate_resume_config,
 )
+from .states import num_states
 from .strategy import Strategy
 
 #: Either fitness evaluator the drivers thread through the structure layer.
@@ -196,9 +201,8 @@ def _maybe_snapshot(
 
 def _apply_generation_events(
     generation: int,
-    pc: bool,
-    mutation: bool,
-    nature: NatureAgent,
+    pc: tuple[int, int, float] | None,
+    mutation: tuple[int, Strategy] | None,
     population: Population,
     evaluator: Evaluator,
     result: EvolutionResult,
@@ -209,9 +213,12 @@ def _apply_generation_events(
 ) -> None:
     """Apply one generation's events in the paper's order (PC, then mutation).
 
-    ``progress`` is the thread's :func:`~repro.core.progress.progress_scope`
-    callback (or ``None``): one :class:`ProgressTick` per event generation,
-    after the generation's events applied.  ``cancel`` is the thread's
+    ``pc`` is the generation's drawn PC decision ``(teacher, learner,
+    adoption_uniform)`` and ``mutation`` its ``(target, mutant)``, each
+    ``None`` when that event does not fire.  ``progress`` is the thread's
+    :func:`~repro.core.progress.progress_scope` callback (or ``None``): one
+    :class:`ProgressTick` per event generation, after the generation's
+    events applied.  ``cancel`` is the thread's
     :class:`~repro.core.progress.CancelToken` (or ``None``), checked before
     the generation's events so a cancelled or timed-out run aborts at tick
     cadence with the population untouched by the aborted generation.
@@ -223,24 +230,18 @@ def _apply_generation_events(
     if fault is not None:
         fault(generation=generation)
     config = result.config
-    if pc:
-        decision = nature.pc_selection(len(population), structure)
+    if pc is not None:
+        teacher, learner, uniform = pc
         # pair_fitness is two fitness_of calls for well-mixed / legacy
         # evaluators; graph structures with an eager FitnessEngine serve
         # both sides from one batched CSR payoff-matrix gather (same
         # values — integer sums are float-exact in any order).
         fit_t, fit_l = structure.pair_fitness(
-            population,
-            decision.teacher,
-            decision.learner,
-            evaluator,
-            config.include_self_play,
+            population, teacher, learner, evaluator, config.include_self_play
         )
-        adopted = nature.decide_learning(decision, fit_t, fit_l)
+        adopted = adopts(config, uniform, fit_t, fit_l)
         if adopted:
-            population.adopt(
-                decision.learner, population[decision.teacher].strategy
-            )
+            population.adopt(learner, population[teacher].strategy)
         result.n_pc_events += 1
         result.n_adoptions += int(adopted)
         if config.record_events:
@@ -248,24 +249,24 @@ def _apply_generation_events(
                 EventRecord(
                     generation=generation,
                     kind="pc",
-                    source=decision.teacher,
-                    target=decision.learner,
+                    source=teacher,
+                    target=learner,
                     applied=adopted,
                     teacher_fitness=fit_t,
                     learner_fitness=fit_l,
                 )
             )
-    if mutation:
-        decision = nature.mutation_selection(len(population))
-        population.mutate(decision.target, decision.strategy)
+    if mutation is not None:
+        target, strategy = mutation
+        population.mutate(target, strategy)
         result.n_mutations += 1
         if config.record_events:
             result.events.append(
                 EventRecord(
                     generation=generation,
                     kind="mutation",
-                    source=decision.target,
-                    target=decision.target,
+                    source=target,
+                    target=target,
                     applied=True,
                 )
             )
@@ -282,6 +283,99 @@ def _apply_generation_events(
         )
 
 
+#: Expected bytes of pre-drawn decisions an event-driver batch may hold
+#: (:func:`_batch_cap`): a PC decision holds three values, a pure mutant
+#: its target and one byte per table entry, a mixed one eight.
+_PREDRAW_BYTES = 1 << 20
+
+
+def _batch_cap(config: EvolutionConfig) -> int:
+    """Most generations one event-driver batch spans, so that its expected
+    pre-drawn decisions stay within :data:`_PREDRAW_BYTES` (a memory-6
+    batch of 2**16 generations would otherwise draw ~13 MB of mutant
+    tables at the paper's rates)."""
+    table_bytes = num_states(config.memory_steps) * (
+        8 if config.mixed_strategies else 1
+    )
+    per_generation = config.pc_rate * 24 + config.mutation_rate * (
+        8 + table_bytes
+    )
+    if per_generation <= 0:
+        return 1 << 62
+    return max(1, int(_PREDRAW_BYTES / per_generation))
+
+
+class _BatchDecisions:
+    """One batch's PC selections and mutations, drawn before its events.
+
+    Which SSets a PC event pairs, its adoption uniform, and which SSet a
+    mutation hits with which mutant never depend on the population, so
+    :meth:`draw` takes a batch's worth in one call per stream, in the
+    serial call order.  Well-mixed and graph PC selections and pure
+    mutants decode the raw Philox words of the Nature Agent's own ``pc``
+    and ``mutation`` generators (:mod:`repro.ensemble.rawstream`, whose
+    scalar fallbacks make the same Generator calls when its self-check
+    fails); any other structure drives its own ``select_pair`` through
+    rawstream's scalar graph decoder.  Each raw decoder holds the
+    generator's buffered half-word only for its draw (``claim_carry`` /
+    ``fold_carry``), so :meth:`NatureAgent.stream_states` at every batch
+    boundary equals :func:`run_serial`'s.  Mixed-strategy mutants have no
+    decoder: the scalar :meth:`NatureAgent.mutation_selection` calls fill
+    the same list.
+    """
+
+    def __init__(
+        self, nature: NatureAgent, structure: InteractionModel, n_ssets: int
+    ):
+        # Imported here: repro.ensemble's driver imports this module.
+        from ..ensemble import rawstream
+
+        if structure.n_ssets != n_ssets:
+            raise ConfigurationError(
+                f"structure is bound to {structure.n_ssets} SSets, "
+                f"population has {n_ssets}"
+            )
+        config = nature.config
+        self._nature = nature
+        self._n_ssets = n_ssets
+        self._memory = config.memory_steps
+        if structure.is_well_mixed:
+            self._pc = rawstream.pc_decoder(nature.pc_rng, n_ssets)
+        elif isinstance(structure, GraphStructure):
+            self._pc = rawstream.graph_pc_decoder(nature.pc_rng, structure)
+        else:
+            self._pc = rawstream._ScalarGraphPCDecoder(nature.pc_rng, structure)
+        self._mutation = None
+        if not config.mixed_strategies:
+            self._mutation = rawstream.mutation_decoder(
+                nature.mutation_rng, n_ssets, num_states(self._memory)
+            )
+
+    def draw(self, n_pc: int, n_mutations: int) -> tuple[list, list]:
+        """``n_pc`` PC decisions ``(teacher, learner, adoption_uniform)``
+        and ``n_mutations`` mutations ``(target, mutant)``, in draw order."""
+        self._pc.claim_carry()
+        pcs = list(zip(*self._pc.draw(n_pc)))
+        self._pc.fold_carry()
+        if self._mutation is None:
+            nature = self._nature
+            mutations = []
+            for _ in range(n_mutations):
+                d = nature.mutation_selection(self._n_ssets)
+                mutations.append((d.target, d.strategy))
+        else:
+            self._mutation.claim_carry()
+            targets, tables = self._mutation.draw(n_mutations)
+            self._mutation.fold_carry()
+            memory = self._memory
+            # One fresh table per mutant: a row view would pin the batch.
+            mutations = [
+                (target, Strategy._trusted(row.copy(), memory))
+                for target, row in zip(targets, tables)
+            ]
+        return pcs, mutations
+
+
 def _finalise(
     result: EvolutionResult,
     population: Population,
@@ -294,6 +388,10 @@ def _finalise(
     # engine counts dense fitness queries / pair evaluations performed).
     result.cache_hits = evaluator.hits
     result.cache_misses = evaluator.misses
+    # A finished result must not pin its run's engine (the pool and the
+    # capacity x capacity payoff matrix): callers such as the service's
+    # result store keep results long after the run.
+    population.bind_engine(None)
     result.wallclock_seconds = time.perf_counter() - started
     return result
 
@@ -470,11 +568,17 @@ def run_serial(
             sink.save(unit, generation, meta, arrays)
         events = nature.generation_events()
         if events.pc or events.mutation:
+            pc = mutation = None
+            if events.pc:
+                d = nature.pc_selection(len(population), structure)
+                pc = (d.teacher, d.learner, d.adoption_uniform)
+            if events.mutation:
+                m = nature.mutation_selection(len(population))
+                mutation = (m.target, m.strategy)
             _apply_generation_events(
                 generation,
-                events.pc,
-                events.mutation,
-                nature,
+                pc,
+                mutation,
                 population,
                 evaluator,
                 result,
@@ -496,7 +600,12 @@ def run_event_driven(
     """Fast-forward evolution: identical trajectory, ~1000x faster.
 
     Scans event flags in vectorised batches and executes Python logic only
-    at event generations.  Snapshot recording (``record_every``) is aligned
+    at event generations.  Each batch's PC selections and mutations are
+    drawn up front, one call per stream (:class:`_BatchDecisions`), in
+    the serial call order.  A batch spans at most ``batch_size``
+    generations, fewer where its expected pre-drawn decisions would pass
+    :data:`_PREDRAW_BYTES` (:func:`_batch_cap`), and it ends at every
+    checkpoint multiple.  Snapshot recording (``record_every``) is aligned
     to the same generations as :func:`run_serial`.
     """
     started = time.perf_counter()
@@ -527,6 +636,8 @@ def run_event_driven(
     cancel = cancel_token()
     fault = faults.hook("driver.generation")
     save_every = config.checkpoint_every if sink is not None else 0
+    decisions = _BatchDecisions(nature, structure, len(population))
+    batch_size = min(batch_size, _batch_cap(config))
 
     generation = start_gen
     remaining = config.generations - start_gen
@@ -539,9 +650,18 @@ def run_event_driven(
             # way: random(2a) then random(2b) == random(2(a+b))).
             batch = min(batch, save_every - generation % save_every)
         pc_flags, mu_flags = nature.batch_event_flags(batch)
-        event_offsets = np.nonzero(pc_flags | mu_flags)[0]
-        for offset in event_offsets:
-            gen = generation + int(offset)
+        event_offsets = np.flatnonzero(pc_flags | mu_flags)
+        pcs, mutations = decisions.draw(
+            int(np.count_nonzero(pc_flags)), int(np.count_nonzero(mu_flags))
+        )
+        pc_next = iter(pcs).__next__
+        mutation_next = iter(mutations).__next__
+        for offset, pc, mutation in zip(
+            event_offsets.tolist(),
+            pc_flags[event_offsets].tolist(),
+            mu_flags[event_offsets].tolist(),
+        ):
+            gen = generation + offset
             # The serial driver snapshots *after* applying a generation's
             # events; emit pending snapshots strictly before this event's
             # generation, then the event, then a same-generation snapshot.
@@ -551,9 +671,8 @@ def run_event_driven(
                 next_snapshot += every
             _apply_generation_events(
                 gen,
-                bool(pc_flags[offset]),
-                bool(mu_flags[offset]),
-                nature,
+                pc_next() if pc else None,
+                mutation_next() if mutation else None,
                 population,
                 evaluator,
                 result,

@@ -26,7 +26,11 @@ Stream layout (from :class:`repro.rng.SeedSequenceTree`):
 
 Because streams are separate, a driver that *batches* the events stream
 (event-driven mode) consumes exactly the same pc/mutation draws as one that
-loops generation by generation, so the two are bit-identical.
+loops generation by generation, so the two are bit-identical.  The pc and
+mutation draws are state-independent too (they never read the population),
+so the event driver also draws a whole batch of them at once, straight off
+the raw ``pc`` and ``mutation`` streams (:mod:`repro.ensemble.rawstream`),
+in the same call order.
 
 Paper-listing deviations (see DESIGN.md section 3): we read the prose as
 authoritative — adoption happens *with* probability p (the listing's
@@ -46,7 +50,13 @@ from .config import EvolutionConfig
 from .fermi import fermi_probability
 from .strategy import Strategy, random_mixed, random_pure
 
-__all__ = ["GenerationEvents", "PCDecision", "MutationDecision", "NatureAgent"]
+__all__ = [
+    "GenerationEvents",
+    "PCDecision",
+    "MutationDecision",
+    "NatureAgent",
+    "adopts",
+]
 
 
 @dataclass(frozen=True)
@@ -74,6 +84,24 @@ class MutationDecision:
     strategy: Strategy
 
 
+def adopts(
+    config: EvolutionConfig,
+    adoption_uniform: float,
+    teacher_fitness: float,
+    learner_fitness: float,
+) -> bool:
+    """The Fermi rule (Eq. 1) on a pre-drawn adoption uniform.
+
+    The paper gates learning on the teacher being strictly fitter;
+    ``allow_downhill_learning`` removes the gate (the plain Fermi process
+    of the cited literature).
+    """
+    if not config.allow_downhill_learning and not teacher_fitness > learner_fitness:
+        return False
+    p = fermi_probability(teacher_fitness, learner_fitness, config.beta)
+    return adoption_uniform < p
+
+
 class NatureAgent:
     """Decision engine shared by all drivers (serial, event-driven, DES)."""
 
@@ -84,6 +112,18 @@ class NatureAgent:
         self._mutation_rng = tree.generator("nature", "mutation")
         self.games_rng = tree.generator("nature", "games")
         self.sampled_rng = tree.generator("nature", "sampled")
+
+    @property
+    def pc_rng(self) -> np.random.Generator:
+        """The ``pc`` stream, for drivers that pre-draw a batch of
+        :meth:`pc_selection` calls through :mod:`repro.ensemble.rawstream`."""
+        return self._pc_rng
+
+    @property
+    def mutation_rng(self) -> np.random.Generator:
+        """The ``mutation`` stream, for drivers that pre-draw a batch of
+        :meth:`mutation_selection` calls."""
+        return self._mutation_rng
 
     # -- checkpointing ------------------------------------------------------
 
@@ -169,19 +209,12 @@ class NatureAgent:
     def decide_learning(
         self, decision: PCDecision, teacher_fitness: float, learner_fitness: float
     ) -> bool:
-        """Apply the Fermi rule (Eq. 1) to the pre-drawn adoption uniform.
-
-        The paper gates learning on the teacher being strictly fitter;
-        ``allow_downhill_learning`` removes the gate (the plain Fermi process
-        of the cited literature).
-        """
-        if (
-            not self.config.allow_downhill_learning
-            and not teacher_fitness > learner_fitness
-        ):
-            return False
-        p = fermi_probability(teacher_fitness, learner_fitness, self.config.beta)
-        return decision.adoption_uniform < p
+        """Apply the Fermi rule (:func:`adopts`) to the decision's
+        pre-drawn adoption uniform."""
+        return adopts(
+            self.config, decision.adoption_uniform, teacher_fitness,
+            learner_fitness,
+        )
 
     # -- mutation -----------------------------------------------------------------
 

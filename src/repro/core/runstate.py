@@ -166,7 +166,11 @@ def encode_bitgen(state: Mapping[str, Any]) -> dict[str, Any]:
 
     The counter/key/buffer words are uint64 (beyond float precision), so
     they are carried as exact Python int lists — ``json`` round-trips
-    arbitrary-precision ints losslessly.
+    arbitrary-precision ints losslessly.  ``uinteger`` is written as 0
+    while ``has_uint32`` is 0: NumPy reads it only while a half-word is
+    buffered, so the value it leaves there after spending one is not
+    part of the stream position, and two generators at the same position
+    encode alike whichever draws got them there.
     """
     name = str(state["bit_generator"])
     if name != "Philox":  # every repro stream is Philox (repro.rng.make_rng)
@@ -181,7 +185,7 @@ def encode_bitgen(state: Mapping[str, Any]) -> dict[str, Any]:
         "buffer": [int(x) for x in state["buffer"]],
         "buffer_pos": int(state["buffer_pos"]),
         "has_uint32": int(state["has_uint32"]),
-        "uinteger": int(state["uinteger"]),
+        "uinteger": int(state["uinteger"]) if state["has_uint32"] else 0,
     }
 
 

@@ -320,10 +320,13 @@ _JOINT_WALK_VIEWS_PER_ROUND = 2
 _ROUND_CHUNK = 32
 
 
+@lru_cache(maxsize=8)
 def _successor_shift(n_states: int) -> np.ndarray:
     """Entry ``v``: ``v``'s successor view before the round's moves are
-    or-ed into its low two bits."""
-    return (np.arange(n_states, dtype=np.intp) << 2) & (n_states - 1)
+    or-ed into its low two bits (cached, read-only)."""
+    shift = (np.arange(n_states, dtype=np.intp) << 2) & (n_states - 1)
+    shift.flags.writeable = False
+    return shift
 
 
 def _walk_joint(
@@ -438,6 +441,21 @@ def _exact_integer_sums(vec: np.ndarray, rounds: int, bound: float) -> bool:
     )
 
 
+@lru_cache(maxsize=32)
+def _packed_payoffs(payoff: PayoffMatrix, rounds: int) -> np.ndarray | None:
+    """Both sides' round payoffs per joint code packed into one int64,
+    ``(pay_a << 32) + pay_b`` (cached, read-only), or ``None`` when
+    ``rounds`` of ``payoff`` do not sum exactly below 2**24 — the
+    precondition of :func:`cycle_payoffs_pairs`' ``compact_sums`` path."""
+    vec = payoff.vector
+    if not _exact_integer_sums(vec, rounds, 2.0**24):
+        return None
+    ivec = vec.astype(np.int64)
+    packed = (ivec << 32) + ivec[_SWAP_CODE]
+    packed.flags.writeable = False
+    return packed
+
+
 def _integer_totals(vec: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Per-game sums of integer-valued ``vec[codes]`` down a ``(rounds,
     n_games)`` array, exact in int64 (callers check
@@ -530,52 +548,58 @@ def cycle_payoffs_pairs(
     if n_pairs == 0:
         return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.float64)
     n_states = tables.shape[1]
-    mask = n_states - 1
-    mirror = _mirror_row(n_states)
     vec = payoff.vector
-    if compact_sums and not _exact_integer_sums(vec, rounds, 2.0**24):
-        raise ConfigurationError(
-            "compact_sums needs integer payoffs with rounds * max|payoff| "
-            f"< 2**24, got rounds={rounds} and payoff {vec.tolist()}"
-        )
+    if compact_sums:
+        packed_vec = _packed_payoffs(payoff, rounds)
+        if packed_vec is None:
+            raise ConfigurationError(
+                "compact_sums needs integer payoffs with rounds * "
+                f"max|payoff| < 2**24, got rounds={rounds} and payoff "
+                f"{vec.tolist()}"
+            )
 
-    # One-round tables, per pairing and view state: the joint move code
-    # played from view v, the successor view, and both sides' round
-    # payoffs.  The successor is stored as a *flat* index into the
-    # ravelled (L, S) arrays (row offset baked in), so every composition
-    # below is a single cheap 1-D fancy gather.  The code is built in
-    # uint8 and widened once: at fill sizes the set-up is as costly as
-    # the doublings.
-    code = tables[a_idx] << 1  # (L, S): 2 * move_a + move_b
-    code |= tables[b_idx][:, mirror]
-    view = np.arange(n_pairs, dtype=np.int64) * n_states  # all-C starts
+    # One-round tables, per pairing and view state, built flat: the joint
+    # move code played from view v, the successor view, and both sides'
+    # round payoffs.  The successor is stored as a flat index into these
+    # (L * S) arrays (row offset baked in), so every composition below is
+    # one ``take``.  At fill sizes (~11 pairs per engine intern) the cost
+    # is NumPy call overhead, not arithmetic: the set-up gathers with
+    # ``take`` (a 2-D fancy index costs twice as much), builds the code in
+    # uint8 and adds in place.
+    code = tables.take(a_idx, axis=0)  # (L, S): 2 * move_a + move_b
+    code <<= 1
+    code |= tables.take(b_idx, axis=0).take(_mirror_row(n_states), axis=1)
+    code = code.ravel()
+    view = np.arange(0, n_pairs * n_states, n_states)  # all-C starts
     # (v << 2) & mask leaves the low two bits free, so or-ing the code in
     # is adding it.
-    step = np.add(
-        view[:, None], (np.arange(n_states, dtype=np.int64) << 2) & mask
-    )
+    step = np.add(view[:, None], _successor_shift(n_states)).ravel()
     step += code
-    code = code.astype(np.intp)
 
     if compact_sums:
         # Both sides' payoff sums over the current 2**k-round block in one
         # int64 per view (see the docstring).
-        ivec = vec.astype(np.int64)
-        packed = ((ivec << 32) + ivec[_SWAP_CODE]).take(code)
-        total = np.zeros(n_pairs, dtype=np.int64)
+        packed = packed_vec.take(code)
+        total = None
         remaining = rounds
         while True:
             if remaining & 1:
-                total += packed.ravel()[view]
-                view = step.ravel()[view]
+                if total is None:
+                    total = packed.take(view)
+                else:
+                    total += packed.take(view)
+                view = step.take(view)
             remaining >>= 1
             if not remaining:
                 break
-            packed += packed.ravel()[step]
-            step = step.ravel()[step]
-        low = ((total + (1 << 31)) & 0xFFFFFFFF) - (1 << 31)
-        high = (total - low) >> 32
-        return high.astype(np.float64), low.astype(np.float64)
+            packed += packed.take(step)
+            step = step.take(step)
+        # b is the low half sign-extended, a = (t - b) >> 32.
+        low = total << 32
+        low >>= 32
+        total -= low
+        total >>= 32
+        return total.astype(np.float64), low.astype(np.float64)
 
     sum_a = vec.take(code)  # payoff sums over the current 2**k-round block
     sum_b = vec[_SWAP_CODE].take(code)
@@ -585,17 +609,17 @@ def cycle_payoffs_pairs(
     remaining = rounds
     while True:
         if remaining & 1:
-            total_a += sum_a.ravel()[view]
-            total_b += sum_b.ravel()[view]
-            view = step.ravel()[view]
+            total_a += sum_a.take(view)
+            total_b += sum_b.take(view)
+            view = step.take(view)
         remaining >>= 1
         if not remaining:
             break
         # Square the block: 2**(k+1) rounds = 2**k rounds, then 2**k more
         # from wherever the walk landed.
-        sum_a = sum_a + sum_a.ravel()[step]
-        sum_b = sum_b + sum_b.ravel()[step]
-        step = step.ravel()[step]
+        sum_a += sum_a.take(step)
+        sum_b += sum_b.take(step)
+        step = step.take(step)
     return total_a, total_b
 
 

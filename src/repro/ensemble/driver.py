@@ -1746,5 +1746,6 @@ def _run_group_generic(
         result.cache_hits = evaluators[r].hits
         result.cache_misses = evaluators[r].misses
         result.wallclock_seconds = elapsed
+        pops[r].bind_engine(None)  # results must not pin the lane engines
     meta = {"lanes": n_lanes, "shared_engine": None}
     return results, meta

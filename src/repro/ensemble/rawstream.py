@@ -1,11 +1,13 @@
-"""Exact vectorised pre-draw of per-lane Nature-Agent decision streams.
+"""Exact vectorised pre-draw of Nature-Agent decision streams.
 
 The pairwise-comparison and mutation streams are *state-independent*: which
 SSets an event touches and which mutant table it installs depend only on
-the drawn values, never on the population.  A lane's whole batch of
-decisions can therefore be drawn ahead of time — the only requirement is
-that the RNG stream is consumed **exactly** as the serial drivers consume
-it, call for call.
+the drawn values, never on the population.  A whole batch of decisions can
+therefore be drawn ahead of time — the only requirement is that the RNG
+stream is consumed **exactly** as the serial drivers consume it, call for
+call.  Two drivers do so: the ensemble, per lane and batch, and the event
+driver (:func:`repro.core.evolution.run_event_driven`), per batch on the
+Nature Agent's own ``pc`` and ``mutation`` generators.
 
 NumPy's ``Generator`` draws these values through a handful of stable
 primitives on the Philox raw uint64 stream:
@@ -27,8 +29,20 @@ primitives on the Philox raw uint64 stream:
   (little-endian within each 32-bit half): ``value = byte >> 7``.
 
 This module re-implements those primitives vectorised over a *clone* of
-the bit generator (peek), then advances the real generator by exactly the
-number of raw words consumed (commit).
+the bit generator (peek; one clone per decoder, reused by every draw),
+then advances the real generator by exactly the number of raw words
+consumed (commit).
+
+A raw decoder keeps the spare half-word carry in Python rather than in
+the bit generator's ``has_uint32``/``uinteger`` buffer.  The ensemble
+owns its generators for the whole run and checkpoints the decoders'
+folded state (:func:`_capture_stream`).  The event driver instead draws
+between checkpoints that capture the Generator's raw state, so it lends
+the carry to the decoder for each draw (``claim_carry``) and takes it back
+(``fold_carry``), leaving the stream exactly where the scalar Generator
+calls would have (:func:`repro.core.runstate.encode_bitgen` ignores the
+``uinteger`` NumPy leaves behind after spending a carry, which it never
+reads again).
 
 The two PC decoders share one **segment walk** (:func:`_walk_segments`).
 A clean event is two half-words plus one full word, so consecutive clean
@@ -54,7 +68,9 @@ module to the scalar path instead of silently changing trajectories (the
 lane-parity tests pin the trajectories regardless).  The self-check
 includes power-of-two and non-power-of-two bounds, a bound chosen to make
 Lemire rejections frequent, and graph (learner-then-neighbor) draws over
-an irregular CSR adjacency.
+an irregular CSR adjacency; each case draws in two lent batches, starting
+with or without a carry, and must leave the Generator's encoded state
+(:func:`repro.core.runstate.encode_bitgen`) equal to the scalar calls'.
 
 Three decoders are exposed:
 
@@ -139,10 +155,15 @@ def _lemire_threshold(n: int) -> int:
 
 
 class _RawPeek:
-    """Read ahead on a cloned Philox; commit consumption at the end."""
+    """Read ahead on a cloned Philox; commit consumption at the end.
 
-    def __init__(self, bit_generator):
-        clone = np.random.Philox()
+    ``clone`` is any Philox the caller owns; its state is overwritten with
+    the real generator's.  Decoders keep one for all their draws: building
+    a Philox (seeded from OS entropy when unseeded) cost about seven times
+    the state copy.
+    """
+
+    def __init__(self, bit_generator, clone):
         clone.state = bit_generator.state
         self._clone = clone
         self._real = bit_generator
@@ -171,6 +192,70 @@ class _RawPeek:
         """Advance the real bit generator past everything taken."""
         if self.consumed:
             self._real.random_raw(self.consumed)
+
+
+class _RawDecoder:
+    """State the raw decoders share: the real bit generator, the spare
+    half-word carry held in Python (``_half``) and one reusable peek clone.
+
+    :meth:`claim_carry` and :meth:`fold_carry` let a caller that draws
+    through the Generator between batches (the event driver, whose
+    checkpoints carry the Generator's state) lend the carry to the decoder
+    for a batch and get back the state the Generator calls would have left.
+    """
+
+    def __init__(self, rng: np.random.Generator):
+        self._bitgen = rng.bit_generator
+        self._half: int | None = None
+        self._clone = None
+
+    def state_dict(self) -> dict:
+        return _capture_stream(self._bitgen, self._half)
+
+    def set_state(self, data: dict) -> None:
+        self._half = _restore_raw_stream(self._bitgen, data)
+
+    def claim_carry(self) -> None:
+        """Move the bit generator's buffered half-word into ``_half``."""
+        state = self._bitgen.state
+        if state["has_uint32"]:
+            self._half = state["uinteger"]
+            state["has_uint32"] = 0
+            self._bitgen.state = state
+
+    def fold_carry(self) -> None:
+        """Move ``_half`` back into the bit generator's buffer."""
+        if self._half is not None:
+            state = self._bitgen.state
+            state["has_uint32"] = 1
+            state["uinteger"] = self._half
+            self._bitgen.state = state
+            self._half = None
+
+    def _peek(self) -> _RawPeek:
+        if self._clone is None:
+            self._clone = np.random.Philox(0)  # state overwritten per peek
+        return _RawPeek(self._bitgen, self._clone)
+
+
+class _ScalarDecoder:
+    """State the Generator-API fallbacks share; their carry never leaves
+    the bit generator, so lending it is a no-op."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def state_dict(self) -> dict:
+        return _capture_stream(self._rng.bit_generator, None)
+
+    def set_state(self, data: dict) -> None:
+        _restore_scalar_stream(self._rng, data)
+
+    def claim_carry(self) -> None:
+        pass
+
+    def fold_carry(self) -> None:
+        pass
 
 
 def _scalar_bounded(decoder, source, n: int, threshold: int) -> int:
@@ -246,7 +331,7 @@ def _walk_segments(decoder, m: int) -> tuple[list[int], list[int], list[float]]:
     if m == 0:
         return [], [], []
     half0 = decoder._half
-    buf = _WordBuffer(_RawPeek(decoder._bitgen), _words_needed(decoder, m))
+    buf = _WordBuffer(decoder._peek(), _words_needed(decoder, m))
     teachers = np.empty(m, dtype=np.int64)
     learners = np.empty(m, dtype=np.int64)
     uniforms = np.empty(m, dtype=np.float64)
@@ -315,7 +400,7 @@ def _words_needed(decoder, events: int) -> int:
     return int(events * decoder._words_per_event * 1.05) + 64
 
 
-class _RawPCDecoder:
+class _RawPCDecoder(_RawDecoder):
     """Well-mixed PC selections decoded from the raw stream.
 
     Per event the serial sequence is ``integers(n)`` (teacher),
@@ -328,7 +413,7 @@ class _RawPCDecoder:
     """
 
     def __init__(self, rng: np.random.Generator, n_ssets: int):
-        self._bitgen = rng.bit_generator
+        super().__init__(rng)
         self._n = n_ssets
         self._un = np.uint64(n_ssets)
         threshold = _lemire_threshold(n_ssets)
@@ -338,13 +423,6 @@ class _RawPCDecoder:
         # every half is redrawn at the rejection rate.
         halves = (2 + 1 / (n_ssets - 1)) / (1 - threshold / 2**32)
         self._words_per_event = 1 + halves / 2
-        self._half: int | None = None
-
-    def state_dict(self) -> dict:
-        return _capture_stream(self._bitgen, self._half)
-
-    def set_state(self, data: dict) -> None:
-        self._half = _restore_raw_stream(self._bitgen, data)
 
     def draw(self, m: int) -> tuple[list[int], list[int], list[float]]:
         return _walk_segments(self, m)
@@ -372,18 +450,12 @@ class _RawPCDecoder:
         return teacher, learner, (raw >> 11) * _DOUBLE_SCALE
 
 
-class _ScalarPCDecoder:
+class _ScalarPCDecoder(_ScalarDecoder):
     """Generator-API fallback with the identical output shape."""
 
     def __init__(self, rng: np.random.Generator, n_ssets: int):
-        self._rng = rng
+        super().__init__(rng)
         self._n = n_ssets
-
-    def state_dict(self) -> dict:
-        return _capture_stream(self._rng.bit_generator, None)
-
-    def set_state(self, data: dict) -> None:
-        _restore_scalar_stream(self._rng, data)
 
     def draw(self, m: int) -> tuple[list[int], list[int], list[float]]:
         rng = self._rng
@@ -402,7 +474,7 @@ class _ScalarPCDecoder:
         return teachers, learners, uniforms
 
 
-class _RawGraphPCDecoder:
+class _RawGraphPCDecoder(_RawDecoder):
     """Graph-structure PC selections decoded from the raw stream.
 
     Per event the serial sequence (:meth:`GraphStructure.select_pair`) is
@@ -416,7 +488,7 @@ class _RawGraphPCDecoder:
     """
 
     def __init__(self, rng: np.random.Generator, structure):
-        self._bitgen = rng.bit_generator
+        super().__init__(rng)
         n = structure.n_ssets
         self._n = n
         self._un = np.uint64(n)
@@ -431,13 +503,6 @@ class _RawGraphPCDecoder:
             np.mean(structure.degrees > 1)
         )
         self._words_per_event = 1 + halves / 2
-        self._half: int | None = None
-
-    def state_dict(self) -> dict:
-        return _capture_stream(self._bitgen, self._half)
-
-    def set_state(self, data: dict) -> None:
-        self._half = _restore_raw_stream(self._bitgen, data)
 
     def draw(self, m: int) -> tuple[list[int], list[int], list[float]]:
         return _walk_segments(self, m)
@@ -475,19 +540,13 @@ class _RawGraphPCDecoder:
         return teacher, learner, (raw >> 11) * _DOUBLE_SCALE
 
 
-class _ScalarGraphPCDecoder:
+class _ScalarGraphPCDecoder(_ScalarDecoder):
     """Generator-API fallback: drives the structure's own ``select_pair``
     so the consumption contract lives in exactly one place."""
 
     def __init__(self, rng: np.random.Generator, structure):
-        self._rng = rng
+        super().__init__(rng)
         self._structure = structure
-
-    def state_dict(self) -> dict:
-        return _capture_stream(self._rng.bit_generator, None)
-
-    def set_state(self, data: dict) -> None:
-        _restore_scalar_stream(self._rng, data)
 
     def draw(self, m: int) -> tuple[list[int], list[int], list[float]]:
         rng = self._rng
@@ -503,7 +562,7 @@ class _ScalarGraphPCDecoder:
         return teachers, learners, uniforms
 
 
-class _RawMutationDecoder:
+class _RawMutationDecoder(_RawDecoder):
     """Mutation targets + pure mutant tables decoded from the raw stream.
 
     Per event: one half-word (target, Lemire-32) then ``n_states`` bytes
@@ -513,19 +572,12 @@ class _RawMutationDecoder:
     """
 
     def __init__(self, rng: np.random.Generator, n_ssets: int, n_states: int):
-        self._bitgen = rng.bit_generator
+        super().__init__(rng)
         self._n = n_ssets
         self._un = np.uint64(n_ssets)
         self._thr = np.uint64(_lemire_threshold(n_ssets))
         self._n_states = n_states
         self._per_event = 1 + n_states // 4
-        self._half: int | None = None
-
-    def state_dict(self) -> dict:
-        return _capture_stream(self._bitgen, self._half)
-
-    def set_state(self, data: dict) -> None:
-        self._half = _restore_raw_stream(self._bitgen, data)
 
     def _take_halves(self, peek: _RawPeek, need: int) -> tuple[np.ndarray, int]:
         """``need`` half-words as one array (carry first when present),
@@ -559,7 +611,7 @@ class _RawMutationDecoder:
     def draw(self, m: int) -> tuple[list[int], np.ndarray]:
         if m == 0:
             return [], np.empty((0, self._n_states), dtype=np.uint8)
-        peek = _RawPeek(self._bitgen)
+        peek = self._peek()
         targets: list[int] = [0] * m
         tables = np.empty((m, self._n_states), dtype=np.uint8)
         per_event = self._per_event
@@ -600,19 +652,13 @@ class _RawMutationDecoder:
         return targets, tables
 
 
-class _ScalarMutationDecoder:
+class _ScalarMutationDecoder(_ScalarDecoder):
     """Generator-API fallback with the identical output shape."""
 
     def __init__(self, rng: np.random.Generator, n_ssets: int, n_states: int):
-        self._rng = rng
+        super().__init__(rng)
         self._n = n_ssets
         self._n_states = n_states
-
-    def state_dict(self) -> dict:
-        return _capture_stream(self._rng.bit_generator, None)
-
-    def set_state(self, data: dict) -> None:
-        _restore_scalar_stream(self._rng, data)
 
     def draw(self, m: int) -> tuple[list[int], np.ndarray]:
         rng = self._rng
@@ -668,6 +714,33 @@ class _CheckGraph:
         return int(self.indices[start + offset]), learner
 
 
+def _matches_scalar(make_raw, make_scalar, seed: int, m: int, carry: bool) -> bool:
+    """Whether a raw decoder drawing ``m`` events in two batches, each with
+    the Generator's carry lent to it (:meth:`_RawDecoder.claim_carry`),
+    returns the scalar decoder's values and leaves its Generator where the
+    scalar calls leave theirs (equal encoded states).  ``carry`` starts
+    both streams on a buffered half-word."""
+    ref = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(seed))
+    if carry:
+        ref.integers(3)
+        rng.integers(3)
+    expect = make_scalar(ref).draw(m)
+    dec = make_raw(rng)
+    parts = []
+    for k in (m // 2, m - m // 2):
+        dec.claim_carry()
+        parts.append(dec.draw(k))
+        dec.fold_carry()
+    for field, want in enumerate(expect):
+        got = np.concatenate([np.asarray(part[field]) for part in parts])
+        if not np.array_equal(got, np.asarray(want)):
+            return False
+    return encode_bitgen(rng.bit_generator.state) == encode_bitgen(
+        ref.bit_generator.state
+    )
+
+
 def _self_check() -> bool:
     """Compare raw decoding against the real Generator API once per process."""
     try:
@@ -678,15 +751,12 @@ def _self_check() -> bool:
             (99, 100, 64),
             (5, _REJECTION_HEAVY_N, 64),  # ~1/3 of draws reject
         )
-        for seed, n, m in pc_cases:
-            ref = np.random.Generator(np.random.Philox(seed))
-            dec = _RawPCDecoder(np.random.Generator(np.random.Philox(seed)), n)
-            expect = _ScalarPCDecoder(ref, n).draw(m)
-            # Split draws to exercise the cross-call carry state.
-            got_a = dec.draw(m // 2)
-            got_b = dec.draw(m - m // 2)
-            got = tuple(a + b for a, b in zip(got_a, got_b))
-            if got != expect:
+        for i, (seed, n, m) in enumerate(pc_cases):
+            if not _matches_scalar(
+                lambda rng: _RawPCDecoder(rng, n),
+                lambda rng: _ScalarPCDecoder(rng, n),
+                seed, m, carry=bool(i % 2),
+            ):
                 return False
         mutation_cases = (
             (9, 8, 16, 33),
@@ -694,31 +764,20 @@ def _self_check() -> bool:
             (11, 48, 16, 33),  # non-power-of-two target bound
             (12, _REJECTION_HEAVY_N, 4, 48),  # rejection-heavy targets
         )
-        for seed, n, states, m in mutation_cases:
-            ref = np.random.Generator(np.random.Philox(seed))
-            dec = _RawMutationDecoder(
-                np.random.Generator(np.random.Philox(seed)), n, states
-            )
-            expect_t, expect_tab = _ScalarMutationDecoder(ref, n, states).draw(m)
-            got_t1, got_tab1 = dec.draw(m // 2)
-            got_t2, got_tab2 = dec.draw(m - m // 2)
-            if got_t1 + got_t2 != expect_t:
-                return False
-            if not np.array_equal(
-                np.concatenate([got_tab1, got_tab2]), expect_tab
+        for i, (seed, n, states, m) in enumerate(mutation_cases):
+            if not _matches_scalar(
+                lambda rng: _RawMutationDecoder(rng, n, states),
+                lambda rng: _ScalarMutationDecoder(rng, n, states),
+                seed, m, carry=bool(i % 2),
             ):
                 return False
         graph = _CheckGraph()
-        for seed, m in ((21, 96), (22, 41)):
-            ref = np.random.Generator(np.random.Philox(seed))
-            dec = _RawGraphPCDecoder(
-                np.random.Generator(np.random.Philox(seed)), graph
-            )
-            expect = _ScalarGraphPCDecoder(ref, graph).draw(m)
-            got_a = dec.draw(m // 2)
-            got_b = dec.draw(m - m // 2)
-            got = tuple(a + b for a, b in zip(got_a, got_b))
-            if got != expect:
+        for i, (seed, m) in enumerate(((21, 96), (22, 41))):
+            if not _matches_scalar(
+                lambda rng: _RawGraphPCDecoder(rng, graph),
+                lambda rng: _ScalarGraphPCDecoder(rng, graph),
+                seed, m, carry=bool(i % 2),
+            ):
                 return False
     except Exception:  # pragma: no cover - ultra-defensive
         return False

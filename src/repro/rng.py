@@ -15,6 +15,7 @@ Philox is counter-based, making spawned streams statistically independent.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -39,6 +40,28 @@ def spawn_rngs(seed: int, n: int) -> list[np.random.Generator]:
         raise ValueError(f"cannot spawn a negative number of streams: {n}")
     children = np.random.SeedSequence(seed).spawn(n)
     return [np.random.Generator(np.random.Philox(c)) for c in children]
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _name_key(*parts: object) -> tuple[int, ...]:
+    """Stable mapping of a name path onto SeedSequence spawn_key integers.
+
+    Cached per path (``typed``, so ``1`` and ``1.0``, equal as cache
+    keys but hashed differently below, stay apart): every run derives the
+    same handful of streams, and the pure-Python hash cost ~2 µs each.
+    """
+    key: list[int] = []
+    for part in parts:
+        if isinstance(part, (int, np.integer)):
+            key.append(int(part) & 0xFFFFFFFF)
+        else:
+            # FNV-1a over the utf-8 bytes: stable across runs/processes
+            # (unlike hash(), which is salted).
+            h = 0x811C9DC5
+            for b in str(part).encode("utf-8"):
+                h = ((h ^ b) * 0x01000193) & 0xFFFFFFFF
+            key.append(h)
+    return tuple(key)
 
 
 class SeedSequenceTree:
@@ -67,19 +90,7 @@ class SeedSequenceTree:
         return self._seed
 
     def _child_key(self, parts: Iterable[object]) -> tuple[int, ...]:
-        # Stable mapping of a name path onto SeedSequence spawn_key integers.
-        key: list[int] = []
-        for part in parts:
-            if isinstance(part, (int, np.integer)):
-                key.append(int(part) & 0xFFFFFFFF)
-            else:
-                # FNV-1a over the utf-8 bytes: stable across runs/processes
-                # (unlike hash(), which is salted).
-                h = 0x811C9DC5
-                for b in str(part).encode("utf-8"):
-                    h = ((h ^ b) * 0x01000193) & 0xFFFFFFFF
-                key.append(h)
-        return tuple(key)
+        return _name_key(*parts)
 
     def seed_sequence(self, *name: object) -> np.random.SeedSequence:
         """Return the derived :class:`~numpy.random.SeedSequence` for ``name``."""

@@ -343,6 +343,114 @@ class TestPopulationEngineSync:
         with pytest.raises(SimulationError):
             population.sids
 
+    @staticmethod
+    def spy_kernel(monkeypatch):
+        """Record the pair count of every engine kernel call."""
+        import repro.core.engine as engine_module
+
+        calls = []
+        kernel = engine_module.cycle_payoffs_pairs
+
+        def counting(tables, a_idx, b_idx, *args, **kwargs):
+            calls.append(len(a_idx))
+            return kernel(tables, a_idx, b_idx, *args, **kwargs)
+
+        monkeypatch.setattr(engine_module, "cycle_payoffs_pairs", counting)
+        return calls
+
+    @staticmethod
+    def assert_same_fill(bulk, single):
+        assert bulk.misses == single.misses
+        live = bulk.pool.ordered_sids()
+        assert np.array_equal(live, single.pool.ordered_sids())
+        rows, cols = np.meshgrid(live, live, indexing="ij")
+        assert np.array_equal(
+            bulk.paymat[rows.ravel(), cols.ravel()],
+            single.paymat[rows.ravel(), cols.ravel()],
+        )
+
+    @pytest.mark.parametrize("budget_pairs", [None, 24])
+    @pytest.mark.parametrize("paymat_block", [0, 16])
+    @pytest.mark.parametrize("memory_steps", [1, 2, 3])
+    def test_bulk_intern_all_matches_one_at_a_time(
+        self, monkeypatch, memory_steps, paymat_block, budget_pairs
+    ):
+        """A bulk fill evaluates exactly the pairs one-at-a-time interning
+        fills: every live pair reads the same value, and ``misses`` counts
+        the same evaluations — with strategies live beforehand, repeats,
+        and pool growth past its capacity.  With a small per-call budget
+        the fill splits into whole rows, grouped up to the budget (a row
+        past it alone)."""
+        import repro.core.engine as engine_module
+
+        if budget_pairs is not None:
+            monkeypatch.setattr(
+                engine_module, "_FILL_ENTRIES", budget_pairs * 4**memory_steps
+            )
+        rng = np.random.default_rng(memory_steps)
+        config = EvolutionConfig(memory_steps=memory_steps, n_ssets=8,
+                                 paymat_block=paymat_block)
+        distinct = [random_pure(rng, memory_steps) for _ in range(90)]
+        earlier = distinct[:5] + distinct[:2]
+        population = [distinct[int(i)] for i in rng.integers(0, 90, size=150)]
+        population += earlier[:3]  # already live before the bulk call
+
+        single = make_engine(config)
+        single_sids = np.array(
+            [single.intern(s) for s in earlier + population]
+        )
+        bulk = make_engine(config)
+        calls = self.spy_kernel(monkeypatch)
+        bulk_sids = np.concatenate(
+            [bulk.intern_all(earlier), bulk.intern_all(population)]
+        )
+        if memory_steps > 1:  # memory one has only 16 pure strategies
+            assert bulk.pool.capacity > 64  # the pool grew during the call
+        assert np.array_equal(bulk_sids, single_sids)
+        self.assert_same_fill(bulk, single)
+        if budget_pairs is not None:
+            assert len(calls) > 2
+            # Row p of the live order holds p + 1 pairs.
+            row_sizes = iter(range(1, len(bulk.pool) + 1))
+            for pairs in calls:
+                rows = [next(row_sizes)]
+                while sum(rows) < pairs:
+                    rows.append(next(row_sizes))
+                assert sum(rows) == pairs  # whole rows only
+                assert pairs <= budget_pairs or len(rows) == 1
+
+    def test_bulk_intern_all_is_one_kernel_call(self, monkeypatch):
+        """A serve-sized start (16 SSets, memory 2) fills in one call."""
+        calls = self.spy_kernel(monkeypatch)
+        config = EvolutionConfig(memory_steps=2, n_ssets=16, seed=4)
+        population = population_for(config, seed=4)
+        engine = make_engine(config)
+        population.bind_engine(engine)
+        n = len(engine.pool)
+        assert calls == [n * (n + 1) // 2] == [engine.misses]
+
+    def test_bulk_fill_stays_under_the_entry_budget(self, monkeypatch):
+        """A deep-memory start never hands the kernel more than
+        ``_FILL_ENTRIES`` view states per call (each call's temporaries
+        scale with pairs x 4**memory), and still fills what one-at-a-time
+        interning does."""
+        from repro.core.engine import _FILL_ENTRIES
+
+        rng = np.random.default_rng(5)
+        config = EvolutionConfig(memory_steps=5, n_ssets=72, rounds=5)
+        strategies = [random_pure(rng, 5) for _ in range(72)]
+        single = make_engine(config)
+        for strategy in strategies:
+            single.intern(strategy)
+        calls = self.spy_kernel(monkeypatch)
+        bulk = make_engine(config)
+        bulk.intern_all(strategies)
+        assert len(bulk.pool) == 72
+        assert len(calls) > 1
+        assert max(calls) * 4**5 <= _FILL_ENTRIES
+        assert sum(calls) == 72 * 73 // 2
+        self.assert_same_fill(bulk, single)
+
     def test_intern_all_validates(self):
         engine = make_engine(EvolutionConfig(memory_steps=2))
         with pytest.raises(StrategyError):

@@ -54,6 +54,28 @@ class TestSeedSequenceTree:
         b = SeedSequenceTree(1).seed_sequence("events").entropy
         assert a == b
 
+    def test_name_keys_pinned(self):
+        # The spawn keys are part of every trajectory: FNV-1a of the
+        # utf-8 name, integers masked to 32 bits.  The per-path cache must
+        # keep them, and keep 1, "1" and 1.0 apart.
+        def fnv(text):
+            h = 0x811C9DC5
+            for b in text.encode("utf-8"):
+                h = ((h ^ b) * 0x01000193) & 0xFFFFFFFF
+            return h
+
+        tree = SeedSequenceTree(1)
+        for _ in range(2):
+            assert tree._child_key(("nature", "pc")) == (fnv("nature"), fnv("pc"))
+            assert tree._child_key(("rank", 3)) == (fnv("rank"), 3)
+            assert tree._child_key(("rank", np.int64(-1))) == (
+                fnv("rank"), 0xFFFFFFFF,
+            )
+            assert tree._child_key(("1",)) == (fnv("1"),)
+            assert tree._child_key((1.0,)) == (fnv("1.0"),)
+            assert tree._child_key((1,)) == (1,)
+        assert tree.seed_sequence("rank", 3).spawn_key == (fnv("rank"), 3)
+
     def test_non_int_seed_rejected(self):
         with pytest.raises(TypeError):
             SeedSequenceTree("seed")
