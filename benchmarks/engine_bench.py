@@ -5,7 +5,9 @@ Writes ``BENCH_engine.json`` with one record per scenario, each timing the
 same seeded run twice — ``engine=False`` (legacy PayoffCache path) and
 ``engine=True`` (interned-strategy dense payoff matrix) — plus the speedup
 ratio.  Trajectories are bit-identical between the two (pinned by the test
-suite), so the science fingerprints double as a cross-check here.
+suite), so the run outcomes double as a cross-check here: the harness
+fails unless both runs agree on the PC event, mutation and adoption
+counts, the dominant share and every SSet's final strategy.
 
 CI runs ``--smoke`` (one scenario, short horizon) so the harness cannot
 rot; developers run it bare before/after engine work and commit the JSON.
@@ -71,19 +73,31 @@ def bench_scenario(
         _, share = result.dominant()
         record[f"{mode}_seconds"] = round(elapsed, 4)
         record[f"{mode}_generations_per_sec"] = round(generations / elapsed, 1)
+        # The event and mutation counts follow from the event stream
+        # alone; the adoptions and the final strategies follow the
+        # fitness values, so a trajectory split shows in them.
         fingerprints[mode] = (
             result.n_pc_events,
             result.n_mutations,
+            result.n_adoptions,
             round(share, 6),
+            tuple(s.key() for s in result.population.strategies()),
         )
-    if fingerprints["legacy"] != fingerprints["engine"]:
+    legacy, engine = fingerprints["legacy"], fingerprints["engine"]
+    if legacy != engine:
         raise AssertionError(
-            f"{label}: engine trajectory diverged from legacy "
-            f"({fingerprints['engine']} vs {fingerprints['legacy']})"
+            f"{label}: engine trajectory diverged from legacy (pc events, "
+            f"mutations, adoptions, dominant share: {engine[:4]} vs "
+            f"{legacy[:4]}; final strategies "
+            f"{'equal' if engine[4] == legacy[4] else 'differ'})"
         )
-    record["pc_events"], record["mutations"], record["dominant_share"] = (
-        fingerprints["engine"]
-    )
+    (
+        record["pc_events"],
+        record["mutations"],
+        record["adoptions"],
+        record["dominant_share"],
+        _,
+    ) = engine
     record["speedup"] = round(
         record["engine_generations_per_sec"]
         / record["legacy_generations_per_sec"],

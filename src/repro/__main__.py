@@ -735,7 +735,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed for replicate derivation "
                              "(default: --seed)")
     submit.add_argument("--backend", choices=available_backends(),
-                        default="ensemble")
+                        default=None,
+                        help="execution backend (default: event or "
+                             "ensemble, whichever measured faster for the "
+                             "job's shape and --runs)")
     submit.add_argument("--priority", choices=["interactive", "batch"],
                         default="batch")
     submit.add_argument("--label", default="", help="free-form job tag")

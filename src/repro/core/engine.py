@@ -30,11 +30,12 @@ regime split:
 
 * **deterministic** (pure strategies, no noise) — new sids are filled
   *eagerly*, one batched cycle-exact row+column evaluation per intern
-  (:func:`repro.core.vectorgame.cycle_payoffs_pairs`).  Payoffs are sums of
-  integer payoff-matrix entries, exact in float64 in any summation order,
-  so the vectorised fills and dot products match the scalar cycle engine
-  bit for bit.  Integer payoff matrices only — the engine refuses (and
-  drivers fall back to the legacy cache) otherwise.
+  (:func:`repro.core.vectorgame.cycle_payoffs_pairs`), or ahead of time
+  for a window of mutants pinned by :meth:`FitnessEngine.prefetch`.
+  Payoffs are sums of integer payoff-matrix entries, exact in float64 in
+  any summation order, so the vectorised fills and dot products match the
+  scalar cycle engine bit for bit.  Integer payoff matrices only — the
+  engine refuses (and drivers fall back to the legacy cache) otherwise.
 
 * **expected** (Markov-exact fitness for noisy / mixed games) — expected
   payoffs are irrational floats whose summation order matters, and the
@@ -102,10 +103,39 @@ def is_integer_payoff(payoff: PayoffMatrix) -> bool:
     return all(float(v).is_integer() for v in payoff.vector)
 
 
-#: View states (pairs x 4**memory) one bulk deterministic fill hands the
-#: kernel per call (:meth:`FitnessEngine._fill_new_rows`): about 8 MB of
-#: kernel temporaries at ~32 bytes each, one memory-6 row over 64 sids.
+#: View states (pairs x 4**memory) one deterministic fill hands the kernel
+#: per call (:meth:`FitnessEngine._fill_rows`): about 8 MB of kernel
+#: temporaries at ~32 bytes each, a memory-6 row over 64 sids.  Longer
+#: rows split.
 _FILL_ENTRIES = 1 << 18
+
+#: The prefetch window's scale: :func:`prefetch_window` gives
+#: ``sqrt(_PREFETCH_VIEWS / 4**memory)`` mutants.
+_PREFETCH_VIEWS = 1 << 12
+
+#: The smallest window that prefetches; smaller ones are no prefetch.
+_MIN_WINDOW = 4
+
+
+def prefetch_window(memory_steps: int) -> int:
+    """Mutants per event-driver window of :meth:`FitnessEngine.prefetch`.
+
+    A window of ``k`` mutants fills in one kernel call what ``k`` calls
+    fill one mutant at a time, saving ``k - 1`` fixed costs of ~50 µs.  It
+    overshoots by the pairs among its mutants, about ``k / 2`` per mutant,
+    each costing in proportion to the ``4**memory`` view states.  The sum
+    of the two per mutant, ``F / k + c * 4**memory * k / 2``, is least at
+    ``k`` proportional to ``1 / sqrt(4**memory)``: 32, 16, 8 and 4
+    mutants at memory 1-4, each the fastest window measured on 16-SSet
+    event runs (2 runs x 4,000 generations), or tied with it.  Below
+    :data:`_MIN_WINDOW` no window measured a gain (a window of two at
+    memory 5 ran within run-to-run spread of none), so memory 5 and 6
+    take a window of one: no prefetch, each mutant is filled when it is
+    interned.
+    """
+    k = math.isqrt(_PREFETCH_VIEWS // num_states(memory_steps))
+    return k if k >= _MIN_WINDOW else 1
+
 
 #: Pair-evaluation key: the two strategies' byte identities, focal first.
 _PairKey = tuple[bytes, bytes]
@@ -194,6 +224,13 @@ class StrategyPool:
     insertion order, which :meth:`ordered_sids` exposes because the
     expected-fitness regime must accumulate payoffs in exactly that order
     to stay on the legacy trajectory.
+
+    Evicting pools also take *pins* (:meth:`pin` / :meth:`unpin`): a pin
+    holds a slot, its table and its sid for a strategy that no SSet may
+    hold yet, so a caller can fill its payoffs ahead of need.  Pins sit
+    beside the reference counts and never enter them, the live order or
+    ``len(pool)`` — well-mixed fitness reads :attr:`refcounts` as the SSet
+    counts.  A slot is recycled once it has neither references nor pins.
     """
 
     def __init__(
@@ -239,6 +276,10 @@ class StrategyPool:
         self._strategies: list[Strategy | None] = [None] * capacity
         self._ids: dict[bytes, int] = {}
         self._refcounts = np.zeros(capacity, dtype=np.int64)
+        #: Pin counts of the pinned slots (evicting pools only) and their
+        #: sum.
+        self._pins: dict[int, int] = {}
+        self._n_pins = 0
         #: LIFO free list (low slots first) — slot assignment is
         #: deterministic but carries no science, only matrix layout.
         self._free = list(range(capacity - 1, -1, -1))
@@ -259,8 +300,18 @@ class StrategyPool:
 
     @property
     def refcounts(self) -> np.ndarray:
-        """Per-slot SSet counts (0 for free slots)."""
+        """Per-slot SSet counts (0 for free and pinned-only slots)."""
         return self._refcounts
+
+    @property
+    def pins(self) -> dict[int, int]:
+        """Pin counts by pinned slot (see :meth:`pin`; read-only)."""
+        return self._pins
+
+    @property
+    def pinned(self) -> int:
+        """Pins outstanding, summed over slots."""
+        return self._n_pins
 
     def __len__(self) -> int:
         """Number of distinct live strategies."""
@@ -314,20 +365,50 @@ class StrategyPool:
         self._strategies.extend([None] * (new - old))
         self._free.extend(range(new - 1, old - 1, -1))
 
-    def acquire(self, strategy: Strategy) -> tuple[int, bool]:
-        """Intern ``strategy`` (refcount + 1); returns ``(sid, is_new)``."""
+    def _check_memory(self, strategy: Strategy) -> None:
         if strategy.memory_steps != self.memory_steps:
             raise StrategyError(
                 f"pool interns memory-{self.memory_steps} strategies, got "
                 f"memory-{strategy.memory_steps}"
             )
+
+    def _allocate(self, strategy: Strategy, key: bytes) -> int:
+        """Take a free slot (growing if none) and write ``strategy`` to it."""
+        if not self._free:
+            self._grow()
+        sid = self._free.pop()
+        table = (
+            strategy.table
+            if self._tables.dtype == strategy.table.dtype
+            else strategy.defect_probabilities()
+        )
+        self._tables[sid] = table
+        self._strategies[sid] = strategy
+        self._ids[key] = sid
+        return sid
+
+    def _free_slot(self, sid: int) -> None:
+        strategy = self._strategies[sid]
+        assert strategy is not None
+        del self._ids[strategy.key()]
+        self._strategies[sid] = None
+        self._free.append(sid)
+
+    def acquire(self, strategy: Strategy) -> tuple[int, bool]:
+        """Intern ``strategy`` (refcount + 1); returns ``(sid, is_new)``.
+
+        ``is_new`` means the slot was allocated by this call.  A pinned
+        strategy that no SSet held enters the live order with
+        ``is_new`` false: its slot and table are already there.
+        """
+        self._check_memory(strategy)
         key = strategy.key()
         sid = self._ids.get(key)
         if sid is not None:
             if self._refcounts[sid] == 0:
-                # Reviving a retired slot (non-evicting pools only): the
-                # strategy re-enters the live order at the end, exactly
-                # like a histogram re-add.
+                # Reviving a retired slot (non-evicting pools) or a pinned
+                # one: the strategy re-enters the live order at the end,
+                # exactly like a histogram re-add.
                 self._order[sid] = None
                 self._order_array = None
                 self._retired.pop(sid, None)
@@ -340,17 +421,7 @@ class StrategyPool:
             and self.tracked >= self.cap
         ):
             self._evict_oldest_retired()
-        if not self._free:
-            self._grow()
-        sid = self._free.pop()
-        table = (
-            strategy.table
-            if self._tables.dtype == strategy.table.dtype
-            else strategy.defect_probabilities()
-        )
-        self._tables[sid] = table
-        self._strategies[sid] = strategy
-        self._ids[key] = sid
+        sid = self._allocate(strategy, key)
         self._refcounts[sid] = 1
         self._order[sid] = None
         self._order_array = None
@@ -358,7 +429,8 @@ class StrategyPool:
 
     def release(self, sid: int) -> bool:
         """Drop one reference; returns True when the strategy left the live
-        set (slot recycled when evicting, retired otherwise)."""
+        set (slot recycled when evicting and unpinned, retired when not
+        evicting)."""
         if self._refcounts[sid] <= 0:
             raise SimulationError(f"release of slot {sid} with no references")
         self._refcounts[sid] -= 1
@@ -366,15 +438,48 @@ class StrategyPool:
             return False
         del self._order[sid]
         self._order_array = None
-        if self.evict:
-            strategy = self._strategies[sid]
-            assert strategy is not None
-            del self._ids[strategy.key()]
-            self._strategies[sid] = None
-            self._free.append(sid)
-        else:
+        if not self.evict:
             self._retired[sid] = None
+        elif sid not in self._pins:
+            self._free_slot(sid)
         return True
+
+    def pin(self, strategy: Strategy) -> tuple[int, bool]:
+        """Hold ``strategy``'s slot without an SSet reference; returns
+        ``(sid, is_new)``, ``is_new`` when the slot was allocated for the
+        pin (its payoffs are not filled yet).
+
+        The slot survives every :meth:`release` until its last
+        :meth:`unpin`, and an :meth:`acquire` of the strategy meanwhile
+        reuses it.  Evicting pools only: a retiring pool keeps every slot
+        anyway.
+        """
+        if not self.evict:
+            raise SimulationError("pins need an evicting pool")
+        self._check_memory(strategy)
+        key = strategy.key()
+        pins = self._pins
+        sid = self._ids.get(key)
+        is_new = sid is None
+        if is_new:
+            sid = self._allocate(strategy, key)
+        pins[sid] = pins.get(sid, 0) + 1
+        self._n_pins += 1
+        return sid, is_new
+
+    def unpin(self, sid: int) -> None:
+        """Drop one pin; the slot is recycled if nothing else holds it."""
+        pins = self._pins
+        count = pins.get(sid, 0)
+        if count <= 0:
+            raise SimulationError(f"unpin of slot {sid} with no pins")
+        self._n_pins -= 1
+        if count > 1:
+            pins[sid] = count - 1
+            return
+        del pins[sid]
+        if not self._refcounts[sid]:
+            self._free_slot(sid)
 
     def _evict_oldest_retired(self) -> None:
         """Recycle the longest-retired slot (cap enforcement).
@@ -385,11 +490,7 @@ class StrategyPool:
         """
         sid = next(iter(self._retired))
         del self._retired[sid]
-        strategy = self._strategies[sid]
-        assert strategy is not None
-        del self._ids[strategy.key()]
-        self._strategies[sid] = None
-        self._free.append(sid)
+        self._free_slot(sid)
         if self.on_evict is not None:
             self.on_evict(sid)
 
@@ -399,10 +500,48 @@ class StrategyPool:
             "live": len(self._order),
             "retired": len(self._retired),
             "tracked": self.tracked,
+            "pinned": self._n_pins,
             "capacity": self.capacity,
             "tables_bytes": int(self._tables.nbytes)
             + int(self._refcounts.nbytes),
         }
+
+    def check_consistent(self, strategies: list[Strategy]) -> None:
+        """Verify the live counts equal a recount of ``strategies`` and the
+        slot bookkeeping agrees with itself — test/paranoia helper.
+
+        Every slot is free, or held by references, pins or retirement;
+        the live order lists exactly the referenced slots; pins sum to
+        :attr:`pinned`.
+        """
+        counts: dict[bytes, int] = {}
+        for s in strategies:
+            counts[s.key()] = counts.get(s.key(), 0) + 1
+        live = {self.strategy(int(j)).key(): self.count(int(j))
+                for j in self.ordered_sids()}
+        if counts != live:
+            raise SimulationError(
+                "strategy pool desynced from the population multiset "
+                f"({len(counts)} distinct expected, {len(live)} live)"
+            )
+        refs = self._refcounts
+        held = refs > 0
+        held[list(self._pins)] = True
+        held[list(self._retired)] = True
+        occupied = [s is not None for s in self._strategies]
+        free = np.zeros(self.capacity, dtype=bool)
+        free[self._free] = True
+        if (
+            (refs < 0).any()
+            or min(self._pins.values(), default=1) < 1
+            or sum(self._pins.values()) != self._n_pins
+            or set(self._order) != set(np.flatnonzero(refs > 0).tolist())
+            or len(self._free) != int(free.sum())
+            or not np.array_equal(held, occupied)
+            or not np.array_equal(free, ~held)
+            or sorted(self._ids.values()) != np.flatnonzero(held).tolist()
+        ):
+            raise SimulationError("strategy pool slot bookkeeping is corrupt")
 
 
 class FitnessEngine:
@@ -415,9 +554,18 @@ class FitnessEngine:
     deterministic fitness under a non-integer payoff matrix) so callers
     fall back to the legacy cache.
 
-    ``hits`` counts fitness queries served from the dense matrix;
-    ``misses`` counts ordered pair evaluations performed to fill it (the
-    analogue of the legacy cache's evaluation count).
+    ``hits`` counts fitness queries served from the dense matrix.
+    ``misses`` counts the ordered pair evaluations that interning one
+    strategy at a time performs to fill it (the analogue of the legacy
+    cache's evaluation count): a strategy entering the live set adds the
+    live count, itself included, whether its row is filled then or was
+    filled ahead by :meth:`prefetch`.  So ``misses`` is a property of the
+    trajectory, not of the fill schedule: a prefetch also fills pairs no
+    event reads (with strategies that die before a mutant's event,
+    between mutants that never meet), which it does not count, and the
+    kernel's own pair count (``core.vectorgame.pairs`` in a perfbench
+    trace) shows that overshoot.  Under pair sharing ``misses`` counts
+    the store's misses.
     """
 
     def __init__(
@@ -506,6 +654,15 @@ class FitnessEngine:
                 tuple(float(v) for v in payoff.vector),
             )
             self._shared_pairs = _PAIR_SHARE.store.setdefault(sig, {})
+        #: Mutants per event-driver prefetch window (:meth:`prefetch`).
+        #: One leaves each mutant to the fill of its own :meth:`intern`:
+        #: always in the lazy regime and under pair sharing, whose store
+        #: serves one strategy at a time.
+        self.prefetch_window = (
+            1
+            if expected or self._shared_pairs is not None
+            else prefetch_window(memory_steps)
+        )
         self.hits = 0
         self.misses = 0
         #: Ordered log of lazy (expected-regime) fill operations, armed by
@@ -550,7 +707,11 @@ class FitnessEngine:
             noise=config.noise,
             expected=expected,
             mixed=config.mixed_strategies,
-            capacity=max(64, config.n_ssets + 2),
+            # Room for every SSet distinct, one intern in flight and a
+            # prefetch window's pins.
+            capacity=max(
+                64, config.n_ssets + 2 + prefetch_window(config.memory_steps)
+            ),
             pool_cap=config.engine_pool_cap,
             paymat_block=0 if expected else config.paymat_block,
         )
@@ -581,7 +742,8 @@ class FitnessEngine:
 
     def intern(self, strategy: Strategy) -> int:
         """Intern one strategy occurrence, filling the matrix if new."""
-        sid, is_new = self.pool.acquire(strategy)
+        pool = self.pool
+        sid, is_new = pool.acquire(strategy)
         if is_new:
             self._sync_capacity()
             if self._evaluated is None:
@@ -589,6 +751,10 @@ class FitnessEngine:
                     self._fill_new_rows(1)
                 else:
                     self._fill_shared(sid)
+        elif sid in pool.pins and pool.refcounts[sid] == 1:
+            # A pinned strategy enters the live set: :meth:`prefetch`
+            # filled its row, so count what interning it fresh would.
+            self.misses += len(pool)
         return sid
 
     def intern_all(self, strategies: list[Strategy]) -> np.ndarray:
@@ -641,34 +807,114 @@ class FitnessEngine:
         sids, interned in live order with nothing released since.
 
         Each new sid is paired with every sid live when it arrived, itself
-        included: the row + column one-at-a-time interning fills.  Whole
-        rows go to the kernel together while they hold at most
-        :data:`_FILL_ENTRIES` view states (a single row may hold more, as
-        it always did), so a bulk fill never needs more memory than the
-        larger of that budget and one row.
+        included: the row + column one-at-a-time interning fills, and what
+        ``misses`` counts.  Refused while prefetch pins are out: inside a
+        window only its pinned mutants enter the population (an adoption
+        copies a live strategy), so a fresh intern there means a window
+        missed a mutant.
         """
-        live = self.pool.ordered_sids()
-        budget = max(1, _FILL_ENTRIES // self.pool.n_states)  # pairs/call
+        pool = self.pool
+        if pool.pinned:
+            raise SimulationError(
+                f"fresh intern with {pool.pinned} prefetch pin(s) out: "
+                "a window missed a mutant"
+            )
+        live = pool.ordered_sids()
         stop = live.shape[0]
-        start = stop - n_new
-        while start < stop:
-            # The sid at live position p meets live[: p + 1].
-            end, pairs = start + 1, start + 1
+        # Live position p meets live[: p + 1]: p + 1 pairs.
+        self.misses += n_new * (2 * stop - n_new + 1) // 2
+        self._fill_rows(live, n_new)
+
+    def _fill_rows(self, sids: np.ndarray, n_rows: int) -> None:
+        """Fill the rows of the last ``n_rows`` of ``sids``, each sid
+        against ``sids`` up to itself, in kernel calls of at most
+        :data:`_FILL_ENTRIES` view states.
+
+        Whole rows go to the kernel together while they fit; a row longer
+        than the budget (every later row is longer still) goes alone,
+        split into calls of at most the budget.  The values do not depend
+        on the grouping: each pair is an exact integer sum.
+        """
+        budget = max(1, _FILL_ENTRIES // self.pool.n_states)  # pairs/call
+        stop = sids.shape[0]
+        row = stop - n_rows
+        while row < stop:
+            # The sid at position p meets sids[: p + 1].
+            if row + 1 > budget:
+                focal = np.full(budget, sids[row])
+                for lo in range(0, row + 1, budget):
+                    opponents = sids[lo : min(lo + budget, row + 1)]
+                    self._fill_pairs(focal[: opponents.shape[0]], opponents)
+                row += 1
+                continue
+            end, pairs = row + 1, row + 1
             while end < stop and pairs + end + 1 <= budget:
                 pairs += end + 1
                 end += 1
-            focal = np.repeat(live[start:end], np.arange(start + 1, end + 1))
-            opponents = np.concatenate(
-                [live[: p + 1] for p in range(start, end)]
+            if end == row + 1:
+                self._fill_pairs(np.full(pairs, sids[row]), sids[:pairs])
+                row = end
+                continue
+            lengths = np.arange(row + 1, end + 1)
+            # Row p's opponents are the prefix sids[: p + 1]: one flat
+            # index per pair, restarting at 0 with every row.
+            restarts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+            self._fill_pairs(
+                np.repeat(sids[row:end], lengths),
+                sids[np.arange(pairs) - restarts],
             )
-            pay_focal, pay_opponents = cycle_payoffs_pairs(
-                self.pool.tables, focal, opponents, self.rounds, self.payoff,
-                compact_sums=self._compact_fill,
+            row = end
+
+    def _fill_pairs(self, focal: np.ndarray, opponents: np.ndarray) -> None:
+        """One kernel call over the ordered pairs, both directions stored."""
+        pay_focal, pay_opponents = cycle_payoffs_pairs(
+            self.pool.tables, focal, opponents, self.rounds, self.payoff,
+            compact_sums=self._compact_fill,
+        )
+        self._paymat[focal, opponents] = pay_focal
+        self._paymat[opponents, focal] = pay_opponents
+
+    def prefetch(self, strategies: list[Strategy]) -> list[int]:
+        """Pin ``strategies`` (a window of mutants) and fill the payoffs
+        of the fresh ones ahead of their events; returns their sids, to
+        hand back to :meth:`unpin` once their events have applied.
+
+        A strategy that is live already, or repeats in the window, only
+        gains a pin.  Each fresh one is filled against the live strategies
+        and the window's fresh strategies up to itself, in
+        :meth:`_fill_rows`' groups — so every pair an event can read while
+        the pins hold is valid.  ``misses`` counts nothing here:
+        :meth:`intern` counts a pinned strategy when it goes live, as if
+        it were filled then.  Eager engines without pair sharing only, one
+        window at a time.
+        """
+        if self._evaluated is not None or self._shared_pairs is not None:
+            raise SimulationError(
+                "prefetch needs an eager engine without pair sharing"
             )
-            self._paymat[focal, opponents] = pay_focal
-            self._paymat[opponents, focal] = pay_opponents
-            self.misses += pairs
-            start = end
+        pool = self.pool
+        if pool.pinned:
+            raise SimulationError(
+                f"prefetch with {pool.pinned} pin(s) of the last window out"
+            )
+        base = pool.ordered_sids()
+        sids = []
+        fresh = []
+        for strategy in strategies:
+            sid, is_new = pool.pin(strategy)
+            sids.append(sid)
+            if is_new:
+                fresh.append(sid)
+        if fresh:
+            self._sync_capacity()
+            self._fill_rows(np.concatenate((base, fresh)), len(fresh))
+        return sids
+
+    def unpin(self, sids: list[int]) -> None:
+        """Drop the pins :meth:`prefetch` returned."""
+        unpin = self.pool.unpin
+        for sid in sids:
+            unpin(sid)
 
     def _fill_shared(self, sid: int) -> None:
         """Eager fill for a new sid with pair sharing enabled
@@ -907,17 +1153,9 @@ class FitnessEngine:
 
     def check_consistent(self, strategies: list[Strategy]) -> None:
         """Verify the pool matches a recount of ``strategies`` exactly
-        (counts, insertion is not checked) — test/paranoia helper."""
-        counts: dict[bytes, int] = {}
-        for s in strategies:
-            counts[s.key()] = counts.get(s.key(), 0) + 1
-        live = {self.pool.strategy(int(j)).key(): self.pool.count(int(j))
-                for j in self.pool.ordered_sids()}
-        if counts != live:
-            raise SimulationError(
-                "strategy pool desynced from the population multiset "
-                f"({len(counts)} distinct expected, {len(live)} live)"
-            )
+        (counts, insertion is not checked) — test/paranoia helper
+        (:meth:`StrategyPool.check_consistent`)."""
+        self.pool.check_consistent(strategies)
 
 
 def _flip_budget(moves: int, noise: float) -> int:

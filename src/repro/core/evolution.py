@@ -16,8 +16,10 @@ Two equivalent drivers are provided:
   read the population, so each batch's PC selections and mutants are
   pre-drawn in one call per stream (:class:`_BatchDecisions`, decoding the
   raw Philox words through :mod:`repro.ensemble.rawstream`) before its
-  events apply.  It is what makes the paper's 10^7-generation validation
-  run (Fig. 2) feasible.
+  events apply, and the deterministic engine fills a window of those
+  mutants' payoffs in one kernel call before their events
+  (:meth:`~repro.core.engine.FitnessEngine.prefetch`).  It is what makes
+  the paper's 10^7-generation validation run (Fig. 2) feasible.
 
 Fitness is evaluated lazily: only the PC-selected teacher/learner fitness is
 computed, exactly the values the dynamics consume.  By default the values
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -607,6 +610,21 @@ def run_event_driven(
     :data:`_PREDRAW_BYTES` (:func:`_batch_cap`), and it ends at every
     checkpoint multiple.  Snapshot recording (``record_every``) is aligned
     to the same generations as :func:`run_serial`.
+
+    With an eager :class:`~repro.core.engine.FitnessEngine` and no pair
+    sharing, a batch's mutants go through prefetch windows of
+    :attr:`~repro.core.engine.FitnessEngine.prefetch_window` mutants
+    (:func:`~repro.core.engine.prefetch_window`: 32 at memory 1 down to
+    4 at memory 4, one at memory 5 and 6).  Before the event that holds a
+    window's first mutation, the engine unpins the window before and pins
+    this window's mutants, filling the fresh ones in one kernel call
+    (:meth:`~repro.core.engine.FitnessEngine.prefetch`); the batch's end
+    unpins the last.
+    Pins never enter the SSet counts fitness reads, and ``cache_misses``
+    counts what interning each mutant at its event counts, so results
+    equal :func:`run_serial`'s.  Windows never cross a batch, so no pin
+    is outstanding at a checkpoint.  A window of one mutant is no
+    prefetch: the mutant's intern fills it at its event.
     """
     started = time.perf_counter()
     tree = SeedSequenceTree(config.seed)
@@ -638,6 +656,9 @@ def run_event_driven(
     save_every = config.checkpoint_every if sink is not None else 0
     decisions = _BatchDecisions(nature, structure, len(population))
     batch_size = min(batch_size, _batch_cap(config))
+    window = (
+        evaluator.prefetch_window if isinstance(evaluator, FitnessEngine) else 1
+    )
 
     generation = start_gen
     remaining = config.generations - start_gen
@@ -656,11 +677,28 @@ def run_event_driven(
         )
         pc_next = iter(pcs).__next__
         mutation_next = iter(mutations).__next__
-        for offset, pc, mutation in zip(
+        has_mutation = mu_flags[event_offsets]
+        # Prefetch windows: the event holding every window-th mutation of
+        # the batch opens a window of the next `window` mutants and closes
+        # the one before; the last closes with the batch.  A window of one
+        # is the mutant's own intern at its event: one fill either way,
+        # without the pin.
+        opens = [False] * len(event_offsets)
+        if window > 1:
+            for i in np.flatnonzero(has_mutation)[::window].tolist():
+                opens[i] = True
+        pins = None
+        mutants = (strategy for _, strategy in mutations)
+        for offset, pc, mutation, opens_window in zip(
             event_offsets.tolist(),
             pc_flags[event_offsets].tolist(),
-            mu_flags[event_offsets].tolist(),
+            has_mutation.tolist(),
+            opens,
         ):
+            if opens_window:
+                if pins is not None:
+                    evaluator.unpin(pins)
+                pins = evaluator.prefetch(list(islice(mutants, window)))
             gen = generation + offset
             # The serial driver snapshots *after* applying a generation's
             # events; emit pending snapshots strictly before this event's
@@ -685,6 +723,8 @@ def run_event_driven(
                 if gen < config.generations:
                     _maybe_snapshot(result, population, gen, force=True)
                 next_snapshot += every
+        if pins is not None:
+            evaluator.unpin(pins)
         generation += batch
         remaining -= batch
         if (

@@ -584,6 +584,13 @@ def capture_evaluator(
       snapshot so legacy checkpoint payloads stay byte-stable.
     """
     if isinstance(evaluator, FitnessEngine):
+        if evaluator.pool.pinned:
+            # A restore rebuilds the pool from the population alone.
+            raise CheckpointError(
+                f"{evaluator.pool.pinned} prefetch pin(s) outstanding at "
+                "a checkpoint boundary; prefetch windows must end with "
+                "their batch"
+            )
         meta: dict[str, Any] = {
             "type": "engine",
             "expected": evaluator.expected,

@@ -169,7 +169,7 @@ class SweepClient:
         n_runs: int = 1,
         *,
         base_seed: int | None = None,
-        backend: str = "ensemble",
+        backend: str | None = None,
         priority: str = "batch",
         label: str = "",
         retries: int = 0,
@@ -179,6 +179,8 @@ class SweepClient:
         Seeds derive client-side via
         :func:`~repro.api.derive_sweep_seeds`, so the submitted spec is
         explicit about every run's seed (and fingerprints accordingly).
+        ``backend=None`` lets the spec pick for its configs and run count
+        (:func:`~repro.service.jobspec.default_backend`).
         """
         seeds = derive_sweep_seeds(
             config.seed if base_seed is None else base_seed, n_runs

@@ -35,10 +35,11 @@ from typing import Any, Mapping, Sequence
 
 from ..core.config import EvolutionConfig
 from ..core.runstate import science_fields
+from ..core.states import num_states
 from ..errors import ConfigurationError
 from .retry import RetryPolicy
 
-__all__ = ["JobSpec", "PRIORITIES", "SPEC_FORMAT_VERSION"]
+__all__ = ["JobSpec", "PRIORITIES", "SPEC_FORMAT_VERSION", "default_backend"]
 
 #: Scheduling classes, highest urgency first.  ``interactive`` jobs jump
 #: every queued ``batch`` job; within a class the queue is FIFO.
@@ -53,6 +54,50 @@ SPEC_FORMAT_VERSION = 2
 
 _READABLE_VERSIONS = (1, SPEC_FORMAT_VERSION)
 
+#: Run counts from which a job that names no backend runs on ``ensemble``
+#: (fewer run on ``event``), by the view states of a config's population
+#: (``n_ssets * 4**memory``, what filling one mutant's payoffs costs):
+#: ``(most views, ensemble from)``.  Past the last bound every job takes
+#: ``ensemble``.  Measured in-process at 1, 2, 4, 8, 12 and 16 runs on
+#: well-mixed deterministic jobs of 4-512 SSets, memory 1-6 and
+#: 2,000-50,000 generations (``benchmarks/backend_crossover.py``,
+#: ``BENCH_backend.json``): ``event`` led at 4 runs in every shape up to
+#: 8,192 views, at 2 runs up to 16,384 (at 4 it trailed by 41% with 64
+#: memory-4 SSets and 2,000 generations), and at one run at 32,768 (128
+#: memory-4 SSets; it trailed at 2, 8 and 12 runs).  Beyond, neither led
+#: consistently: at 64 memory-5 SSets the lead changed sides between
+#: repeat measurements, 16 memory-6 SSets were level at one run (746
+#: against 748 ms), and at 64 ``ensemble`` led from one.  ``event``'s
+#: time grows in proportion to the runs and ``ensemble``'s less, so
+#: ``event`` leads at every run count below one where it led.
+ENSEMBLE_FROM_RUNS = ((8192, 5), (16384, 3), (32768, 2))
+
+
+def default_backend(configs: Sequence[EvolutionConfig]) -> str:
+    """The backend a job of ``configs`` takes when it names none.
+
+    Every backend follows the same trajectories, so only speed decides:
+    ``event`` where it measured faster (:data:`ENSEMBLE_FROM_RUNS`, for
+    well-mixed deterministic configs), and ``ensemble`` elsewhere, whose
+    lane batching gains with every run.  Graphs keep ``ensemble``: on a
+    ring of 64 memory-4 SSets ``event`` was 1.2-1.4x slower at one run.
+    Sampled-stochastic configs take ``event``, since ``ensemble`` refuses
+    them unless they opt into ``sampled_batched``.
+    """
+    if any(c.is_stochastic and not c.sampled_batched for c in configs):
+        return "event"
+    n_runs = len(configs)
+    for c in configs:
+        if c.is_stochastic or c.expected_fitness or not c.is_well_mixed:
+            return "ensemble"
+        views = c.n_ssets * num_states(c.memory_steps)
+        ensemble_from = next(
+            (runs for bound, runs in ENSEMBLE_FROM_RUNS if views <= bound), 0
+        )
+        if n_runs >= ensemble_from:
+            return "ensemble"
+    return "event"
+
 
 @dataclass(frozen=True)
 class JobSpec:
@@ -64,9 +109,13 @@ class JobSpec:
         The runs, in result order.  Seeds are taken as-is (derive replicate
         seeds with :func:`~repro.api.derive_sweep_seeds` first).
     backend:
-        Backend name for :func:`~repro.api.run_sweep` (default
-        ``ensemble`` — the lane-batched fast path is the service's bread
-        and butter).  Validated against the registry at submit time.
+        Backend name for :func:`~repro.api.run_sweep`, validated against
+        the registry at submit time.  ``None`` (the default) picks the
+        faster one for the configs and their run count
+        (:func:`default_backend`); picking ``event``, it also turns pair
+        sharing off unless ``share_engine`` says otherwise.  The spec then
+        holds the picked name, so :meth:`to_dict` and the journal carry
+        it.
     workers:
         ``run_sweep`` process-pool size (``None`` = in-process, the
         default: service jobs already share a worker pool, and in-process
@@ -92,7 +141,7 @@ class JobSpec:
     """
 
     configs: tuple[EvolutionConfig, ...]
-    backend: str = "ensemble"
+    backend: str | None = None
     workers: int | None = None
     share_engine: bool | None = None
     priority: str = "batch"
@@ -115,6 +164,13 @@ class JobSpec:
                     f"configs[{i}]: expected an EvolutionConfig, got "
                     f"{type(config).__name__}"
                 )
+        if self.backend is None:
+            object.__setattr__(self, "backend", default_backend(self.configs))
+            if self.backend == "event" and self.share_engine is None:
+                # Pair sharing would turn off the event driver's prefetch
+                # windows and its mid-run snapshots
+                # (:func:`~repro.core.runstate.checkpointing_supported`).
+                object.__setattr__(self, "share_engine", False)
         if not isinstance(self.backend, str) or not self.backend:
             raise ConfigurationError(
                 f"field 'backend': expected a backend name, got "
@@ -237,7 +293,7 @@ class JobSpec:
         )
         return cls(
             configs=tuple(configs),
-            backend=data.get("backend", "ensemble"),
+            backend=data.get("backend"),
             workers=data.get("workers"),
             share_engine=share,
             priority=data.get("priority", "batch"),

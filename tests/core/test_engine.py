@@ -410,14 +410,26 @@ class TestPopulationEngineSync:
         self.assert_same_fill(bulk, single)
         if budget_pairs is not None:
             assert len(calls) > 2
-            # Row p of the live order holds p + 1 pairs.
+            # Row p of the live order holds p + 1 pairs.  The calls take
+            # the rows in order: whole rows grouped within the budget, or
+            # one longer row split into calls of at most the budget.
             row_sizes = iter(range(1, len(bulk.pool) + 1))
+            left = 0  # pairs of a split row still to come
             for pairs in calls:
-                rows = [next(row_sizes)]
-                while sum(rows) < pairs:
-                    rows.append(next(row_sizes))
-                assert sum(rows) == pairs  # whole rows only
-                assert pairs <= budget_pairs or len(rows) == 1
+                assert pairs <= budget_pairs
+                if left:
+                    assert pairs == min(left, budget_pairs)
+                    left -= pairs
+                    continue
+                total = next(row_sizes)
+                if total > budget_pairs:
+                    assert pairs == budget_pairs
+                    left = total - pairs
+                    continue
+                while total < pairs:
+                    total += next(row_sizes)
+                assert total == pairs  # whole rows only
+            assert left == 0
 
     def test_bulk_intern_all_is_one_kernel_call(self, monkeypatch):
         """A serve-sized start (16 SSets, memory 2) fills in one call."""

@@ -111,6 +111,6 @@ class TestRetiredBackend:
             assert queue_stats["recovery_errors"] == 1
             assert queue_stats["recovered_total"] == 0
             job_id = client.submit(
-                JobSpec(configs=spec_for(seed=741).configs)
+                JobSpec(configs=spec_for(seed=741).configs, backend="ensemble")
             )["job_id"]
             assert client.wait(job_id, timeout=60)["state"] == "done"

@@ -94,6 +94,24 @@ class TestCheckpointLifecycle:
         assert all(r["unit"] for r in breadcrumbs)
         assert_bit_identical(job.results, reference_results(spec))
 
+    def test_default_backend_job_writes_snapshots(self, tmp_path):
+        """A memory-one job that names neither a backend nor sharing still
+        snapshots mid-run: a default pick of ``event`` turns pair sharing
+        (which refuses checkpoints) off."""
+        spec = JobSpec(configs=(
+            EvolutionConfig(n_ssets=8, generations=300, rounds=16, seed=920,
+                            checkpoint_every=100),
+        ))
+        assert spec.backend == "event"
+        assert spec.configs[0].memory_steps == 1
+        with JobQueue(workers=1,
+                      checkpoint_dir=tmp_path / "ckpt") as queue:
+            job = queue.submit(spec)
+            assert job.wait(timeout=60)
+            assert job.state == JobState.DONE
+            assert queue.stats()["checkpoints"]["written_total"] == 2
+        assert_bit_identical(job.results, reference_results(spec))
+
     def test_no_checkpoint_dir_means_no_checkpoint_stats(self):
         with JobQueue(workers=1) as queue:
             assert queue.stats()["checkpoints"] is None

@@ -45,6 +45,7 @@ def spec_for(seed: int, n: int = 1) -> JobSpec:
             )
             for i in range(n)
         ),
+        backend="ensemble",
     )
 
 

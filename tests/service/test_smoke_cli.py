@@ -60,9 +60,10 @@ def test_serve_cache_hit_matches_direct(served_url):
         EvolutionConfig(n_ssets=8, generations=300, rounds=16, seed=700 + i)
         for i in range(2)
     )
-    spec = JobSpec(configs=configs)
+    spec = JobSpec(configs=configs, backend="ensemble")
     distinct = JobSpec(
-        configs=tuple(c.with_updates(seed=c.seed + 50) for c in configs)
+        configs=tuple(c.with_updates(seed=c.seed + 50) for c in configs),
+        backend="ensemble",
     )
 
     first = client.submit(spec)
