@@ -4,13 +4,12 @@
 A job that names no backend takes
 :func:`repro.service.jobspec.default_backend`'s pick, which keys on the
 measurements this harness takes.  For each shape it times in-process
-``run_sweep`` calls of growing run counts on ``event`` (pair sharing off,
-as the default pick runs it) and on ``ensemble``, interleaved, and records
-every run's time, both medians and the faster backend.  A shape stops
-once ``ensemble`` has led at two run counts in a row.  Both backends
-follow the same trajectories, so only time is compared.  The service
-tests check the rule against the committed JSON: every ``event`` pick
-must be a cell where ``event`` was faster.
+``run_sweep`` calls of growing run counts on ``event`` and on
+``ensemble``, interleaved, and records every run's time, both medians and
+the faster backend.  A shape stops once ``ensemble`` has led at two run
+counts in a row.  Both backends follow the same trajectories, so only
+time is compared.  The service tests check the rule against the committed
+JSON: every ``event`` pick must be a cell where ``event`` was faster.
 
 CI runs ``--smoke`` (two small shapes, short horizon) so the harness
 cannot rot; run it bare after changing either backend's speed and commit
@@ -65,12 +64,7 @@ SMOKE_RUN_COUNTS = (1, 2)
 
 def timed(configs: list[EvolutionConfig], backend: str, seed: int) -> float:
     started = time.perf_counter()
-    run_sweep(
-        configs,
-        backend=backend,
-        base_seed=seed,
-        share_engine=False if backend == "event" else None,
-    )
+    run_sweep(configs, backend=backend, base_seed=seed)
     return time.perf_counter() - started
 
 

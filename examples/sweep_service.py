@@ -179,9 +179,7 @@ def kill_and_resume_midrun() -> None:
     (arrays, RNG stream positions, event log) at that cadence.  After the
     kill, the restart replays the journaled job and resumes it from the
     newest snapshot; the finished payload is bit-identical to an
-    uninterrupted run.  The spec sets ``share_engine=False`` because pair
-    sharing between a sweep's runs is the one deterministic mode that
-    refuses mid-run snapshots.
+    uninterrupted run.
     """
     state = Path(tempfile.mkdtemp(prefix="sweep-service-demo-"))
     command = [
@@ -212,7 +210,6 @@ def kill_and_resume_midrun() -> None:
             seed=MASTER_SEED + 5000, record_events=False,
             checkpoint_every=20_000,
         ),),
-        share_engine=False,
         label="long-checkpointed-run",
     )
 

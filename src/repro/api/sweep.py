@@ -7,27 +7,14 @@ config order and follow trajectories identical to a serial
 ``[Simulation(c).run() for c in configs]`` loop for any worker count (each
 run is independent and deterministic given its seed) — pinned by the tests.
 
-Two ensemble-scale optimisations live here:
-
-* **Lane batching** — ``backend="ensemble"`` hands the whole config list to
-  :meth:`~repro.api.EnsembleBackend.run_many`, which advances same-science
-  replicates together over one shared strategy pool and payoff matrix
-  (:mod:`repro.ensemble`) — graph-structured configs included, via the
-  structure layer's CSR adjacency; with ``workers`` the lanes are chunked
-  over the pool, composing the two levels of parallelism.
-
-* **Shared engine pairs** — on the legacy per-run path, deterministic-regime
-  runs can share one read-only store of evaluated strategy-pair payoffs
-  (:func:`repro.core.engine.shared_engine_pairs`): the values are pure
-  functions of the strategy tables plus ``(rounds, payoff)``, so later runs
-  (and each pool worker's later tasks) stop re-deriving identical matrix
-  entries.  Trajectories are unchanged; only the ``cache_misses``
-  evaluation counters shrink relative to an isolated ``Simulation`` run.
-  By default sharing turns on only where reuse is structural — memory-one
-  sweeps, whose 16-strategy space every run revisits; deeper memories draw
-  mostly-distinct random mutants, and the per-pair store bookkeeping would
-  cost more than the re-derivations it saves (``share_engine=True``
-  forces it on for workloads known to repeat strategies).
+Lane batching: ``backend="ensemble"`` hands the whole config list to
+:meth:`~repro.api.EnsembleBackend.run_many`, which advances same-science
+replicates together over one shared strategy pool and payoff matrix
+(:mod:`repro.ensemble`) — graph-structured configs included, via the
+structure layer's CSR adjacency; with ``workers`` the lanes are chunked
+over the pool, composing the two levels of parallelism.  Every other
+backend runs each config in isolation, exactly as ``Simulation(c).run()``
+does, evaluation counters included.
 
 Seed derivation: pass ``base_seed`` to overwrite every config's seed with a
 deterministic, statistically independent child derived through
@@ -45,7 +32,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..core.config import EvolutionConfig
-from ..core.engine import enable_engine_pair_sharing, shared_engine_pairs
 from ..core.evolution import EvolutionResult
 from ..core.progress import progress_callback, progress_scope
 from ..errors import ConfigurationError
@@ -131,13 +117,6 @@ def _dedupe_key(config: EvolutionConfig) -> str:
     return json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _auto_share(configs: Sequence[EvolutionConfig]) -> bool:
-    """Default sharing rule: on iff every run is memory-one (16 pure
-    strategies — every sweep revisits the same pairs, so reuse is
-    guaranteed rather than incidental)."""
-    return bool(configs) and all(c.memory_steps == 1 for c in configs)
-
-
 def run_sweep(
     configs: Iterable[EvolutionConfig],
     backend: str | type[Backend] | Backend = "event",
@@ -145,7 +124,6 @@ def run_sweep(
     workers: int | None = None,
     on_result: Callable[[int, EvolutionResult], None] | None = None,
     base_seed: int | None = None,
-    share_engine: bool | None = None,
     dedupe: bool = True,
     **backend_opts: object,
 ) -> list[EvolutionResult]:
@@ -154,8 +132,7 @@ def run_sweep(
     Parameters
     ----------
     configs:
-        The runs.  Each is executed independently (no shared state beyond
-        read-only payoff-pair reuse, which cannot alter trajectories).
+        The runs.  Each is executed independently.
     backend:
         Backend for every run (name, class, or instance).  Instances must be
         picklable when ``workers > 1``; the built-ins are.  The
@@ -171,10 +148,6 @@ def run_sweep(
     base_seed:
         When given, replaces each config's seed with the ``i``-th child of
         :func:`derive_sweep_seeds` — a one-liner ensemble builder.
-    share_engine:
-        Share deterministic pair evaluations across the sweep's runs (see
-        the module docstring).  ``None`` (default) auto-enables for
-        memory-one sweeps only; ``True``/``False`` force it.
     dedupe:
         Execute bit-identical ``(config, seed)`` entries once and fan the
         *same* result object out to every duplicate position (default on —
@@ -212,7 +185,6 @@ def run_sweep(
                 unique,
                 resolved,
                 workers=workers,
-                share_engine=share_engine,
                 dedupe=False,
             )
             results = [unique_results[j] for j in index_map]
@@ -224,41 +196,30 @@ def run_sweep(
     if isinstance(resolved, EnsembleBackend):
         return _run_sweep_ensemble(run_configs, resolved, workers, on_result)
 
-    share = share_engine if share_engine is not None else _auto_share(run_configs)
     results: list[EvolutionResult] = []
     if workers is None or workers <= 1 or len(run_configs) <= 1:
-        # In-process path: successive deterministic runs share evaluated
-        # payoff pairs instead of re-deriving identical matrix entries.
         # Single-run drivers stamp ticks with run_index 0, so an installed
         # progress scope gets each run's ticks remapped to its sweep index
         # (the ensemble driver does the equivalent for its lanes).
         outer_progress = progress_callback()
-        context = shared_engine_pairs() if share else nullcontext()
-        with context:
-            for i, config in enumerate(run_configs):
-                if outer_progress is not None:
-                    scope = progress_scope(
-                        lambda tick, _i=i, _cb=outer_progress: _cb(
-                            tick.with_run_index(_i)
-                        )
+        for i, config in enumerate(run_configs):
+            if outer_progress is not None:
+                scope = progress_scope(
+                    lambda tick, _i=i, _cb=outer_progress: _cb(
+                        tick.with_run_index(_i)
                     )
-                else:
-                    scope = nullcontext()
-                with scope:
-                    result = _run_one(config, resolved)
-                if on_result is not None:
-                    on_result(i, result)
-                results.append(result)
+                )
+            else:
+                scope = nullcontext()
+            with scope:
+                result = _run_one(config, resolved)
+            if on_result is not None:
+                on_result(i, result)
+            results.append(result)
         return results
 
     pool_size = min(workers, len(run_configs))
-    # Each worker process keeps its own shared pair store across the runs
-    # it executes (the PR 3 follow-on: workers stop re-deriving identical
-    # matrices); the store dies with the pool.
-    with ProcessPoolExecutor(
-        max_workers=pool_size,
-        initializer=enable_engine_pair_sharing if share else None,
-    ) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         futures = [
             pool.submit(_run_one, config, resolved) for config in run_configs
         ]

@@ -64,9 +64,7 @@ regime split:
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -92,9 +90,6 @@ __all__ = [
     "SampledFitnessEngine",
     "SampledPlan",
     "is_integer_payoff",
-    "shared_engine_pairs",
-    "enable_engine_pair_sharing",
-    "pair_sharing_active",
 ]
 
 
@@ -135,83 +130,6 @@ def prefetch_window(memory_steps: int) -> int:
     """
     k = math.isqrt(_PREFETCH_VIEWS // num_states(memory_steps))
     return k if k >= _MIN_WINDOW else 1
-
-
-#: Pair-evaluation key: the two strategies' byte identities, focal first.
-_PairKey = tuple[bytes, bytes]
-#: Engine compatibility signature for shared pair stores: deterministic
-#: payoffs depend on (memory, rounds, payoff matrix) alone — never the seed.
-_ShareSig = tuple[int, int, tuple[float, ...]]
-
-
-class _PairShareState(threading.local):
-    """Thread-local cross-run store of deterministic pair evaluations.
-
-    Deterministic cycle-exact payoffs are a pure function of the two
-    strategy tables plus ``(rounds, payoff)`` — they carry no seed and no
-    population state — so every run of a :func:`run_sweep` ensemble
-    re-derives exactly the same matrix entries.  When sharing is enabled
-    (see :func:`shared_engine_pairs`), deterministic-regime engines read
-    previously evaluated pairs from this store instead of re-deriving them
-    and publish their own evaluations back, so a sweep's later runs (or a
-    pool worker's later tasks) start from a warm matrix.  Trajectories are
-    unaffected — the values are float-exact either way — only the
-    ``misses`` evaluation counters shrink.
-
-    The state is per thread because the sweep service runs each job's
-    sweep on its own worker thread: one job's sharing must neither reach
-    a concurrent job nor be switched off under it.
-    """
-
-    def __init__(self) -> None:
-        self.enabled = False
-        self.store: dict[_ShareSig, dict[_PairKey, tuple[float, float]]] = {}
-
-
-_PAIR_SHARE = _PairShareState()
-
-
-@contextmanager
-def shared_engine_pairs() -> Iterator[
-    dict[_ShareSig, dict[_PairKey, tuple[float, float]]]
-]:
-    """Share deterministic pair evaluations across engines in this block.
-
-    Used by :func:`repro.api.run_sweep` around its in-process run loop so
-    successive deterministic runs stop re-deriving identical payoff-matrix
-    entries.  Nested use keeps the outermost store; leaving the outermost
-    block clears it (the store holds a whole sweep's distinct strategies).
-    """
-    prev = _PAIR_SHARE.enabled
-    _PAIR_SHARE.enabled = True
-    try:
-        yield _PAIR_SHARE.store
-    finally:
-        _PAIR_SHARE.enabled = prev
-        if not prev:
-            _PAIR_SHARE.store.clear()
-
-
-def enable_engine_pair_sharing() -> None:
-    """Enable pair sharing for the calling thread's lifetime (no clearing).
-
-    The process-pool initializer of :func:`repro.api.run_sweep` calls this
-    in each worker, on the thread that then runs the worker's tasks, so a
-    worker's successive runs share evaluations; the store dies with the
-    worker process.
-    """
-    _PAIR_SHARE.enabled = True
-
-
-def pair_sharing_active() -> bool:
-    """Whether cross-run pair sharing is enabled on the calling thread.
-
-    Mid-run checkpointing (:mod:`repro.core.runstate`) refuses to arm while
-    sharing is active: a resumed engine rebuilds only its *live* pairs, so
-    the shared store would diverge from an uninterrupted process and the
-    evaluation counters (part of the result payload) would drift.
-    """
-    return _PAIR_SHARE.enabled
 
 
 class StrategyPool:
@@ -564,8 +482,7 @@ class FitnessEngine:
     event reads (with strategies that die before a mutant's event,
     between mutants that never meet), which it does not count, and the
     kernel's own pair count (``core.vectorgame.pairs`` in a perfbench
-    trace) shows that overshoot.  Under pair sharing ``misses`` counts
-    the store's misses.
+    trace) shows that overshoot.
     """
 
     def __init__(
@@ -643,26 +560,10 @@ class FitnessEngine:
         self._evaluated: np.ndarray | None = (
             np.zeros((capacity, capacity), dtype=bool) if expected else None
         )
-        #: Cross-run shared pair store for this engine's signature (see
-        #: :func:`shared_engine_pairs`); deterministic regime only, ``None``
-        #: when sharing is off.
-        self._shared_pairs: dict[_PairKey, tuple[float, float]] | None = None
-        if not expected and _PAIR_SHARE.enabled:
-            sig: _ShareSig = (
-                memory_steps,
-                rounds,
-                tuple(float(v) for v in payoff.vector),
-            )
-            self._shared_pairs = _PAIR_SHARE.store.setdefault(sig, {})
         #: Mutants per event-driver prefetch window (:meth:`prefetch`).
-        #: One leaves each mutant to the fill of its own :meth:`intern`:
-        #: always in the lazy regime and under pair sharing, whose store
-        #: serves one strategy at a time.
-        self.prefetch_window = (
-            1
-            if expected or self._shared_pairs is not None
-            else prefetch_window(memory_steps)
-        )
+        #: One, in the lazy regime, leaves each mutant to its own
+        #: :meth:`intern`.
+        self.prefetch_window = 1 if expected else prefetch_window(memory_steps)
         self.hits = 0
         self.misses = 0
         #: Ordered log of lazy (expected-regime) fill operations, armed by
@@ -747,10 +648,7 @@ class FitnessEngine:
         if is_new:
             self._sync_capacity()
             if self._evaluated is None:
-                if self._shared_pairs is None:
-                    self._fill_new_rows(1)
-                else:
-                    self._fill_shared(sid)
+                self._fill_new_rows(1)
         elif sid in pool.pins and pool.refcounts[sid] == 1:
             # A pinned strategy enters the live set: :meth:`prefetch`
             # filled its row, so count what interning it fresh would.
@@ -762,8 +660,8 @@ class FitnessEngine:
 
         Stacks the tables first (:func:`repro.core.vectorgame.stack_tables`)
         so a heterogeneous list fails loudly before any slot is allocated.
-        Without pair sharing, the eager deterministic regime then fills all
-        new strategies together (:meth:`_fill_new_rows`): the pairs, values
+        The eager deterministic regime then fills all new strategies
+        together (:meth:`_fill_new_rows`): the pairs, values
         and ``misses`` of one-at-a-time :meth:`intern` calls, in a few
         kernel calls instead of one per strategy.
         """
@@ -778,7 +676,7 @@ class FitnessEngine:
                 "engine was built for pure strategies but the population "
                 "holds mixed ones"
             )
-        if self._evaluated is not None or self._shared_pairs is not None:
+        if self._evaluated is not None:
             return np.array(
                 [self.intern(s) for s in strategies], dtype=np.int64
             )
@@ -885,13 +783,10 @@ class FitnessEngine:
         :meth:`_fill_rows`' groups — so every pair an event can read while
         the pins hold is valid.  ``misses`` counts nothing here:
         :meth:`intern` counts a pinned strategy when it goes live, as if
-        it were filled then.  Eager engines without pair sharing only, one
-        window at a time.
+        it were filled then.  Eager engines only, one window at a time.
         """
-        if self._evaluated is not None or self._shared_pairs is not None:
-            raise SimulationError(
-                "prefetch needs an eager engine without pair sharing"
-            )
+        if self._evaluated is not None:
+            raise SimulationError("prefetch needs an eager engine")
         pool = self.pool
         if pool.pinned:
             raise SimulationError(
@@ -915,40 +810,6 @@ class FitnessEngine:
         unpin = self.pool.unpin
         for sid in sids:
             unpin(sid)
-
-    def _fill_shared(self, sid: int) -> None:
-        """Eager fill for a new sid with pair sharing enabled
-        (:func:`shared_engine_pairs`): pairs a previous same-signature
-        engine already evaluated are copied from the shared store — the
-        values are float-exact pure functions of the strategy pair, so the
-        trajectory is unchanged and only the evaluation count (``misses``)
-        shrinks; fresh evaluations are published back for the runs that
-        follow.
-        """
-        live = self.pool.ordered_sids()
-        shared = self._shared_pairs
-        key_new = self.pool.strategy(sid).key()
-        todo: list[int] = []
-        for j in live.tolist():
-            found = shared.get((key_new, self.pool.strategy(j).key()))
-            if found is None:
-                todo.append(j)
-            else:
-                self._paymat[sid, j], self._paymat[j, sid] = found
-        if todo:
-            targets = np.asarray(todo, dtype=np.intp)
-            focal = np.full(targets.shape, sid, dtype=np.intp)
-            pay_new, pay_live = cycle_payoffs_pairs(
-                self.pool.tables, focal, targets, self.rounds, self.payoff,
-                compact_sums=self._compact_fill,
-            )
-            self._paymat[sid, targets] = pay_new
-            self._paymat[targets, sid] = pay_live
-            for j, to_new, to_j in zip(todo, pay_new, pay_live):
-                key_j = self.pool.strategy(j).key()
-                shared[(key_new, key_j)] = (float(to_new), float(to_j))
-                shared[(key_j, key_new)] = (float(to_j), float(to_new))
-            self.misses += len(todo)
 
     def _ensure_row(self, sid: int, opponents: list[int]) -> "np.floating | None":
         """Lazy expected-regime fill: evaluate the not-yet-known opponents

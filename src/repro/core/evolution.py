@@ -611,8 +611,8 @@ def run_event_driven(
     checkpoint multiple.  Snapshot recording (``record_every``) is aligned
     to the same generations as :func:`run_serial`.
 
-    With an eager :class:`~repro.core.engine.FitnessEngine` and no pair
-    sharing, a batch's mutants go through prefetch windows of
+    With an eager :class:`~repro.core.engine.FitnessEngine`, a batch's
+    mutants go through prefetch windows of
     :attr:`~repro.core.engine.FitnessEngine.prefetch_window` mutants
     (:func:`~repro.core.engine.prefetch_window`: 32 at memory 1 down to
     4 at memory 4, one at memory 5 and 6).  Before the event that holds a

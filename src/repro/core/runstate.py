@@ -38,12 +38,10 @@ The unit key and the job fingerprint hash any version above 1, and every
 snapshot carries its version, so neither a checkpoint directory nor a
 pinned artifact continues a run under a different contract.
 
-Unsupported regimes (:func:`checkpointing_supported`) simply do not arm —
-the run executes exactly as before, no snapshots are written, and a
-service replay falls back to full re-execution: cross-run engine pair
-sharing (the shared store cannot be rebuilt from one run's snapshot) and
-a capped expected-regime pool (slot recycling erases the fill history the
-replay needs).
+One regime does not arm (:func:`checkpointing_supported`): a capped
+expected-regime pool, whose slot recycling erases the fill history the
+replay needs.  The run executes exactly as before, no snapshots are
+written, and a service replay falls back to full re-execution.
 """
 
 from __future__ import annotations
@@ -59,12 +57,7 @@ import numpy as np
 from ..errors import CheckpointError
 from ..rng import make_rng
 from .config import EvolutionConfig
-from .engine import (
-    FitnessEngine,
-    SampledFitnessEngine,
-    is_integer_payoff,
-    pair_sharing_active,
-)
+from .engine import FitnessEngine, SampledFitnessEngine, is_integer_payoff
 from .payoff_cache import PayoffCache, StrategyHistogram
 from .population import Population
 from .strategy import Strategy
@@ -351,24 +344,15 @@ def _engine_regime(config: EvolutionConfig) -> str | None:
 
 def checkpointing_supported(config: EvolutionConfig) -> bool:
     """Whether mid-run checkpointing can guarantee a bit-identical resume
-    for ``config`` in this execution context.
+    for ``config``.
 
-    Two refusals (the run simply executes without snapshots):
-
-    * deterministic engine under cross-run pair sharing
-      (:func:`~repro.core.engine.shared_engine_pairs`) — a resume rebuilds
-      only its live pairs, so the shared store (and with it the sweep's
-      later evaluation counters) would diverge from an uninterrupted
-      process;
-    * expected regime with ``engine_pool_cap > 0`` — slot recycling erases
-      exactly the fill history a deterministic rebuild must replay.
+    The one refusal (the run simply executes without snapshots) is the
+    expected regime with ``engine_pool_cap > 0``: slot recycling erases
+    exactly the fill history a deterministic rebuild must replay.
     """
-    regime = _engine_regime(config)
-    if regime == "det" and pair_sharing_active():
-        return False
-    if regime == "expected" and config.engine_pool_cap > 0:
-        return False
-    return True
+    return not (
+        _engine_regime(config) == "expected" and config.engine_pool_cap > 0
+    )
 
 
 # -- population ----------------------------------------------------------------

@@ -16,9 +16,9 @@ same :func:`~repro.core.runstate.science_fields` the checkpoint unit key
 hashes.  A version bump changes the trajectories of unchanged configs,
 so it must miss every result cached under the old contract; version-1
 fingerprints are those of builds that predate versioning.  Execution
-options (backend, workers, priority, engine sharing) are likewise
-excluded — every backend follows the bit-identical trajectory for a
-given config and seed (pinned by the repo's parity suites), so an
+options (backend, workers, priority) are likewise excluded — every
+backend follows the bit-identical trajectory for a given config and
+seed (pinned by the repo's parity suites), so an
 ``ensemble``-executed result is a valid cache hit for an
 ``event``-backend request, and a run submitted *with* checkpointing hits
 the cache entry its uncheckpointed twin wrote.
@@ -112,20 +112,12 @@ class JobSpec:
         Backend name for :func:`~repro.api.run_sweep`, validated against
         the registry at submit time.  ``None`` (the default) picks the
         faster one for the configs and their run count
-        (:func:`default_backend`); picking ``event``, it also turns pair
-        sharing off unless ``share_engine`` says otherwise.  The spec then
-        holds the picked name, so :meth:`to_dict` and the journal carry
-        it.
+        (:func:`default_backend`).  The spec then holds the picked name,
+        so :meth:`to_dict` and the journal carry it.
     workers:
         ``run_sweep`` process-pool size (``None`` = in-process, the
         default: service jobs already share a worker pool, and in-process
         execution is what lets progress ticks stream to the job status).
-    share_engine:
-        Per-job override of ``run_sweep``'s deterministic pair sharing
-        between the job's own runs (``None`` = the auto rule, on for
-        memory-one sweeps).  The store lives for one job only.  While
-        sharing is on, deterministic runs take no mid-run snapshots
-        (:func:`~repro.core.runstate.checkpointing_supported`).
     priority:
         ``"interactive"`` or ``"batch"`` (scheduling only — not part of
         the fingerprint).
@@ -143,7 +135,6 @@ class JobSpec:
     configs: tuple[EvolutionConfig, ...]
     backend: str | None = None
     workers: int | None = None
-    share_engine: bool | None = None
     priority: str = "batch"
     label: str = ""
     retry: RetryPolicy | None = None
@@ -166,11 +157,6 @@ class JobSpec:
                 )
         if self.backend is None:
             object.__setattr__(self, "backend", default_backend(self.configs))
-            if self.backend == "event" and self.share_engine is None:
-                # Pair sharing would turn off the event driver's prefetch
-                # windows and its mid-run snapshots
-                # (:func:`~repro.core.runstate.checkpointing_supported`).
-                object.__setattr__(self, "share_engine", False)
         if not isinstance(self.backend, str) or not self.backend:
             raise ConfigurationError(
                 f"field 'backend': expected a backend name, got "
@@ -238,7 +224,6 @@ class JobSpec:
             "configs": [c.to_dict() for c in self.configs],
             "backend": self.backend,
             "workers": self.workers,
-            "share_engine": self.share_engine,
             "priority": self.priority,
             "label": self.label,
             "retry": self.retry.to_dict() if self.retry is not None else None,
@@ -247,7 +232,12 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "JobSpec":
-        """Build a spec from :meth:`to_dict` output (strict validation)."""
+        """Build a spec from :meth:`to_dict` output (strict validation).
+
+        ``share_engine``, a retired field that switched cross-run pair
+        sharing, is still accepted as a boolean or null and dropped, so
+        journals and clients that wrote it replay unchanged.
+        """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
                 f"JobSpec.from_dict needs a mapping, got {type(data).__name__}"
@@ -281,7 +271,7 @@ class JobSpec:
                 configs.append(EvolutionConfig.from_dict(raw))
             except ConfigurationError as err:
                 raise ConfigurationError(f"configs[{i}]: {err}") from err
-        share = data.get("share_engine")
+        share = data.get("share_engine")  # retired: checked, then dropped
         if share is not None and not isinstance(share, bool):
             raise ConfigurationError(
                 f"field 'share_engine': expected a boolean or null, got "
@@ -295,7 +285,6 @@ class JobSpec:
             configs=tuple(configs),
             backend=data.get("backend"),
             workers=data.get("workers"),
-            share_engine=share,
             priority=data.get("priority", "batch"),
             label=data.get("label", ""),
             retry=retry,

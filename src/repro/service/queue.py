@@ -576,7 +576,6 @@ class JobQueue:
                         list(spec.configs),
                         backend=spec.backend,
                         workers=spec.workers,
-                        share_engine=spec.share_engine,
                         on_result=job._on_run_complete,
                     )
                 self.store.put(job.fingerprint, results)

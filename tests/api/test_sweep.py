@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import derive_sweep_seeds, run_sweep
+from repro.api import Simulation, derive_sweep_seeds, run_sweep
 from repro.core import EvolutionConfig
 from repro.errors import ConfigurationError
 
@@ -33,17 +33,22 @@ class TestSeedDerivation:
 
 class TestRunSweep:
     def test_pool_matches_serial_loop(self):
-        """Acceptance: 8 configs, workers=4 == the serial loop."""
+        """Acceptance: 8 configs, workers=4 == the serial loop, and every
+        run's evaluation counters are an isolated run's."""
         configs = sweep_configs(8)
         serial = run_sweep(configs, workers=None)
         pooled = run_sweep(configs, workers=4)
+        isolated = [Simulation(c).run() for c in configs]
         assert len(serial) == len(pooled) == 8
-        for a, b in zip(serial, pooled):
+        for a, b, c in zip(serial, pooled, isolated):
             assert a.config == b.config
             assert a.events == b.events
             assert np.array_equal(
                 a.population.strategy_matrix(), b.population.strategy_matrix()
             )
+            for swept in (a, b):
+                assert swept.cache_hits == c.cache_hits
+                assert swept.cache_misses == c.cache_misses
 
     def test_base_seed_overrides_config_seeds(self):
         configs = [sweep_configs(1)[0]] * 4  # identical configs

@@ -38,7 +38,7 @@ from repro.core import (
     run_event_driven,
     run_serial,
 )
-from repro.core.engine import prefetch_window, shared_engine_pairs
+from repro.core.engine import prefetch_window
 from repro.core.runstate import capture_evaluator, checkpoint_scope
 from repro.core.strategy import Strategy
 from repro.errors import CheckpointError, SimulationError
@@ -292,18 +292,13 @@ class TestPrefetch:
         assert calls == [sum(live + k + 1 for k in range(8))]
         assert engine.misses == 16 * 17 // 2  # nothing counted yet
 
-    def test_lazy_and_shared_engines_refuse(self):
+    def test_lazy_engine_refuses(self):
         expected = FitnessEngine(
             memory_steps=1, rounds=5, noise=0.1, expected=True
         )
         assert expected.prefetch_window == 1
         with pytest.raises(SimulationError, match="prefetch"):
             expected.prefetch([UNIVERSE[0]])
-        with shared_engine_pairs():
-            shared = FitnessEngine(memory_steps=2, rounds=5)
-        assert shared.prefetch_window == 1
-        with pytest.raises(SimulationError, match="prefetch"):
-            shared.prefetch([pure(3, 2)])
 
     def test_window_rule(self):
         windows = [prefetch_window(m) for m in range(1, 7)]

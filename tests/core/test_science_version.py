@@ -98,8 +98,7 @@ class TestKeys:
 
 # -- resumes -----------------------------------------------------------------
 
-#: Memory 2: one-run memory-1 sweeps share deterministic pairs across
-#: runs, which turns checkpoints off.
+#: A small deterministic shape with two snapshots.
 SMALL = dict(
     memory_steps=2, n_ssets=8, generations=500, rounds=16, seed=11,
     checkpoint_every=200,

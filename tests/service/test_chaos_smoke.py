@@ -168,15 +168,11 @@ def test_sigkill_midrun_then_restart_resumes_from_snapshot(tmp_path):
     wal = tmp_path / "jobs.wal"
     ckpt = tmp_path / "ckpt"
     # One long checkpointed run on a server started with default flags.
-    # The spec turns intra-sweep pair sharing off, because cross-run pair
-    # sharing is the deterministic mode that (correctly) refuses mid-run
-    # snapshots: a resume rebuilds only its own live pairs, so the shared
-    # store would diverge from an uninterrupted process.
     config = EvolutionConfig(
         n_ssets=8, generations=1500, rounds=16, seed=2300,
         checkpoint_every=300,
     )
-    spec = JobSpec(configs=(config,), share_engine=False)
+    spec = JobSpec(configs=(config,))
 
     process, client = start_server(
         ["--workers", "1", "--journal", str(wal),
@@ -230,9 +226,7 @@ def test_sigkill_midrun_then_restart_resumes_from_snapshot(tmp_path):
             full_ticks += 1
 
         with progress_scope(count_tick):
-            direct = run_sweep(
-                [config], backend="ensemble", share_engine=False
-            )[0]
+            direct = run_sweep([config], backend="ensemble")[0]
         assert 0 < job["progress"]["ticks_seen"] < full_ticks
 
         # ... and partial execution is invisible in the science: the

@@ -25,8 +25,7 @@ from repro.service import JobQueue, JobSpec, JobState, RetryPolicy
 
 def ckpt_spec(seed: int, *, checkpoint_every: int = 100, n: int = 1,
               generations: int = 300, **overrides) -> JobSpec:
-    """A checkpointed sweep spec (engine sharing off: cross-run pair
-    sharing is the one deterministic mode that refuses checkpointing)."""
+    """A checkpointed sweep spec on the ensemble backend."""
     return JobSpec(
         configs=tuple(
             EvolutionConfig(
@@ -36,7 +35,6 @@ def ckpt_spec(seed: int, *, checkpoint_every: int = 100, n: int = 1,
             for i in range(n)
         ),
         backend="ensemble",
-        share_engine=False,
         **overrides,
     )
 
@@ -45,7 +43,6 @@ def reference_results(spec: JobSpec):
     return run_sweep(
         [c.with_updates(checkpoint_every=0) for c in spec.configs],
         backend="ensemble",
-        share_engine=False,
     )
 
 
@@ -94,15 +91,15 @@ class TestCheckpointLifecycle:
         assert all(r["unit"] for r in breadcrumbs)
         assert_bit_identical(job.results, reference_results(spec))
 
-    def test_default_backend_job_writes_snapshots(self, tmp_path):
-        """A memory-one job that names neither a backend nor sharing still
-        snapshots mid-run: a default pick of ``event`` turns pair sharing
-        (which refuses checkpoints) off."""
+    @pytest.mark.parametrize("backend", [None, "event", "serial"])
+    def test_default_backend_job_writes_snapshots(self, tmp_path, backend):
+        """A memory-one job snapshots mid-run whether it names no backend
+        (the pick is ``event``) or names a single-run driver."""
         spec = JobSpec(configs=(
             EvolutionConfig(n_ssets=8, generations=300, rounds=16, seed=920,
                             checkpoint_every=100),
-        ))
-        assert spec.backend == "event"
+        ), backend=backend)
+        assert spec.backend == (backend or "event")
         assert spec.configs[0].memory_steps == 1
         with JobQueue(workers=1,
                       checkpoint_dir=tmp_path / "ckpt") as queue:

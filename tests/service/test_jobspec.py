@@ -50,7 +50,6 @@ class TestFingerprint:
         assert make_spec(workers=8).fingerprint() == base
         assert make_spec(priority="interactive").fingerprint() == base
         assert make_spec(label="tagged").fingerprint() == base
-        assert make_spec(share_engine=True).fingerprint() == base
 
     def test_config_order_matters(self):
         spec = make_spec()
@@ -228,17 +227,6 @@ class TestDefaultBackend:
     def test_explicit_backend_is_kept(self, name, n):
         spec = JobSpec(configs=replicates(n), backend=name)
         assert spec.backend == name
-        assert spec.share_engine is None
-
-    def test_event_pick_turns_sharing_off(self):
-        """Sharing would turn off the prefetch windows and the mid-run
-        snapshots of the memory-one runs it defaults on for."""
-        assert JobSpec(configs=replicates(1)).share_engine is False
-        assert JobSpec(
-            configs=replicates(1), share_engine=True
-        ).share_engine is True
-        many = replicates(SMALL_FROM)
-        assert JobSpec(configs=many).share_engine is None
 
     def test_empty_name_still_refused(self):
         with pytest.raises(ConfigurationError, match="backend"):
@@ -248,7 +236,7 @@ class TestDefaultBackend:
         spec = JobSpec(configs=replicates(1))
         wire = json.loads(json.dumps(spec.to_dict()))
         assert wire["backend"] == "event"
-        assert wire["share_engine"] is False
+        assert "share_engine" not in wire
         assert JobSpec.from_dict(wire) == spec
         # A journaled spec replays with the backend it names.
         wire["backend"] = "ensemble"

@@ -356,8 +356,8 @@ class TestRunStateCheckpointing:
         assert capsys.readouterr().err.startswith("repro: error:")
 
     def test_sweep_checkpoint_dir_smoke(self, tmp_path, capsys):
-        # Memory 2: memory-1 sweeps auto-enable cross-run pair sharing,
-        # the one deterministic mode that (correctly) refuses snapshots.
+        # Memory 2; test_memory_one_sweep_writes_snapshots is the memory-1
+        # twin.
         ckpt = str(tmp_path / "ckpt")
         assert main(
             ["sweep", "--ssets", "8", "--generations", "400", "--rounds",
@@ -368,9 +368,9 @@ class TestRunStateCheckpointing:
         assert capsys.readouterr().out.count("dominant:") == 2
         assert list((tmp_path / "ckpt").glob("unit-*/gen-*/meta.json"))
 
-    def test_sweep_pair_sharing_refuses_snapshots_quietly(self, tmp_path,
-                                                          capsys):
-        # The memory-1 twin runs fine — it just writes no snapshots.
+    def test_memory_one_sweep_writes_snapshots(self, tmp_path, capsys):
+        # Each run of a memory-1 sweep has its own payoff store, so it
+        # snapshots like the memory-2 twin above.
         ckpt = str(tmp_path / "ckpt")
         assert main(
             ["sweep", "--ssets", "8", "--generations", "400", "--rounds",
@@ -378,4 +378,4 @@ class TestRunStateCheckpointing:
              "--checkpoint-every", "150", "--checkpoint-dir", ckpt]
         ) == 0
         assert capsys.readouterr().out.count("dominant:") == 2
-        assert not list((tmp_path / "ckpt").glob("unit-*/gen-*/meta.json"))
+        assert list((tmp_path / "ckpt").glob("unit-*/gen-*/meta.json"))
