@@ -10,10 +10,10 @@ bit-identical to its serial run, pinned by the test suite), and records
 both aggregate throughputs plus the speedup ratio.
 
 The acceptance scenario is ``wm-m2-n16``: a 64-replicate well-mixed
-memory-2 ensemble, where lane batching clears the >= 3x bar.  The wider
-rows map how the advantage scales with population size and memory depth —
-the shared pool/matrix wins biggest when the per-event work is small
-relative to the interpreter dispatch it replaces.
+memory-2 ensemble, the repository benchmark's ``wm-m2-ens`` shape.  The
+wider rows map how the advantage scales with population size and memory
+depth — the shared pool/matrix wins biggest when the per-event work is
+small relative to the interpreter dispatch it replaces.
 
 CI runs ``--smoke`` (one scenario, few replicates, short horizon) so the
 harness cannot rot; developers run it bare before/after ensemble work and
@@ -41,20 +41,14 @@ from common import (  # bootstraps sys.path
 
 from repro import EvolutionConfig, run_sweep  # noqa: E402
 
-#: (label, structure, memory_steps, n_ssets, paymat_block) — wm-m2-n16 is
-#: the acceptance scenario; the rest map the scaling surface.  The ``-b16``
-#: rows rerun a scenario with the shared engine's pair matrix in on-demand
-#: 16x16 blocks (distinct labels, so ``bench_gate.py`` tracks blocked and
-#: dense rows as separate series); their ``shared_engine`` stats carry the
-#: resident/peak paymat bytes the blocked store is bounded by.
+#: (label, structure, memory_steps, n_ssets) — wm-m2-n16 is the acceptance
+#: scenario; the rest map the scaling surface.
 SCENARIOS = (
-    ("wm-m2-n16", "well-mixed", 2, 16, 0),
-    ("wm-m2-n16-b16", "well-mixed", 2, 16, 16),
-    ("wm-m2-n32", "well-mixed", 2, 32, 0),
-    ("wm-m2-n64", "well-mixed", 2, 64, 0),
-    ("wm-m1-n64", "well-mixed", 1, 64, 0),
-    ("ring-m2-n16", "ring:k=4", 2, 16, 0),
-    ("ring-m2-n16-b16", "ring:k=4", 2, 16, 16),
+    ("wm-m2-n16", "well-mixed", 2, 16),
+    ("wm-m2-n32", "well-mixed", 2, 32),
+    ("wm-m2-n64", "well-mixed", 2, 64),
+    ("wm-m1-n64", "well-mixed", 1, 64),
+    ("ring-m2-n16", "ring:k=4", 2, 16),
 )
 DEFAULT_REPLICATES = 64
 DEFAULT_GENERATIONS = 10_000
@@ -79,16 +73,8 @@ def bench_scenario(
     n_ssets: int,
     replicates: int,
     generations: int,
-    paymat_block: int = 0,
 ) -> dict:
-    """Time one seeded replicate ensemble on both paths.
-
-    ``paymat_block`` rides in on the configs, so *both* paths run under
-    it — the serial event reference is the parity oracle
-    for exactly the mode being measured, and the scenario label stays
-    unchanged so ``bench_gate.py`` lines blocked rows up against dense
-    baselines.
-    """
+    """Time one seeded replicate ensemble on both paths."""
     configs = [
         EvolutionConfig(
             memory_steps=memory_steps,
@@ -97,7 +83,6 @@ def bench_scenario(
             structure=structure,
             seed=2013 + i,
             record_events=False,
-            paymat_block=paymat_block,
         )
         for i in range(replicates)
     ]
@@ -108,7 +93,6 @@ def bench_scenario(
         "n_ssets": n_ssets,
         "replicates": replicates,
         "generations": generations,
-        "paymat_block": paymat_block,
     }
     total_generations = replicates * generations
 
@@ -248,12 +232,6 @@ def main(argv: list[str] | None = None) -> int:
                         help=f"generations per replicate (default "
                              f"{DEFAULT_GENERATIONS:,}; smoke "
                              f"{SMOKE_GENERATIONS:,})")
-    parser.add_argument("--paymat-block", type=int, default=None,
-                        dest="paymat_block", metavar="B",
-                        help="override paymat_block on every scenario "
-                             "(power of two >= 4; 0 = dense) — labels stay "
-                             "unchanged so bench_gate.py lines the rows up "
-                             "against a dense baseline")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_ensemble.json"),
                         metavar="PATH", help="output JSON path")
     args = parser.parse_args(argv)
@@ -271,12 +249,9 @@ def main(argv: list[str] | None = None) -> int:
     scenarios = SCENARIOS[:1] if args.smoke else SCENARIOS
 
     results = []
-    for label, structure, memory, n_ssets, block in scenarios:
-        if args.paymat_block is not None:
-            block = args.paymat_block
+    for label, structure, memory, n_ssets in scenarios:
         record = bench_scenario(
-            label, structure, memory, n_ssets, replicates, generations,
-            paymat_block=block,
+            label, structure, memory, n_ssets, replicates, generations
         )
         results.append(record)
         print(f"{label:<12} event "
@@ -291,12 +266,7 @@ def main(argv: list[str] | None = None) -> int:
           f"on       {ckpt['on_generations_per_sec']:>11,.1f} gen/s   "
           f"overhead x{ckpt['checkpoint_overhead']}")
 
-    payload = build_payload(
-        "ensemble",
-        smoke=args.smoke,
-        results=results,
-        paymat_block=args.paymat_block if args.paymat_block is not None else 0,
-    )
+    payload = build_payload("ensemble", smoke=args.smoke, results=results)
     write_payload(args.out, payload, label="scenarios")
     return 0
 

@@ -39,17 +39,12 @@ SMOKE_GENERATIONS = 5_000
 
 #: Lane-batched ensemble scenarios: (scenario key, structure, memory,
 #: replicates, generations-divisor vs the serial cells — ensembles run R
-#: lanes, so a shorter per-lane horizon keeps the wallclock comparable —
-#: and paymat_block).  ``ring-ens-r64-b16`` is the blocked-paymat graph
-#: row: same workload as ``ring-ens-r64`` but the shared engine backs the
-#: pair matrix with on-demand 16x16 blocks, so its ``shared_engine`` stats
-#: record how far resident paymat bytes drop on a sparse-touch topology.
+#: lanes, so a shorter per-lane horizon keeps the wallclock comparable).
 ENSEMBLE_SCENARIOS = (
-    ("ring-ens-r64", "ring:k=4", 2, 64, 5, 0),
-    ("ring-ens-r64-b16", "ring:k=4", 2, 64, 5, 16),
-    ("smallworld-ens-r64", "smallworld:k=4,p=0.1,seed=1", 2, 64, 5, 0),
+    ("ring-ens-r64", "ring:k=4", 2, 64, 5),
+    ("smallworld-ens-r64", "smallworld:k=4,p=0.1,seed=1", 2, 64, 5),
 )
-SMOKE_ENSEMBLE_SCENARIOS = (("ring-ens-r8", "ring:k=4", 2, 8, 5, 0),)
+SMOKE_ENSEMBLE_SCENARIOS = (("ring-ens-r8", "ring:k=4", 2, 8, 5),)
 
 
 def bench_one(structure: str, memory_steps: int, generations: int) -> dict:
@@ -84,7 +79,6 @@ def bench_ensemble(
     memory_steps: int,
     replicates: int,
     generations: int,
-    paymat_block: int = 0,
 ) -> dict:
     """Time one graph-structured replicate sweep lane-batched vs serial.
 
@@ -92,8 +86,6 @@ def bench_ensemble(
     generations / seconds) — the figure the bench gate tracks;
     ``speedup_vs_event`` is the headline acceptance ratio.  Lane parity is
     asserted on the final populations while both result sets are in hand.
-    ``paymat_block`` rides in on the configs so the serial event reference
-    is the parity oracle for exactly the mode being measured.
     """
     configs = [
         EvolutionConfig(
@@ -103,7 +95,6 @@ def bench_ensemble(
             structure=structure,
             record_events=False,
             seed=2013 + i,
-            paymat_block=paymat_block,
         )
         for i in range(replicates)
     ]
@@ -131,7 +122,6 @@ def bench_ensemble(
         "n_ssets": N_SSETS,
         "replicates": replicates,
         "generations": generations,
-        "paymat_block": paymat_block,
         "seconds": round(ens_elapsed, 4),
         "event_seconds": round(event_elapsed, 4),
         "ensemble_generations_per_sec": round(total / ens_elapsed, 1),
@@ -154,12 +144,6 @@ def main(argv: list[str] | None = None) -> int:
                              f"{DEFAULT_GENERATIONS:,}; smoke "
                              f"{SMOKE_GENERATIONS:,}; ensemble rows run a "
                              "fraction of this per lane)")
-    parser.add_argument("--paymat-block", type=int, default=None,
-                        dest="paymat_block", metavar="B",
-                        help="override paymat_block on every ensemble row "
-                             "(power of two >= 4; 0 = dense) — scenario "
-                             "labels stay unchanged so bench_gate.py lines "
-                             "the rows up against a dense baseline")
     parser.add_argument("--out", default=str(REPO_ROOT / "BENCH_structured.json"),
                         metavar="PATH", help="output JSON path")
     args = parser.parse_args(argv)
@@ -183,13 +167,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{structure:<18} memory={memory}  "
               f"{record['generations_per_sec']:>12,.1f} gen/s  "
               f"({record['seconds']:.2f}s)")
-    for scenario, structure, memory, replicates, divisor, block in scenarios:
-        if args.paymat_block is not None:
-            block = args.paymat_block
+    for scenario, structure, memory, replicates, divisor in scenarios:
         record = bench_ensemble(
             scenario, structure, memory, replicates,
             max(1000, generations // divisor),
-            paymat_block=block,
         )
         results.append(record)
         print(f"{scenario:<18} memory={memory}  "

@@ -106,7 +106,6 @@ def _evolution_config(args: argparse.Namespace, memory: int) -> EvolutionConfig:
         engine=args.engine,
         record_events=args.record_events,
         engine_pool_cap=args.engine_pool_cap,
-        paymat_block=args.paymat_block,
         checkpoint_every=args.checkpoint_every,
     )
 
@@ -538,16 +537,7 @@ def _add_evolution_arguments(parser: argparse.ArgumentParser) -> None:
                              "pool: once live+retired strategies reach the "
                              "cap, the oldest retired slot is recycled "
                              "(0 = unbounded, the legacy-mirroring default). "
-                             "Under --paymat-block it instead bounds the "
-                             "resident payoff blocks (LRU eviction, "
-                             "trajectory unchanged)")
-    parser.add_argument("--paymat-block", type=int, default=0,
-                        dest="paymat_block",
-                        help="shard the payoff matrix into NxN blocks "
-                             "allocated on demand (power of two >= 4; "
-                             "0 = one dense allocation, the default). "
-                             "Deterministic regime only; trajectories are "
-                             "bit-identical to the dense layout")
+                             "Applies to the expected regime only")
     parser.add_argument("--checkpoint-every", type=int, default=0,
                         dest="checkpoint_every",
                         help="snapshot full run state every N generations "

@@ -35,14 +35,15 @@ class BackendReport:
         (``"well-mixed"``, ``"ring:k=4"``, ...).
     lanes:
         Number of replicates the ``ensemble`` backend executed together in
-        this run's lane-batched group (1 = the run was its own group).
+        this run's lane-batched group (1 = the run was its own group).  A
+        group whose pair matrix would pass the driver's memory bound runs
+        as consecutive sub-groups, and this is the sub-group's size.
     shared_engine:
-        Shared-engine counters of the lane-batched group (distinct
+        Shared-engine counters of the lane-batched (sub-)group (distinct
         strategies, pool capacity, pair evaluations and kernel calls, plus
         the paymat memory accounting: ``paymat_bytes`` /
-        ``peak_paymat_bytes`` / ``paymat_block`` / ``blocks_resident`` /
-        ``blocks_evicted`` / ``block_fills``) — ``None`` when the group ran
-        on per-lane evaluators.
+        ``peak_paymat_bytes``) — ``None`` when the group ran on per-lane
+        evaluators.
     resumed_from_generation:
         Generation the run was restored from when a mid-run checkpoint was
         found (:mod:`repro.core.runstate`); ``None`` for an uninterrupted

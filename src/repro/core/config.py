@@ -110,20 +110,9 @@ class EvolutionConfig:
         dropped).  Runs whose distinct-strategy count never exceeds the cap
         are bit-identical to uncapped runs; runs that do exceed it may
         re-evaluate reappearing pairs from a different perspective and
-        drift by ulps — which is why the cap is opt-in.  Deterministic-regime
-        pools recycle at zero references already and ignore the cap —
-        except under a blocked paymat (``paymat_block``), where the cap
-        bounds the number of *resident payoff blocks* instead (LRU
-        eviction; deterministic refills are bit-exact, so capped runs stay
-        on the uncapped trajectory).
-    paymat_block:
-        0 (default) keeps the payoff matrix as one dense ``K x K``
-        allocation.  A power of two >= 4 shards it into
-        ``paymat_block x paymat_block`` blocks allocated on first write
-        (:class:`~repro.core.paymat.BlockedPairStore`), so very large
-        ``R x n_ssets`` ensembles stop paying O(K²) memory up front.
-        Deterministic-regime only (the expected regime's matrix must never
-        drop entries); trajectories are bit-identical to the dense layout.
+        drift by ulps — which is why the cap is opt-in.  The cap applies
+        to the expected regime only: deterministic-regime pools recycle at
+        zero references already and ignore it.
     sampled_batched:
         Opt in to the batched sampled-stochastic fitness engine
         (:class:`~repro.core.engine.SampledFitnessEngine`): every sampled
@@ -171,7 +160,6 @@ class EvolutionConfig:
     engine: bool = True
     record_events: bool = True
     engine_pool_cap: int = 0
-    paymat_block: int = 0
     sampled_batched: bool = False
     checkpoint_every: int = 0
 
@@ -234,17 +222,6 @@ class EvolutionConfig:
                 f"engine_pool_cap must be >= 0 (0 = unbounded), got "
                 f"{self.engine_pool_cap}"
             )
-        if self.paymat_block < 0 or (
-            self.paymat_block
-            and (
-                self.paymat_block < 4
-                or self.paymat_block & (self.paymat_block - 1)
-            )
-        ):
-            raise ConfigurationError(
-                f"paymat_block must be 0 (dense) or a power of two >= 4, "
-                f"got {self.paymat_block}"
-            )
         if self.sampled_batched and not self.is_stochastic:
             raise ConfigurationError(
                 "sampled_batched batches sampled-stochastic games and needs "
@@ -291,8 +268,6 @@ class EvolutionConfig:
             parts.append("legacy-cache")
         if self.engine_pool_cap:
             parts.append(f"pool-cap={self.engine_pool_cap}")
-        if self.paymat_block:
-            parts.append(f"paymat-block={self.paymat_block}")
         if self.checkpoint_every:
             parts.append(f"checkpoint-every={self.checkpoint_every}")
         return " ".join(parts)
@@ -357,9 +332,10 @@ class EvolutionConfig:
         list; ``structure`` must be a spec string (instances do not
         round-trip through JSON).
 
-        Dicts written by earlier releases carry the retired
-        ``"array_backend": "numpy"`` key; it is accepted and dropped, and
-        any other value is rejected.
+        Dicts written by earlier releases carry retired keys, which are
+        accepted with any value those releases accepted and dropped:
+        ``"array_backend": "numpy"``, and ``paymat_block`` (0 or a power
+        of two >= 4).  Any other value is rejected.
         """
         if not isinstance(data, Mapping):
             raise ConfigurationError(
@@ -372,6 +348,18 @@ class EvolutionConfig:
             raise ConfigurationError(
                 "field 'array_backend' is retired (the engines run on NumPy "
                 f"only); only 'numpy' is accepted, got {retired!r}"
+            )
+        block = data.pop("paymat_block", 0)
+        if (
+            isinstance(block, bool)
+            or not isinstance(block, numbers.Integral)
+            or block < 0
+            or (block and (block < 4 or block & (block - 1)))
+        ):
+            raise ConfigurationError(
+                "field 'paymat_block' is retired (the payoff matrix is "
+                "always dense); only 0 or a power of two >= 4 is accepted, "
+                f"got {block!r}"
             )
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(data) - known)
@@ -408,8 +396,7 @@ class EvolutionConfig:
 #: Field classification for :meth:`EvolutionConfig.from_dict` coercion.
 _INT_FIELDS = frozenset({
     "memory_steps", "n_ssets", "generations", "agents_per_sset", "rounds",
-    "seed", "record_every", "engine_pool_cap", "paymat_block",
-    "checkpoint_every",
+    "seed", "record_every", "engine_pool_cap", "checkpoint_every",
 })
 _FLOAT_FIELDS = frozenset({"pc_rate", "mutation_rate", "beta", "noise"})
 _BOOL_FIELDS = frozenset({

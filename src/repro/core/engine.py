@@ -72,7 +72,6 @@ from ..errors import ConfigurationError, SimulationError, StrategyError
 from .config import EvolutionConfig
 from .cycle import exact_payoffs
 from .markov import expected_payoffs, expected_payoffs_many
-from .paymat import BlockedPairStore, validate_paymat_block
 from .payoff import PAPER_PAYOFF, PayoffMatrix
 from .payoff_cache import PayoffCache
 from .states import num_states
@@ -495,7 +494,6 @@ class FitnessEngine:
         mixed: bool = False,
         capacity: int = 64,
         pool_cap: int = 0,
-        paymat_block: int = 0,
     ):
         if rounds < 1:
             raise ConfigurationError(f"rounds must be >= 1, got {rounds}")
@@ -536,25 +534,8 @@ class FitnessEngine:
             on_evict=self._on_slot_evicted,
         )
         capacity = self.pool.capacity
-        validate_paymat_block(paymat_block)
-        if paymat_block and expected:
-            raise ConfigurationError(
-                "paymat_block serves the deterministic regime only: the "
-                "expected regime's matrix must keep every evaluated entry "
-                "(re-evaluation drifts by ulps)"
-            )
-        #: Dense ``capacity x capacity`` float64 matrix, or a
-        #: :class:`~repro.core.paymat.BlockedPairStore` speaking the same
-        #: indexing dialect when ``paymat_block`` shards it.
-        if paymat_block:
-            self._paymat: "np.ndarray | BlockedPairStore" = BlockedPairStore(
-                capacity,
-                paymat_block,
-                np.float64,
-                track_evaluated=False,
-            )
-        else:
-            self._paymat = np.zeros((capacity, capacity), dtype=np.float64)
+        #: Dense ``capacity x capacity`` float64 matrix.
+        self._paymat = np.zeros((capacity, capacity), dtype=np.float64)
         #: Lazy-regime fill mask; the eager deterministic regime keeps every
         #: live row/column filled by construction and leaves this ``None``.
         self._evaluated: np.ndarray | None = (
@@ -614,23 +595,18 @@ class FitnessEngine:
                 64, config.n_ssets + 2 + prefetch_window(config.memory_steps)
             ),
             pool_cap=config.engine_pool_cap,
-            paymat_block=0 if expected else config.paymat_block,
         )
 
     # -- matrix maintenance ----------------------------------------------------
 
     @property
-    def paymat(self):
-        """The payoff matrix (rows/columns beyond live sids stale): a dense
-        ndarray, or the blocked store speaking the same gather dialect."""
+    def paymat(self) -> np.ndarray:
+        """The dense payoff matrix (rows/columns beyond live sids stale)."""
         return self._paymat
 
     def _sync_capacity(self) -> None:
         capacity = self.pool.capacity
         if self._paymat.shape[0] == capacity:
-            return
-        if isinstance(self._paymat, BlockedPairStore):
-            self._paymat.grow(capacity)
             return
         paymat = np.zeros((capacity, capacity), dtype=np.float64)
         old = self._paymat.shape[0]
@@ -1002,13 +978,10 @@ class FitnessEngine:
             "hits": self.hits,
             "misses": self.misses,
         }
-        if isinstance(self._paymat, BlockedPairStore):
-            stats.update(self._paymat.stats())
-        else:
-            paymat_bytes = int(self._paymat.nbytes)
-            if self._evaluated is not None:
-                paymat_bytes += int(self._evaluated.nbytes)
-            stats["paymat_bytes"] = paymat_bytes
+        paymat_bytes = int(self._paymat.nbytes)
+        if self._evaluated is not None:
+            paymat_bytes += int(self._evaluated.nbytes)
+        stats["paymat_bytes"] = paymat_bytes
         stats["pool"] = self.pool.stats()
         return stats
 

@@ -94,9 +94,10 @@ RUN_STATE_VERSION = 2
 #: Config fields a resume may change freely: execution knobs whose value
 #: does not perturb the science trajectory (``engine`` is *not* here — it
 #: swaps the evaluator implementation and with it the hit/miss counters
-#: that are part of the result payload).  ``array_backend`` is retired but
-#: still present in every config dict written before its removal, so it
-#: stays here to keep those snapshots' unit keys and resume checks stable.
+#: that are part of the result payload).  ``array_backend`` and
+#: ``paymat_block`` are retired, but every config dict written before their
+#: removal carries them, so they stay here to keep those dicts' keys —
+#: snapshots' unit keys, job fingerprints and resume checks — stable.
 RESUME_NEUTRAL_FIELDS = frozenset(
     {"checkpoint_every", "array_backend", "paymat_block", "engine_pool_cap"}
 )
@@ -254,7 +255,7 @@ def unit_key(config_dicts: list[dict[str, Any]]) -> str:
     Covers every science-bearing config field of the run (one dict for a
     single run, the ordered lane dicts for an ensemble group) and nothing
     else — so the same question asked with a different checkpoint cadence
-    or paymat layout still finds its snapshot, while any science change
+    or pool cap still finds its snapshot, while any science change
     misses cleanly (:func:`science_fields`).
     """
     blob = json.dumps(

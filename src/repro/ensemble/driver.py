@@ -51,10 +51,7 @@ order of the free list changes, which renumbers later sids.  Fills are
 attributed by pair order, not by sid, so full-cover groups (which fill at
 window start) keep their fill counts and per-lane ``cache_misses``;
 on-demand groups fill per wave, with the same totals in fewer kernel
-calls.  An LRU-capped blocked store (``paymat_block`` with
-``engine_pool_cap``) evicts in access order, so its fill counters depend
-on the wave order — they are provenance, and such groups already refuse
-checkpoints.
+calls.
 
 **Hooks** keep their per-lane contracts under waves, on both paths below
 (:func:`_before_wave`, :func:`_after_wave`).  A lane's progress tick
@@ -104,6 +101,17 @@ Regimes:
   independent draw from the per-lane games stream, so there is nothing to
   share without changing the trajectory (use the ``event`` backend per
   run).
+
+**Wide groups.**  A shared group's pool and pair matrix are sized for
+its worst case up front (:func:`_group_slots`), so the matrix grows with
+the square of its lanes times SSets.  A group whose matrix would pass
+:data:`_GROUP_PAYMAT_BYTES` runs as the fewest near-equal consecutive
+sub-groups that fit (:func:`_split_group`), each a group of its own: its
+own engine, report (``lanes`` is the sub-group's size) and mid-run
+snapshots (keyed by the sub-group's configs).  Lanes are independent, so
+no trajectory changes; only the per-lane ``cache_misses``, which
+attribute shared fills to lanes, follow the grouping.  Pool-only and
+per-lane groups have no pair matrix and never split.
 
 :func:`_group_mode` routes a signature group to its path; the path is
 also the ``mode`` of the group's mid-run snapshots, and a pinned snapshot
@@ -162,7 +170,7 @@ from ..errors import CheckpointError, ConfigurationError
 from ..rng import SeedSequenceTree
 from ..structure import GraphStructure, InteractionModel, build_structure
 from . import rawstream
-from .engine import EnsembleEngine, supports_shared_engine
+from .engine import EnsembleEngine, pair_dtype, supports_shared_engine
 
 __all__ = ["run_ensemble", "run_ensemble_detailed", "lane_signature"]
 
@@ -183,6 +191,17 @@ _MUTANTS_PER_WINDOW = 3.2
 #: the paper's rates); the event flags are drawn from the same stream
 #: words however the generations split.
 _BATCH_EVENTS = 1 << 14
+
+#: Most bytes one shared group's dense pair store may take
+#: (:func:`_group_slots`); a wider group runs as consecutive sub-groups
+#: that fit (:func:`_split_group`).  Lanes are independent, so the split
+#: changes no trajectory, only the per-lane fill attribution.  Measured
+#: at 5,000 generations, memory 2-3, well-mixed and ``ring:k=4`` (medians
+#: against the whole group): halves of a 379 MB group (128 lanes x 64
+#: SSets) ran 17% faster to 3% slower, within run-to-run spread; thirds
+#: of a 1.43 GB one (256 x 64) 8-46% faster; but halves of a 106 MB one
+#: (64 x 64) up to 38% slower, so only groups past 256 MiB split.
+_GROUP_PAYMAT_BYTES = 256 << 20
 
 
 def _fill_window(mutation_rate: float) -> int:
@@ -236,6 +255,38 @@ def _group_mode(config: EvolutionConfig) -> str:
     else:
         shared = _samples_on_pool(config) and structure.is_well_mixed
     return "shared" if shared else "generic"
+
+
+def _group_slots(cfg: EvolutionConfig, n_lanes: int) -> tuple[int, int]:
+    """Engine slots of a shared group of ``n_lanes`` lanes of ``cfg``, and
+    the bytes of its dense pair store (payoffs plus evaluated flags).
+
+    The pool is sized for the worst case (every SSet distinct) plus
+    prefetch-pin headroom up front: growth doubles the slots, so a big
+    ensemble that barely overflows would pay four times the bytes.
+    Memory one and two cap it at their pure strategy spaces (16 and
+    65,536 tables).
+    """
+    slots = n_lanes * cfg.n_ssets + 512
+    n_states = 4 ** cfg.memory_steps
+    if n_states < 32:
+        slots = min(slots, 2**n_states)
+    item = pair_dtype(cfg.rounds, cfg.payoff).itemsize
+    return slots, slots * slots * (item + 1)
+
+
+def _split_group(indices: list[int], cfg: EvolutionConfig) -> list[list[int]]:
+    """A shared group's lanes as the fewest near-equal consecutive
+    sub-groups whose pair store fits :data:`_GROUP_PAYMAT_BYTES` (one
+    lane each, when even one does not fit)."""
+    n = len(indices)
+    parts = 1
+    while (
+        parts < n
+        and _group_slots(cfg, -(-n // parts))[1] > _GROUP_PAYMAT_BYTES
+    ):
+        parts += 1
+    return [part.tolist() for part in np.array_split(indices, parts)]
 
 
 def lane_signature(config: EvolutionConfig) -> tuple:
@@ -298,7 +349,8 @@ def run_ensemble_detailed(
     batch_size: int = 1 << 16,
 ) -> tuple[list[EvolutionResult], list[dict]]:
     """:func:`run_ensemble` plus one per-result execution-metadata dict
-    (``lanes`` and ``shared_engine`` stats) for the backend report."""
+    (``lanes`` and ``shared_engine`` stats of the run's group, or of its
+    sub-group when the group was split) for the backend report."""
     run_configs = list(configs)
     if batch_size < 1:
         raise ConfigurationError(
@@ -326,30 +378,38 @@ def run_ensemble_detailed(
     # indices, not lane-local ones: each group's driver emits ticks with
     # its own lane numbering, remapped here through a nested scope.
     outer_progress = progress_callback()
-    for indices in groups.values():
-        group_configs = [run_configs[i] for i in indices]
-        group_initial = [initial[i] for i in indices]
-        if outer_progress is not None:
-            remap = list(indices)
-            scope = progress_scope(
-                lambda tick, _remap=remap, _cb=outer_progress: _cb(
-                    tick.with_run_index(_remap[tick.run_index])
-                )
-            )
-        else:
-            scope = nullcontext()
-        with scope:
-            if _group_mode(group_configs[0]) == "shared":
-                outs, meta = _run_group_shared(
-                    group_configs, group_initial, batch_size
+    for group in groups.values():
+        cfg = run_configs[group[0]]
+        mode = _group_mode(cfg)
+        # A group with a pair matrix runs in sub-groups whose matrix fits.
+        parts = (
+            _split_group(group, cfg)
+            if mode == "shared" and not _samples_on_pool(cfg)
+            else [group]
+        )
+        for indices in parts:
+            group_configs = [run_configs[i] for i in indices]
+            group_initial = [initial[i] for i in indices]
+            if outer_progress is not None:
+                scope = progress_scope(
+                    lambda tick, _remap=indices, _cb=outer_progress: _cb(
+                        tick.with_run_index(_remap[tick.run_index])
+                    )
                 )
             else:
-                outs, meta = _run_group_generic(
-                    group_configs, group_initial, batch_size
-                )
-        for i, out in zip(indices, outs):
-            results[i] = out
-            metas[i] = meta
+                scope = nullcontext()
+            with scope:
+                if mode == "shared":
+                    outs, meta = _run_group_shared(
+                        group_configs, group_initial, batch_size
+                    )
+                else:
+                    outs, meta = _run_group_generic(
+                        group_configs, group_initial, batch_size
+                    )
+            for i, out in zip(indices, outs):
+                results[i] = out
+                metas[i] = meta
     return results, metas  # type: ignore[return-value]
 
 
@@ -390,18 +450,13 @@ def _draw_flags(
 
 def _group_checkpointing(cfg: EvolutionConfig, initial: list):
     """The active checkpoint sink, iff this group is eligible for mid-run
-    snapshots (same arming rule as the serial drivers, plus one ensemble
-    refusal: an LRU-capped blocked *shared* store can evict filled blocks
-    mid-run, so a captured valid-pair set cannot pin the resumed run's
-    fill counters to the clean run's)."""
+    snapshots (the serial drivers' arming rule)."""
     sink = checkpoint_sink()
     if sink is None:
         return None
     if any(p is not None for p in initial):
         return None
     if not checkpointing_supported(cfg):
-        return None
-    if cfg.paymat_block > 0 and cfg.engine_pool_cap > 0:
         return None
     return sink
 
@@ -724,22 +779,13 @@ def _run_group_shared(
             else np.array([state["stamps"] for state in lane_state]),
         )
 
-    # Size for the worst case (every SSet distinct) plus prefetch-pin
-    # headroom up front: growth doubles the dense matrix, so a big ensemble
-    # that barely overflows would pay double the memory.  Memory-one's
-    # strategy space (16 pure tables) caps the pool outright.
     n_states = 4 ** cfg.memory_steps
-    capacity = n_lanes * n_ssets + 512
-    if n_states < 32:
-        capacity = min(capacity, 2**n_states)
     engine = EnsembleEngine(
         cfg.memory_steps,
         cfg.rounds,
         cfg.payoff,
         n_lanes=n_lanes,
-        capacity=capacity,
-        paymat_block=cfg.paymat_block,
-        block_cap=cfg.engine_pool_cap if cfg.paymat_block else 0,
+        capacity=_group_slots(cfg, n_lanes)[0],
         pairs=sampled is None,
     )
     # Well-mixed shallow memories (cheap pairs) prefill every pair a
@@ -752,14 +798,7 @@ def _run_group_shared(
     # live-population coverage the invariant would prefill, so the
     # check-and-fill inside fitness_pc_graph is the cheaper side at every
     # memory depth (measured: 64-lane ring m1/m2 both faster on demand).
-    # An LRU-capped blocked paymat can evict filled blocks mid-run, which
-    # breaks the fill-once coverage invariant — those runs always take the
-    # on-demand check-and-fill path (refills are bit-exact, so the
-    # trajectory is unchanged; only fill counts differ).
-    full_cover = (
-        n_states <= 16 and well_mixed and not engine.evictable
-        and sampled is None
-    )
+    full_cover = n_states <= 16 and well_mixed and sampled is None
     sids = np.empty((n_lanes, n_ssets), dtype=np.int64)
     for r in range(n_lanes):
         # Population objects are bystanders during the shared-mode run (the

@@ -58,7 +58,7 @@ import numpy as np
 
 from ..core.config import EvolutionConfig
 from ..core.engine import is_integer_payoff
-from ..core.paymat import BlockedPairStore, DensePairStore
+from ..core.paymat import DensePairStore
 from ..core.payoff import PAPER_PAYOFF, PayoffMatrix
 from ..core.states import num_states
 from ..core.strategy import Strategy
@@ -91,6 +91,18 @@ def supports_shared_engine(config: EvolutionConfig) -> bool:
     return is_integer_payoff(config.payoff)
 
 
+def pair_dtype(rounds: int, payoff: PayoffMatrix) -> np.dtype:
+    """The shared pair matrix's cell type.
+
+    Game totals are integers bounded by ``rounds * max|payoff|``; when they
+    fit float32's exact-integer range the matrix is stored at half the
+    footprint (big ensembles intern thousands of strategies) and summed in
+    float64, which is bit-identical either way.
+    """
+    max_total = rounds * max(abs(float(v)) for v in payoff.vector)
+    return np.dtype(np.float32 if max_total < 2.0**24 else np.float64)
+
+
 class _NoPairStore:
     """The pair store of a pool-only engine: there is no pair matrix.
 
@@ -98,8 +110,6 @@ class _NoPairStore:
     strategy pool and nothing else; growing, recycling and compacting the
     pool have no pairs to move, and no pair is ever valid.
     """
-
-    evictable = False
 
     def grow(self, new_capacity: int) -> None:
         pass
@@ -117,10 +127,6 @@ class _NoPairStore:
         return {
             "paymat_bytes": 0,
             "peak_paymat_bytes": 0,
-            "paymat_block": 0,
-            "blocks_resident": 0,
-            "blocks_evicted": 0,
-            "block_fills": 0,
         }
 
 
@@ -140,8 +146,6 @@ class EnsembleEngine:
         payoff: PayoffMatrix = PAPER_PAYOFF,
         n_lanes: int = 1,
         capacity: int = 64,
-        paymat_block: int = 0,
-        block_cap: int = 0,
         pairs: bool = True,
     ):
         if rounds < 1:
@@ -175,26 +179,10 @@ class EnsembleEngine:
         #: Drivers move references a wave at a time (:meth:`move_refs`).
         self._refs = np.zeros(capacity, dtype=np.int64)
         self._free = list(range(capacity - 1, -1, -1))
-        # Game totals are integers bounded by rounds * max|payoff|; when
-        # they fit float32's exact-integer range the matrix is stored at
-        # half the footprint (big ensembles intern thousands of strategies)
-        # and summed in float64, which is bit-identical either way.
-        max_total = rounds * max(abs(float(v)) for v in payoff.vector)
-        self._dtype = np.float32 if max_total < 2.0**24 else np.float64
-        if not pairs:
-            self._store: DensePairStore | BlockedPairStore | _NoPairStore = (
-                _NoPairStore()
-            )
-        elif paymat_block:
-            self._store = BlockedPairStore(
-                capacity,
-                paymat_block,
-                self._dtype,
-                track_evaluated=True,
-                block_cap=block_cap,
-            )
-        else:
-            self._store = DensePairStore(capacity, self._dtype)
+        self._dtype = pair_dtype(rounds, payoff)
+        self._store: DensePairStore | _NoPairStore = (
+            DensePairStore(capacity, self._dtype) if pairs else _NoPairStore()
+        )
         #: Pair evaluations performed, attributed to the demanding lane.
         self.lane_fills = np.zeros(n_lanes, dtype=np.int64)
         self.fills = 0
@@ -212,20 +200,9 @@ class EnsembleEngine:
         return self._tables
 
     @property
-    def paymat(self):
-        """The shared payoff matrix view (gather only after ensure_rows).
-
-        Dense stores expose the raw ndarray; blocked stores expose the
-        store itself, which speaks the same ``paymat[rows, cols]`` gather
-        dialect.
-        """
+    def paymat(self) -> np.ndarray:
+        """The shared payoff matrix (gather only after ensure_rows)."""
         return self._store.paymat
-
-    @property
-    def evictable(self) -> bool:
-        """Whether payoff blocks can be evicted mid-run (LRU-capped blocked
-        store).  Drivers must not rely on fill-once full coverage then."""
-        return self._store.evictable
 
     def __len__(self) -> int:
         """Number of distinct live strategies across all lanes."""
@@ -340,10 +317,9 @@ class EnsembleEngine:
     def recycle(self, sids: np.ndarray) -> None:
         """Free the distinct zero-reference slots ``sids``.
 
-        Their rows are invalidated in one store call; column direction
-        staleness is the store's problem (the dense store checks validity
-        two-way, the blocked store's epoch-sum stamps go stale in both
-        directions at once).  Freed slots are reused last-freed first.
+        Their rows are invalidated in one store call; the stale column
+        entries fail the store's two-way validity check.  Freed slots are
+        reused last-freed first.
         """
         ids = self._ids
         keys = self._keys
@@ -486,7 +462,6 @@ class EnsembleEngine:
         across all M queries are deduplicated and evaluated in one batched
         kernel call.
         """
-        self._store.tick()
         ok = self._store.pair_valid(focal[:, None], blocks)
         if ok.all():
             return
@@ -501,22 +476,10 @@ class EnsembleEngine:
         """Evaluate whichever of the (a[i], b[i]) pairs are not yet valid —
         the window-prefetch entry point (mutant rows filled ahead of their
         first fitness query)."""
-        self._store.tick()
         missing = ~self._store.pair_valid(a, b)
         if not missing.any():
             return
         self._fill_unique(a[missing], b[missing], lanes[missing])
-
-    def ensure_pair(self, lane: int, sid_a: int, sid_b: int) -> None:
-        """Make one matrix entry valid (graph self-play reads the diagonal,
-        which neighbor blocks never cover)."""
-        self._store.tick()
-        if bool(self._store.pair_valid(sid_a, sid_b)):
-            return
-        self._fill_pairs(
-            np.array([sid_a], dtype=np.int64), np.array([sid_b], dtype=np.int64)
-        )
-        self.lane_fills[lane] += 1
 
     # -- fitness --------------------------------------------------------------
 
@@ -535,9 +498,7 @@ class EnsembleEngine:
         because integer payoffs sum exactly in float64 in any order.
         """
         store = self._store
-        # One stacked (2, k, n) gather covers both sides — per-call index
-        # arithmetic is the blocked store's overhead, so halving the call
-        # count matters more than the (identical) element count.
+        # One stacked (2, k, n) gather covers both sides.
         focal = np.concatenate((teacher_sids, learner_sids)).reshape(2, -1)
         # dtype=float64 keeps the accumulation exact (and bit-identical)
         # when the matrix itself is stored as float32.

@@ -10,7 +10,8 @@ hashes to a stable :meth:`fingerprint` that keys the result cache.
 The fingerprint covers the **science only**: the ordered config dicts,
 minus the resume-neutral execution fields
 (:data:`repro.core.runstate.RESUME_NEUTRAL_FIELDS` — checkpoint cadence,
-paymat blocking, pool caps), plus each config's science version
+pool caps, and the retired ``array_backend`` and ``paymat_block`` keys
+that older dicts still carry), plus each config's science version
 (:func:`repro.core.runstate.science_version`) when it is above 1 — the
 same :func:`~repro.core.runstate.science_fields` the checkpoint unit key
 hashes.  A version bump changes the trajectories of unchanged configs,

@@ -178,7 +178,6 @@ INT_FIELDS = {
     "seed": 3,
     "record_every": 5,
     "engine_pool_cap": 4,
-    "paymat_block": 16,
     "checkpoint_every": 5,
 }
 

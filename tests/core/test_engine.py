@@ -370,10 +370,9 @@ class TestPopulationEngineSync:
         )
 
     @pytest.mark.parametrize("budget_pairs", [None, 24])
-    @pytest.mark.parametrize("paymat_block", [0, 16])
     @pytest.mark.parametrize("memory_steps", [1, 2, 3])
     def test_bulk_intern_all_matches_one_at_a_time(
-        self, monkeypatch, memory_steps, paymat_block, budget_pairs
+        self, monkeypatch, memory_steps, budget_pairs
     ):
         """A bulk fill evaluates exactly the pairs one-at-a-time interning
         fills: every live pair reads the same value, and ``misses`` counts
@@ -388,8 +387,7 @@ class TestPopulationEngineSync:
                 engine_module, "_FILL_ENTRIES", budget_pairs * 4**memory_steps
             )
         rng = np.random.default_rng(memory_steps)
-        config = EvolutionConfig(memory_steps=memory_steps, n_ssets=8,
-                                 paymat_block=paymat_block)
+        config = EvolutionConfig(memory_steps=memory_steps, n_ssets=8)
         distinct = [random_pure(rng, memory_steps) for _ in range(90)]
         earlier = distinct[:5] + distinct[:2]
         population = [distinct[int(i)] for i in rng.integers(0, 90, size=150)]

@@ -151,8 +151,6 @@ ENSEMBLE_REGIMES = [
     ("shared-det-m1", dict(memory_steps=1, **COMMON)),
     ("shared-det-m2", dict(memory_steps=2, **COMMON)),
     ("shared-ring-m2", dict(memory_steps=2, structure="ring:k=2", **COMMON)),
-    ("shared-blocked",
-     dict(memory_steps=1, paymat_block=32, **COMMON)),
     ("generic-expected",
      dict(memory_steps=1, expected_fitness=True, noise=0.05, **COMMON)),
     ("generic-cache", dict(memory_steps=1, engine=False, **COMMON)),
@@ -189,7 +187,6 @@ def test_unit_key_ignores_resume_neutral_fields():
     baseline = unit_key([config.to_dict()])
     for field, value in (
         ("checkpoint_every", 75),
-        ("paymat_block", 32),
         ("engine_pool_cap", 64),
     ):
         assert field in RESUME_NEUTRAL_FIELDS

@@ -35,25 +35,15 @@ class TestDtypeSelection:
         engine = EnsembleEngine(memory_steps=1, rounds=200)
         assert engine._store.dtype == np.float32
 
-    def test_blocked_store_inherits_dtype(self):
-        compact = EnsembleEngine(
-            memory_steps=1, rounds=BOUNDARY_ROUNDS - 1, paymat_block=8
-        )
-        wide = EnsembleEngine(
-            memory_steps=1, rounds=BOUNDARY_ROUNDS, paymat_block=8
-        )
-        assert compact._store.dtype == np.float32
-        assert wide._store.dtype == np.float64
-
 
 class TestBoundaryParity:
     """Bit-identical to the serial event run on either side of 2**24."""
 
-    def check(self, rounds: int, **overrides) -> None:
+    def check(self, rounds: int) -> None:
         configs = [
             EvolutionConfig(
                 memory_steps=1, n_ssets=8, generations=300, rounds=rounds,
-                seed=4200 + i, **overrides,
+                seed=4200 + i,
             )
             for i in range(3)
         ]
@@ -73,7 +63,3 @@ class TestBoundaryParity:
 
     def test_first_float64_rounds(self):
         self.check(BOUNDARY_ROUNDS)
-
-    def test_boundary_under_blocked_paymat(self):
-        self.check(BOUNDARY_ROUNDS - 1, paymat_block=4)
-        self.check(BOUNDARY_ROUNDS, paymat_block=4)

@@ -1,10 +1,11 @@
-"""Job and checkpoint identity across the retirement of ``array_backend``.
+"""Job and checkpoint identity across retired config fields.
 
-Every config dict written before the field was retired carries
-``"array_backend": "numpy"``: journals, result artifacts, run-state
-snapshots and ``POST /jobs`` bodies from old clients.  Those files must
-keep loading, resume bit-identically, and hash to the same job
-fingerprints and checkpoint unit keys as before.
+Every config dict written before ``array_backend`` was retired carries
+``"array_backend": "numpy"``, and every one written before
+``paymat_block`` was retired carries that key (0, or a power of two >= 4):
+journals, result artifacts, run-state snapshots and ``POST /jobs`` bodies
+from old clients.  Those files must keep loading, resume bit-identically,
+and hash to the same job fingerprints and checkpoint unit keys as before.
 """
 
 from __future__ import annotations
@@ -34,9 +35,10 @@ SMALL = EvolutionConfig(
 
 
 def parent_format(config: EvolutionConfig) -> dict:
-    """``config`` as a dict written before ``array_backend`` was retired."""
+    """``config`` as a dict written before the fields were retired."""
     data = config.to_dict()
     data["array_backend"] = "numpy"
+    data["paymat_block"] = 16
     return data
 
 
@@ -70,12 +72,30 @@ def test_fingerprint_and_unit_key_are_unchanged():
         "ae4291fa9656cc0fdda55bd585c1453a3b3e60873cf5b6cad5cf63ac2cee2c75"
     )
     assert unit_key([parent_format(c)]) == unit_key([c.to_dict()])
+    parent_spec = JobSpec.from_dict(
+        {"configs": [parent_format(c)], "backend": "event"}
+    )
+    assert parent_spec.fingerprint() == (
+        "47c1a2459206d7b7f318654117aa0f18eaf5a2373698035d02ab65cf141220e7"
+    )
     assert "array_backend" in RESUME_NEUTRAL_FIELDS
+    assert "paymat_block" in RESUME_NEUTRAL_FIELDS
 
 
 def test_from_dict_accepts_and_drops_numpy():
     assert EvolutionConfig.from_dict(parent_format(SMALL)) == SMALL
     assert "array_backend" not in SMALL.to_dict()
+    assert "paymat_block" not in SMALL.to_dict()
+
+
+@pytest.mark.parametrize(
+    "value", [0, 4, 16, 1024, np.int64(32)],
+    ids=["0", "4", "16", "1024", "numpy-32"],
+)
+def test_from_dict_accepts_and_drops_any_parent_block(value):
+    data = SMALL.to_dict()
+    data["paymat_block"] = value
+    assert EvolutionConfig.from_dict(data) == SMALL
 
 
 @pytest.mark.parametrize("value", ["cupy", None])
@@ -87,6 +107,21 @@ def test_from_dict_rejects_any_other_value(value):
     wire = JobSpec(configs=(SMALL,)).to_dict()
     wire["configs"][0]["array_backend"] = value
     with pytest.raises(ConfigurationError, match=r"configs\[0\].*array_"):
+        JobSpec.from_dict(wire)
+
+
+@pytest.mark.parametrize(
+    "value", [-1, 2, 3, 12, 16.0, "16", True, None],
+    ids=["-1", "2", "3", "12", "float-16", "str-16", "true", "none"],
+)
+def test_from_dict_rejects_any_other_block(value):
+    data = SMALL.to_dict()
+    data["paymat_block"] = value
+    with pytest.raises(ConfigurationError, match="paymat_block"):
+        EvolutionConfig.from_dict(data)
+    wire = JobSpec(configs=(SMALL,)).to_dict()
+    wire["configs"][0]["paymat_block"] = value
+    with pytest.raises(ConfigurationError, match=r"configs\[0\].*paymat_"):
         JobSpec.from_dict(wire)
 
 
@@ -148,6 +183,7 @@ def test_parent_format_snapshot_resumes_bit_identically(tmp_path, run):
     meta = json.loads(meta_path.read_text(encoding="utf-8"))
     for data in saved_configs(meta):
         data["array_backend"] = "numpy"
+        data["paymat_block"] = 16
     meta_path.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
 
     loaded, _ = load_run_checkpoint(newest)
