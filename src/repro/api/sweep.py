@@ -26,14 +26,13 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ..core.config import EvolutionConfig
 from ..core.evolution import EvolutionResult
-from ..core.progress import progress_callback, progress_scope
+from ..core.progress import progress_runs
 from ..errors import ConfigurationError
 from ..rng import SeedSequenceTree
 from .backends import Backend, EnsembleBackend, resolve_backend
@@ -172,21 +171,27 @@ def run_sweep(
         keys = [_dedupe_key(c) for c in run_configs]
         first_index: dict[str, int] = {}
         unique: list[EvolutionConfig] = []
+        # Sweep index of each unique run's first occurrence.
+        firsts: list[int] = []
         index_map: list[int] = []
-        for config, key in zip(run_configs, keys):
+        for i, (config, key) in enumerate(zip(run_configs, keys)):
             position = first_index.get(key)
             if position is None:
                 position = len(unique)
                 first_index[key] = position
                 unique.append(config)
+                firsts.append(i)
             index_map.append(position)
         if len(unique) < len(run_configs):
-            unique_results = run_sweep(
-                unique,
-                resolved,
-                workers=workers,
-                dedupe=False,
-            )
+            # A collapsed run's progress is filed under the sweep index of
+            # its first occurrence.
+            with progress_runs(firsts):
+                unique_results = run_sweep(
+                    unique,
+                    resolved,
+                    workers=workers,
+                    dedupe=False,
+                )
             results = [unique_results[j] for j in index_map]
             if on_result is not None:
                 for i, result in enumerate(results):
@@ -198,20 +203,11 @@ def run_sweep(
 
     results: list[EvolutionResult] = []
     if workers is None or workers <= 1 or len(run_configs) <= 1:
-        # Single-run drivers stamp ticks with run_index 0, so an installed
-        # progress scope gets each run's ticks remapped to its sweep index
-        # (the ensemble driver does the equivalent for its lanes).
-        outer_progress = progress_callback()
+        # Each run stamps its ticks with its sweep index, read from the
+        # run-index map opened here (the ensemble driver opens one per
+        # lane group).
         for i, config in enumerate(run_configs):
-            if outer_progress is not None:
-                scope = progress_scope(
-                    lambda tick, _i=i, _cb=outer_progress: _cb(
-                        tick.with_run_index(_i)
-                    )
-                )
-            else:
-                scope = nullcontext()
-            with scope:
+            with progress_runs((i,)):
                 result = _run_one(config, resolved)
             if on_result is not None:
                 on_result(i, result)

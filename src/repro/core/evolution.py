@@ -56,7 +56,7 @@ from .engine import FitnessEngine, SampledFitnessEngine
 from .nature import NatureAgent, adopts
 from .payoff_cache import PayoffCache
 from .population import Population
-from .progress import ProgressTick, cancel_token, progress_callback
+from .progress import ProgressTick, cancel_token, progress_listener
 from .runstate import (
     RUN_STATE_VERSION,
     capture_evaluator,
@@ -211,6 +211,7 @@ def _apply_generation_events(
     result: EvolutionResult,
     structure: InteractionModel,
     progress=None,
+    run_index: int = 0,
     cancel=None,
     fault=None,
 ) -> None:
@@ -219,9 +220,9 @@ def _apply_generation_events(
     ``pc`` is the generation's drawn PC decision ``(teacher, learner,
     adoption_uniform)`` and ``mutation`` its ``(target, mutant)``, each
     ``None`` when that event does not fire.  ``progress`` is the thread's
-    :func:`~repro.core.progress.progress_scope` callback (or ``None``): one
-    :class:`ProgressTick` per event generation, after the generation's
-    events applied.  ``cancel`` is the thread's
+    :func:`~repro.core.progress.progress_listener` (or ``None``): one
+    :class:`ProgressTick` per event generation, stamped ``run_index``,
+    after the generation's events applied.  ``cancel`` is the thread's
     :class:`~repro.core.progress.CancelToken` (or ``None``), checked before
     the generation's events so a cancelled or timed-out run aborts at tick
     cadence with the population untouched by the aborted generation.
@@ -276,12 +277,12 @@ def _apply_generation_events(
     if progress is not None:
         progress(
             ProgressTick(
-                run_index=0,
-                generation=generation,
-                generations=config.generations,
-                n_pc_events=result.n_pc_events,
-                n_adoptions=result.n_adoptions,
-                n_mutations=result.n_mutations,
+                run_index,
+                generation,
+                config.generations,
+                result.n_pc_events,
+                result.n_adoptions,
+                result.n_mutations,
             )
         )
 
@@ -543,7 +544,8 @@ def run_serial(
         result = EvolutionResult(config=config, population=population)
         _maybe_snapshot(result, population, 0, force=True)
         start_gen = 0
-    progress = progress_callback()
+    progress, runs = progress_listener()
+    run_index = runs[0]
     cancel = cancel_token()
     fault = faults.hook("driver.generation")
     save_every = config.checkpoint_every if sink is not None else 0
@@ -587,6 +589,7 @@ def run_serial(
                 result,
                 structure,
                 progress,
+                run_index,
                 cancel,
                 fault,
             )
@@ -650,7 +653,8 @@ def run_event_driven(
         _maybe_snapshot(result, population, 0, force=True)
         start_gen = 0
         next_snapshot = every if every > 0 else None
-    progress = progress_callback()
+    progress, runs = progress_listener()
+    run_index = runs[0]
     cancel = cancel_token()
     fault = faults.hook("driver.generation")
     save_every = config.checkpoint_every if sink is not None else 0
@@ -716,6 +720,7 @@ def run_event_driven(
                 result,
                 structure,
                 progress,
+                run_index,
                 cancel,
                 fault,
             )

@@ -11,9 +11,17 @@ across backends (pinned by the ensemble-hook tests).
 The hook is installed per thread with :func:`progress_scope` rather than
 threaded through every driver signature: backends, ``run_sweep``, and the
 ensemble driver all stay call-compatible, and a service worker thread
-observes only its own job.  Emission costs one thread-local read at driver
-start plus one callback per event generation — nothing on the no-listener
-path, and never inside the vectorised batch scans.
+observes only its own job.
+
+A scope carries a *run-index map* beside its listener.  ``run_sweep`` and
+the ensemble driver open a :func:`progress_runs` block that says which
+sweep-level run each run started inside it is, composed with any map
+already in force (the ensemble's lane-local numbering inside a
+deduplicated sweep's numbering).  A driver reads the listener and the
+map once per run (:func:`progress_listener`) and builds each tick once,
+already stamped with its final index: one small tuple and one listener
+call per event generation, nothing on the no-listener path, and never
+inside the vectorised batch scans.
 
 Usage::
 
@@ -25,9 +33,10 @@ Usage::
     with progress_scope(watch):
         run_sweep(configs, backend="ensemble")
 
-Scopes nest; the innermost callback wins (the ensemble driver uses this to
-remap lane-local run indices to sweep-level config indices).  Callbacks
-must not raise — an exception would abort the run mid-trajectory.
+Scopes nest; the innermost listener wins, and a listener installed with
+:func:`progress_scope` sees the run indices of the block it wraps (no map).
+Callbacks must not raise — an exception would abort the run
+mid-trajectory.
 
 Cooperative cancellation rides the same cadence: a :class:`CancelToken`
 installed with :func:`cancel_scope` is checked by every driver at each
@@ -44,8 +53,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ..errors import JobCancelledError, JobTimeoutError
 
@@ -53,20 +61,22 @@ __all__ = [
     "ProgressTick",
     "progress_scope",
     "progress_callback",
+    "progress_runs",
+    "progress_listener",
     "CancelToken",
     "cancel_scope",
     "cancel_token",
 ]
 
 
-@dataclass(frozen=True)
-class ProgressTick:
+class ProgressTick(NamedTuple):
     """Partial metrics of one run at one event generation.
 
-    ``run_index`` identifies the run within the batch that is executing:
+    ``run_index`` identifies the run within the sweep that is executing:
     ``0`` for a single :class:`~repro.api.Simulation` run, the config index
-    for a lane-batched ensemble (remapped from lane-local to sweep-level by
-    :func:`repro.ensemble.run_ensemble_detailed`).
+    under :func:`~repro.api.run_sweep` (for a deduplicated config, the
+    index of its first occurrence).  A tuple, so a driver builds one per
+    event generation for the cost of a small tuple.
     """
 
     run_index: int
@@ -86,25 +96,55 @@ class ProgressTick:
         return min(1.0, self.generation / self.generations)
 
     def with_run_index(self, run_index: int) -> "ProgressTick":
-        return replace(self, run_index=run_index)
+        return self._replace(run_index=run_index)
+
+
+ProgressCallback = Callable[[ProgressTick], None]
+
+
+class _Scope(NamedTuple):
+    """One entry of the listener stack: the listener, and the sweep-level
+    index of each run started in the block (``None``: run ``r`` is ``r``)."""
+
+    callback: ProgressCallback
+    runs: tuple[int, ...] | None
 
 
 #: Per-thread listener stack (a list so scopes nest).
 _LOCAL = threading.local()
 
-ProgressCallback = Callable[[ProgressTick], None]
 
-
-def progress_callback() -> ProgressCallback | None:
-    """The innermost active callback of this thread, or ``None``.
+def progress_listener(
+    n_runs: int = 1,
+) -> tuple[ProgressCallback | None, Sequence[int]]:
+    """The innermost listener of this thread (or ``None``) and the index
+    to stamp on the ticks of each of a driver's ``n_runs`` runs.
 
     Drivers read this once at run start — installing a scope mid-run has no
     effect on runs already executing, by design.
     """
     stack = getattr(_LOCAL, "stack", None)
     if not stack:
+        return None, range(n_runs)
+    top = stack[-1]
+    return top.callback, range(n_runs) if top.runs is None else top.runs
+
+
+def progress_callback() -> ProgressCallback | None:
+    """The innermost active callback of this thread, or ``None``.
+
+    For drivers outside this package, which stamp their runs ``0 ..``:
+    inside a :func:`progress_runs` block the callback restamps each tick
+    with its sweep-level index.  The built-in drivers read
+    :func:`progress_listener` instead and stamp the index themselves.
+    """
+    stack = getattr(_LOCAL, "stack", None)
+    if not stack:
         return None
-    return stack[-1]
+    callback, runs = stack[-1]
+    if runs is None:
+        return callback
+    return lambda tick: callback(tick.with_run_index(runs[tick.run_index]))
 
 
 @contextmanager
@@ -114,9 +154,31 @@ def progress_scope(callback: ProgressCallback) -> Iterator[ProgressCallback]:
     if stack is None:
         stack = []
         _LOCAL.stack = stack
-    stack.append(callback)
+    stack.append(_Scope(callback, None))
     try:
         yield callback
+    finally:
+        stack.pop()
+
+
+@contextmanager
+def progress_runs(runs: Sequence[int]) -> Iterator[None]:
+    """Runs ``0, 1, ..`` started in the block are runs ``runs[0], runs[1],
+    ..`` of the enclosing block, as the active listener sees them.
+
+    Composes with the enclosing block's own map; does nothing when no
+    listener is installed.
+    """
+    stack = getattr(_LOCAL, "stack", None)
+    if not stack:
+        yield
+        return
+    callback, outer = stack[-1]
+    if outer is not None:
+        runs = [outer[i] for i in runs]
+    stack.append(_Scope(callback, tuple(runs)))
+    try:
+        yield
     finally:
         stack.pop()
 

@@ -122,8 +122,8 @@ written in the other one is refused (``repro resume``, ``evolve
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
-from contextlib import nullcontext
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -144,8 +144,8 @@ from .. import faults
 from ..core.progress import (
     ProgressTick,
     cancel_token,
-    progress_callback,
-    progress_scope,
+    progress_listener,
+    progress_runs,
 )
 from ..core.runstate import (
     RUN_STATE_VERSION,
@@ -196,12 +196,20 @@ _BATCH_EVENTS = 1 << 14
 #: (:func:`_group_slots`); a wider group runs as consecutive sub-groups
 #: that fit (:func:`_split_group`).  Lanes are independent, so the split
 #: changes no trajectory, only the per-lane fill attribution.  Measured
-#: at 5,000 generations, memory 2-3, well-mixed and ``ring:k=4`` (medians
-#: against the whole group): halves of a 379 MB group (128 lanes x 64
-#: SSets) ran 17% faster to 3% slower, within run-to-run spread; thirds
-#: of a 1.43 GB one (256 x 64) 8-46% faster; but halves of a 106 MB one
-#: (64 x 64) up to 38% slower, so only groups past 256 MiB split.
+#: at 5,000 generations, memory 2-3, well-mixed and ``ring:k=4``, with
+#: stores sized for 512 spare slots (medians against the whole group):
+#: halves of a 379 MB group (128 lanes x 64 SSets) ran 17% faster to 3%
+#: slower, within run-to-run spread; thirds of a 1.43 GB one (256 x 64)
+#: 8-46% faster; but halves of a 106 MB one (64 x 64) up to 38% slower,
+#: so only groups past 256 MiB split.
 _GROUP_PAYMAT_BYTES = 256 << 20
+
+#: Pool headroom for a prefetch window's pins, as a multiple of the
+#: window's expected mutants over all lanes (:func:`_group_slots`).  A
+#: window's mutants are binomial, so 1.5 times the mean is more than nine
+#: standard deviations above it wherever the 512-slot floor does not
+#: bind (from ~107 lanes at the paper's rates).
+_PIN_MARGIN = 1.5
 
 
 def _fill_window(mutation_rate: float) -> int:
@@ -261,13 +269,16 @@ def _group_slots(cfg: EvolutionConfig, n_lanes: int) -> tuple[int, int]:
     """Engine slots of a shared group of ``n_lanes`` lanes of ``cfg``, and
     the bytes of its dense pair store (payoffs plus evaluated flags).
 
-    The pool is sized for the worst case (every SSet distinct) plus
-    prefetch-pin headroom up front: growth doubles the slots, so a big
-    ensemble that barely overflows would pay four times the bytes.
-    Memory one and two cap it at their pure strategy spaces (16 and
-    65,536 tables).
+    The pool is sized for the worst case up front: every SSet distinct,
+    plus headroom for a prefetch window's pinned mutants of
+    :data:`_PIN_MARGIN` times their expected number over all lanes, never
+    below 512 slots.  Growth doubles the slots, so a big ensemble that
+    barely overflows would pay four times the bytes.  Memory one and two
+    cap it at their pure strategy spaces (16 and 65,536 tables).
     """
-    slots = n_lanes * cfg.n_ssets + 512
+    mu = cfg.mutation_rate
+    pins = n_lanes * _fill_window(mu) * mu
+    slots = n_lanes * cfg.n_ssets + max(512, math.ceil(_PIN_MARGIN * pins))
     n_states = 4 ** cfg.memory_steps
     if n_states < 32:
         slots = min(slots, 2**n_states)
@@ -375,9 +386,8 @@ def run_ensemble_detailed(
     results: list[EvolutionResult | None] = [None] * len(run_configs)
     metas: list[dict | None] = [None] * len(run_configs)
     # Progress listeners (repro.core.progress) see sweep-level config
-    # indices, not lane-local ones: each group's driver emits ticks with
-    # its own lane numbering, remapped here through a nested scope.
-    outer_progress = progress_callback()
+    # indices, not lane-local ones: each group's driver stamps lane r's
+    # ticks with entry r of the run-index map opened here.
     for group in groups.values():
         cfg = run_configs[group[0]]
         mode = _group_mode(cfg)
@@ -390,15 +400,7 @@ def run_ensemble_detailed(
         for indices in parts:
             group_configs = [run_configs[i] for i in indices]
             group_initial = [initial[i] for i in indices]
-            if outer_progress is not None:
-                scope = progress_scope(
-                    lambda tick, _remap=indices, _cb=outer_progress: _cb(
-                        tick.with_run_index(_remap[tick.run_index])
-                    )
-                )
-            else:
-                scope = nullcontext()
-            with scope:
+            with progress_runs(indices):
                 if mode == "shared":
                     outs, meta = _run_group_shared(
                         group_configs, group_initial, batch_size
@@ -868,7 +870,7 @@ def _run_group_shared(
     downhill = cfg.allow_downhill_learning
     beta = cfg.beta
     record_events = cfg.record_events
-    progress = progress_callback()
+    progress, run_indices = progress_listener(n_lanes)
     cancel = cancel_token()
     fault = faults.hook("driver.generation")
 
@@ -1122,8 +1124,8 @@ def _run_group_shared(
 
                 if post_hooks:
                     _after_wave(
-                        c0, c1, lasts, lanes, gens, progress, counts,
-                        next_snap, every, generations, take_snapshot,
+                        c0, c1, lasts, lanes, gens, progress, run_indices,
+                        counts, next_snap, every, generations, take_snapshot,
                     )
 
             if pins.shape[0]:
@@ -1266,14 +1268,15 @@ def _before_wave(
 
 def _after_wave(
     c0: int, c1: int, lasts: list, lanes: list, gens: list, progress,
-    counts, next_snap: list, every: int, generations: int, take,
+    run_indices, counts, next_snap: list, every: int, generations: int,
+    take,
 ) -> None:
     """The hooks due after wave entries ``c0 .. c1`` applied.
 
     At each lane's last event of a generation: one progress tick with the
-    lane's running ``counts(r)`` — the serial drivers' cadence, so each
-    lane's tick stream matches across backends — then the lane's snapshot
-    if one is due at that generation.
+    lane's running ``counts(r)``, stamped ``run_indices[r]`` — the serial
+    drivers' cadence, so each lane's tick stream matches across backends
+    — then the lane's snapshot if one is due at that generation.
     """
     for c in range(c0, c1):
         if lasts[c]:
@@ -1282,12 +1285,7 @@ def _after_wave(
                 n_pc, n_adopt, n_mut = counts(r)
                 progress(
                     ProgressTick(
-                        run_index=r,
-                        generation=gen,
-                        generations=generations,
-                        n_pc_events=n_pc,
-                        n_adoptions=n_adopt,
-                        n_mutations=n_mut,
+                        run_indices[r], gen, generations, n_pc, n_adopt, n_mut
                     )
                 )
             if next_snap[r] == gen:
@@ -1601,7 +1599,7 @@ def _run_group_generic(
     record_events = cfg.record_events
     make_mutant = random_mixed if cfg.mixed_strategies else random_pure
     memory = cfg.memory_steps
-    progress = progress_callback()
+    progress, run_indices = progress_listener(n_lanes)
     cancel = cancel_token()
     fault = faults.hook("driver.generation")
 
@@ -1753,8 +1751,8 @@ def _run_group_generic(
 
             if post_hooks:
                 _after_wave(
-                    c0, c1, lasts, lanes, gens, progress, counts, next_snap,
-                    every, generations, take_snapshot,
+                    c0, c1, lasts, lanes, gens, progress, run_indices,
+                    counts, next_snap, every, generations, take_snapshot,
                 )
         base += batch
         remaining -= batch

@@ -95,6 +95,12 @@ class TestSplitRule:
         # Past float32's exact range the cells are float64.
         wide = config.with_updates(rounds=1 << 22)
         assert driver._group_slots(wide, 64)[1] == 1536**2 * 9
+        # A window pins ~3.2 mutants per lane at the paper's rates (64
+        # generations at mu = 0.05); the pool keeps 1.5x that spare, never
+        # fewer than 512 slots.
+        assert driver._group_slots(config, 256)[0] == 4096 + 1229
+        still = config.with_updates(mutation_rate=0.0)
+        assert driver._group_slots(still, 256)[0] == 4096 + 512
 
     def test_default_bound(self):
         # The benchmark's 64 lanes x 16 SSets stay one group; 256 lanes x
@@ -226,3 +232,19 @@ def test_checkpointed_sweep_resumes_from_each_subgroup_snapshot(
                 a.population.strategy_matrix(),
                 b.population.strategy_matrix(),
             )
+
+
+def test_wide_group_never_outgrows_its_planned_store():
+    # 256 lanes x 16 memory-2 SSets start nearly all distinct, and each
+    # window pins more mutants than the 512-slot floor: the engine keeps
+    # the capacity and bytes it was planned with.
+    configs = [
+        EvolutionConfig(seed=800 + i, memory_steps=2, n_ssets=16,
+                        generations=300)
+        for i in range(256)
+    ]
+    _, metas = run_ensemble_detailed(configs)
+    slots, store = driver._group_slots(configs[0], 256)
+    assert metas[0]["lanes"] == 256
+    assert metas[0]["shared_engine"]["capacity"] == slots
+    assert metas[0]["shared_engine"]["peak_paymat_bytes"] == store
