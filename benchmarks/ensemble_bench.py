@@ -2,12 +2,13 @@
 """Lane-batched ensemble throughput harness: the ensemble backend's scorecard.
 
 Writes ``BENCH_ensemble.json`` with one record per scenario.  Each scenario
-runs the same seeded replicate ensemble twice —
+runs the same seeded replicate ensemble on two paths —
 ``run_sweep(workers=1, backend="event")`` (the legacy one-run-at-a-time
 path) and ``run_sweep(backend="ensemble")`` (all replicates as one array
-program) — checks the science fingerprints match (every lane is
-bit-identical to its serial run, pinned by the test suite), and records
-both aggregate throughputs plus the speedup ratio.
+program) — in :data:`PASSES` interleaved passes each, checks the science
+fingerprints match (every lane is bit-identical to its serial run, pinned
+by the test suite), and records both paths' median time and range, their
+aggregate throughputs at the median, and the speedup of the medians.
 
 The acceptance scenario is ``wm-m2-n16``: a 64-replicate well-mixed
 memory-2 ensemble, the repository benchmark's ``wm-m2-ens`` shape.  The
@@ -16,8 +17,9 @@ depth — the shared pool/matrix wins biggest when the per-event work is
 small relative to the interpreter dispatch it replaces.
 
 CI runs ``--smoke`` (one scenario, few replicates, short horizon) so the
-harness cannot rot; developers run it bare before/after ensemble work and
-commit the JSON.
+harness cannot rot, and the full grid at a short horizon through
+``bench_gate.py`` as a catastrophic-regression tripwire; developers run
+it bare before/after ensemble work and commit the JSON.
 
 Usage::
 
@@ -29,6 +31,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 
@@ -54,6 +57,38 @@ DEFAULT_REPLICATES = 64
 DEFAULT_GENERATIONS = 10_000
 SMOKE_REPLICATES = 8
 SMOKE_GENERATIONS = 2_000
+#: Timed passes per path, interleaved with the other path's (the host's
+#: speed drifts between passes, so a best-of-N reads the fastest moment,
+#: not the typical one).
+PASSES = 5
+
+
+def timed_passes(runs: dict) -> tuple[dict, dict]:
+    """Time each ``label -> zero-argument call`` :data:`PASSES` times,
+    alternating which runs first; returns each label's times and its
+    last result."""
+    times: dict[str, list[float]] = {label: [] for label in runs}
+    results: dict = {}
+    labels = list(runs)
+    for i in range(PASSES):
+        for label in labels if i % 2 == 0 else labels[::-1]:
+            started = time.perf_counter()
+            results[label] = runs[label]()
+            times[label].append(time.perf_counter() - started)
+    return times, results
+
+
+def timing(prefix: str, seconds: list[float], total_generations: int) -> dict:
+    """``{prefix}_seconds`` (median), its range and the throughput at
+    the median."""
+    median = statistics.median(seconds)
+    return {
+        f"{prefix}_seconds": round(median, 4),
+        f"{prefix}_seconds_range": [
+            round(min(seconds), 4), round(max(seconds), 4)
+        ],
+        f"{prefix}_generations_per_sec": round(total_generations / median, 1),
+    }
 
 
 def fingerprint(result) -> tuple:
@@ -97,25 +132,17 @@ def bench_scenario(
     total_generations = replicates * generations
 
     # Warm both paths (allocator, import, kernel caches) so neither side
-    # pays first-run costs inside the timed region; then time each path
-    # twice and keep the faster pass (standard noise mitigation — shared
-    # or thermally-throttled hosts can halve a single pass's speed).
+    # pays first-run costs inside the timed region.
     warm = [c.with_updates(generations=min(1000, generations or 1))
             for c in configs[: min(4, replicates)]]
     run_sweep(warm, backend="ensemble")
     run_sweep(warm, backend="event", workers=1)
 
-    ensemble_seconds = float("inf")
-    event_seconds = float("inf")
-    for _ in range(2):
-        started = time.perf_counter()
-        ensemble = run_sweep(configs, backend="ensemble")
-        ensemble_seconds = min(
-            ensemble_seconds, time.perf_counter() - started
-        )
-        started = time.perf_counter()
-        event = run_sweep(configs, backend="event", workers=1)
-        event_seconds = min(event_seconds, time.perf_counter() - started)
+    times, results = timed_passes({
+        "ensemble": lambda: run_sweep(configs, backend="ensemble"),
+        "event": lambda: run_sweep(configs, backend="event", workers=1),
+    })
+    ensemble, event = results["ensemble"], results["event"]
 
     for a, b in zip(ensemble, event):
         if fingerprint(a) != fingerprint(b):
@@ -124,15 +151,14 @@ def bench_scenario(
                 f"({fingerprint(a)} vs {fingerprint(b)}, seed {a.config.seed})"
             )
 
-    record["event_seconds"] = round(event_seconds, 4)
-    record["event_generations_per_sec"] = round(
-        total_generations / event_seconds, 1
+    record["passes"] = PASSES
+    record.update(timing("event", times["event"], total_generations))
+    record.update(timing("ensemble", times["ensemble"], total_generations))
+    record["speedup"] = round(
+        statistics.median(times["event"])
+        / statistics.median(times["ensemble"]),
+        2,
     )
-    record["ensemble_seconds"] = round(ensemble_seconds, 4)
-    record["ensemble_generations_per_sec"] = round(
-        total_generations / ensemble_seconds, 1
-    )
-    record["speedup"] = round(event_seconds / ensemble_seconds, 2)
     report = ensemble[0].backend_report
     if report is not None and report.shared_engine is not None:
         record["shared_engine"] = dict(report.shared_engine)
@@ -143,11 +169,10 @@ def bench_checkpoint_cadence(replicates: int, generations: int) -> dict:
     """Time the acceptance ensemble with mid-run checkpointing on vs off.
 
     Measures what ``checkpoint_every`` costs on the lane-batched fast
-    path: the same seeded replicates run once without a sink and once
-    snapshotting 4 times over the horizon into a throwaway directory
-    (fresh per pass, so no pass resumes another's snapshots).  The
-    trajectories must stay bit-identical — checkpointing is provenance,
-    not science.
+    path: the same seeded replicates run without a sink and snapshotting
+    4 times over the horizon into a throwaway directory, in interleaved
+    passes (:func:`timed_passes`).  The trajectories must stay
+    bit-identical — checkpointing is provenance, not science.
     """
     import shutil
     import tempfile
@@ -175,23 +200,21 @@ def bench_checkpoint_cadence(replicates: int, generations: int) -> dict:
             for c in configs[: min(4, replicates)]]
     run_sweep(warm, backend="ensemble")
 
-    off_seconds = float("inf")
-    on_seconds = float("inf")
-    baseline = checkpointed = None
-    for _ in range(2):
-        started = time.perf_counter()
-        baseline = run_sweep(configs, backend="ensemble")
-        off_seconds = min(off_seconds, time.perf_counter() - started)
+    def checkpointed_sweep():
+        # A fresh directory per pass, so no pass resumes another's
+        # snapshots.
         root = tempfile.mkdtemp(prefix="bench-ckpt-")
         try:
             with checkpoint_scope(RunCheckpointer(root)):
-                started = time.perf_counter()
-                checkpointed = run_sweep(ckpt_configs, backend="ensemble")
-                on_seconds = min(
-                    on_seconds, time.perf_counter() - started
-                )
+                return run_sweep(ckpt_configs, backend="ensemble")
         finally:
             shutil.rmtree(root, ignore_errors=True)
+
+    times, results = timed_passes({
+        "off": lambda: run_sweep(configs, backend="ensemble"),
+        "on": checkpointed_sweep,
+    })
+    baseline, checkpointed = results["off"], results["on"]
 
     for a, b in zip(baseline, checkpointed):
         if fingerprint(a) != fingerprint(b):
@@ -201,7 +224,7 @@ def bench_checkpoint_cadence(replicates: int, generations: int) -> dict:
                 f"{a.config.seed})"
             )
 
-    return {
+    record = {
         "scenario": "wm-m2-n16-ckpt",
         "structure": "well-mixed",
         "memory_steps": 2,
@@ -209,15 +232,15 @@ def bench_checkpoint_cadence(replicates: int, generations: int) -> dict:
         "replicates": replicates,
         "generations": generations,
         "checkpoint_every": cadence,
-        "off_seconds": round(off_seconds, 4),
-        "off_generations_per_sec": round(
-            total_generations / off_seconds, 1
-        ),
-        "on_seconds": round(on_seconds, 4),
-        "on_generations_per_sec": round(total_generations / on_seconds, 1),
-        "checkpoint_overhead": round(on_seconds / off_seconds, 3),
-        "checkpoints": checkpoint_provenance(checkpointed),
+        "passes": PASSES,
     }
+    record.update(timing("off", times["off"], total_generations))
+    record.update(timing("on", times["on"], total_generations))
+    record["checkpoint_overhead"] = round(
+        statistics.median(times["on"]) / statistics.median(times["off"]), 3
+    )
+    record["checkpoints"] = checkpoint_provenance(checkpointed)
+    return record
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,9 +9,11 @@ submit/queue/execute/cache path, network stack included).
 Two questions, one record each:
 
 * ``cold-vs-hit`` — the acceptance scenario: a 16-replicate well-mixed
-  memory-2 ensemble sweep submitted cold, then resubmitted bit-identically.
-  The duplicate must be served from the result cache at >= 50x lower
-  latency, with a byte-identical result payload (both asserted in-bench).
+  memory-2 ensemble sweep submitted cold, then resubmitted bit-identically,
+  in :data:`PASSES` passes of fresh seeds.  The duplicate must be served
+  from the result cache with a byte-identical result payload, at a median
+  >= 50x lower latency than the cold runs (both asserted in-bench); the
+  record keeps the medians and ranges.
 * ``throughput`` — a burst of small distinct jobs, reported as sustained
   jobs/sec through submit -> execute -> done.
 
@@ -28,6 +30,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 
@@ -40,6 +43,10 @@ ACCEPTANCE_REPLICATES = 16
 DEFAULT_GENERATIONS = 10_000
 SMOKE_GENERATIONS = 2_000
 MIN_CACHE_SPEEDUP = 50.0
+#: Cold-then-hit passes of the acceptance scenario, each on fresh seeds
+#: (a ~ms cache hit swings several-fold between passes, so the record
+#: keeps medians, not the fastest pass).
+PASSES = 5
 
 
 def make_spec(
@@ -73,33 +80,37 @@ def submit_and_wait(client: SweepClient, spec: JobSpec) -> tuple[float, dict]:
 
 
 def bench_cold_vs_hit(client: SweepClient, generations: int) -> dict:
-    spec = make_spec(
-        memory_steps=2,
-        generations=generations,
-        replicates=ACCEPTANCE_REPLICATES,
-        seed0=2013,
-    )
-    cold_seconds, cold_status = submit_and_wait(client, spec)
-    assert not cold_status["cache_hit"], "first submission must execute"
-
-    # Resubmit the bit-identical spec: served from cache, measured through
-    # the same HTTP path (several passes; keep the fastest, standard noise
-    # mitigation for a ~ms-scale measurement).
-    hit_seconds = float("inf")
-    for _ in range(5):
-        elapsed, hit_status = submit_and_wait(client, spec)
+    colds: list[float] = []
+    hits: list[float] = []
+    for i in range(PASSES):
+        spec = make_spec(
+            memory_steps=2,
+            generations=generations,
+            replicates=ACCEPTANCE_REPLICATES,
+            seed0=2013 + 1000 * i,
+        )
+        cold_seconds, cold_status = submit_and_wait(client, spec)
+        assert not cold_status["cache_hit"], "first submission must execute"
+        # Resubmit the bit-identical spec: served from cache, measured
+        # through the same HTTP path.
+        hit_seconds, hit_status = submit_and_wait(client, spec)
         assert hit_status["cache_hit"], "duplicate must be a cache hit"
-        hit_seconds = min(hit_seconds, elapsed)
+        cold_payload = client.result(cold_status["job_id"])
+        hit_payload = client.result(hit_status["job_id"])
+        if cold_payload["results"] != hit_payload["results"]:
+            raise AssertionError(
+                "cache hit returned a different result payload"
+            )
+        colds.append(cold_seconds)
+        hits.append(hit_seconds)
 
-    cold_payload = client.result(cold_status["job_id"])
-    hit_payload = client.result(hit_status["job_id"])
-    if cold_payload["results"] != hit_payload["results"]:
-        raise AssertionError("cache hit returned a different result payload")
-
-    speedup = cold_seconds / hit_seconds
+    ratios = [cold / hit for cold, hit in zip(colds, hits)]
+    speedup = statistics.median(ratios)
+    cold_seconds = statistics.median(colds)
+    hit_seconds = statistics.median(hits)
     if speedup < MIN_CACHE_SPEEDUP:
         raise AssertionError(
-            f"cache-hit speedup x{speedup:.1f} is below the "
+            f"median cache-hit speedup x{speedup:.1f} is below the "
             f"x{MIN_CACHE_SPEEDUP:.0f} acceptance bar "
             f"(cold {cold_seconds:.3f}s, hit {hit_seconds * 1e3:.1f}ms)"
         )
@@ -108,10 +119,16 @@ def bench_cold_vs_hit(client: SweepClient, generations: int) -> dict:
         "replicates": ACCEPTANCE_REPLICATES,
         "memory_steps": 2,
         "generations": generations,
+        "passes": PASSES,
         "cold_seconds": round(cold_seconds, 4),
+        "cold_seconds_range": [round(min(colds), 4), round(max(colds), 4)],
         "cache_hit_seconds": round(hit_seconds, 6),
         "cache_hit_ms": round(hit_seconds * 1e3, 3),
+        "cache_hit_ms_range": [
+            round(min(hits) * 1e3, 3), round(max(hits) * 1e3, 3)
+        ],
         "speedup": round(speedup, 1),
+        "speedup_range": [round(min(ratios), 1), round(max(ratios), 1)],
         "payload_bit_identical": True,
     }
 

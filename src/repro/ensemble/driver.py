@@ -6,23 +6,27 @@ science (every config field except the seed) are stacked: their populations
 live in one ``(R, n_ssets)`` strategy-id array over one shared
 :class:`~repro.ensemble.engine.EnsembleEngine` pool/payoff matrix, and
 their event flags are scanned together.  Mutant payoff rows are prefilled
-a *window* of generations ahead — mutation draws are state-independent,
-so the window's mutants can be drawn and evaluated in one batched kernel
+a *window* of events ahead — mutation draws are state-independent, so
+the window's mutants can be drawn and evaluated in one batched kernel
 call before their events apply.
 
-**Waves.**  Each window then advances in waves.  Its events are ordered
-by lane, then generation, then PC before mutation — each lane's serial
-order — and an event's rank within its lane is its wave
-(:func:`_wave_schedule`).  Wave ``w`` applies every lane's ``w``-th event
-of the window as one array step (:func:`_advance_wave`): one batched
-fitness gather for all of the wave's PC lanes (``counts``-style gathers
-for well-mixed lanes, one flat CSR gather + segment reduction over the
-structure's ``indptr``/``indices`` adjacency for graph lanes,
+**Windows and waves.**  Each batch lays its events out lane-major, each
+lane's in its serial order: by generation, PC before mutation
+(:class:`_BatchEvents`), so an event's rank within its lane is rank
+arithmetic.  A window holds every lane's events of a span of ranks,
+:func:`_window_events` of them (10 at the paper's rates, about
+:data:`_MUTANTS_PER_WINDOW` mutants per lane), and advances in waves:
+wave ``w`` applies every lane's ``w``-th event of the window as one array
+step (:func:`_advance_wave`): one batched fitness gather for all of the
+wave's PC lanes (``counts``-style gathers for well-mixed lanes, one flat
+CSR gather + segment reduction over the structure's
+``indptr``/``indices`` adjacency for graph lanes,
 :meth:`~repro.ensemble.engine.EnsembleEngine.fitness_pc_graph`), the Fermi
 decisions, the sid writes, the counters, and one reference move that
-recycles every slot left without references in one engine call.  At the
-paper's rates a 64-lane window of 64 generations is ~17 waves instead of
-64 generation steps.
+recycles every slot left without references in one engine call.  A batch
+therefore runs as many waves as its busiest lane has events: at the
+paper's rates a 64-lane, 10,000-generation batch runs ~1,580 waves where
+windows of 64 generations, each as long as its busiest lane, ran ~2,700.
 
 **Bit-parity contract.**  Every lane follows the *bit-identical trajectory*
 of the same-seed serial :func:`~repro.core.evolution.run_event_driven` run
@@ -48,10 +52,10 @@ still reach holds a reference from that lane or from a pin, so a count
 that reaches zero stays at zero until the window ends: the set of slots
 recycled per window is the same as in generation order, and only the
 order of the free list changes, which renumbers later sids.  Fills are
-attributed by pair order, not by sid, so full-cover groups (which fill at
-window start) keep their fill counts and per-lane ``cache_misses``;
-on-demand groups fill per wave, with the same totals in fewer kernel
-calls.
+attributed by pair order, not by sid, so a full-cover group's fill
+counts and per-lane ``cache_misses`` follow from its windows' edges
+alone (it fills at window start); on-demand groups fill per wave, with
+the same totals in fewer kernel calls.
 
 **Hooks** keep their per-lane contracts under waves, on both paths below
 (:func:`_before_wave`, :func:`_after_wave`).  A lane's progress tick
@@ -62,8 +66,10 @@ due at it after its last; ``record_events`` records follow each lane's
 event order.  ``faults.hook("driver.generation")`` fires once per (lane,
 event generation), before the lane's first event of it — as the serial
 drivers do for a one-lane group, once per lane-generation for a wider
-one.  Cancellation is checked once per wave, and checkpoints are taken at
-batch boundaries.
+one.  A lane's first and last event of a generation are marked over the
+whole batch, since a window can end between a generation's PC event and
+its mutation.  Cancellation is checked once per wave, and checkpoints are
+taken at batch boundaries.
 
 Regimes:
 
@@ -178,8 +184,9 @@ _NO_SIDS = np.zeros(0, dtype=np.int64)
 
 #: Target mutants per lane per prefetch window.  Larger windows batch more
 #: mutants per kernel call but prefill more pairs that die unqueried;
-#: around three per lane balances both, so the window length adapts to the
-#: configured mutation rate (64 generations at the paper's mu = 0.05).
+#: around three per lane balances both.  A window ends after a fixed count
+#: of every lane's own events (:func:`_window_events`: 10 at the paper's
+#: rates), so each window runs exactly that many waves but its last.
 _MUTANTS_PER_WINDOW = 3.2
 
 
@@ -191,6 +198,17 @@ _MUTANTS_PER_WINDOW = 3.2
 #: the paper's rates); the event flags are drawn from the same stream
 #: words however the generations split.
 _BATCH_EVENTS = 1 << 14
+
+#: Expected bytes of a deterministic shared batch's pre-drawn decisions
+#: and schedule over its group (:func:`_capped_batch_bytes`): every event
+#: holds ~24 bytes of schedule (flat position, draw index, generation,
+#: kind and hook flags), a PC decision three values, and a mutant its
+#: target, its table and its interning key.  Each batch runs as many
+#: waves as its busiest lane has events, so fewer, longer batches run
+#: fewer waves: 64 memory-2 lanes keep ~17,000 generations per batch,
+#: while 16 memory-6 lanes, whose mutants hold 4.5 KB of table and key
+#: each, keep ~2,200.
+_BATCH_BYTES = 8 << 20
 
 #: Most bytes one shared group's dense pair store may take
 #: (:func:`_group_slots`); a wider group runs as consecutive sub-groups
@@ -206,16 +224,21 @@ _GROUP_PAYMAT_BYTES = 256 << 20
 
 #: Pool headroom for a prefetch window's pins, as a multiple of the
 #: window's expected mutants over all lanes (:func:`_group_slots`).  A
-#: window's mutants are binomial, so 1.5 times the mean is more than nine
-#: standard deviations above it wherever the 512-slot floor does not
-#: bind (from ~107 lanes at the paper's rates).
+#: lane's mutants in one window are binomial over its
+#: :func:`_window_events` events, so 1.5 times the mean is more than ten
+#: standard deviations above it wherever the 512-slot floor does not bind
+#: (from ~103 lanes at the paper's rates).
 _PIN_MARGIN = 1.5
 
 
-def _fill_window(mutation_rate: float) -> int:
-    if mutation_rate <= 0.0:
-        return 1024
-    return max(32, min(1024, round(_MUTANTS_PER_WINDOW / mutation_rate)))
+def _window_events(cfg: EvolutionConfig) -> int:
+    """Each lane's events per prefetch window of a deterministic shared
+    group, enough for about :data:`_MUTANTS_PER_WINDOW` mutants per lane;
+    0 without mutations, when each batch is one window."""
+    mu = cfg.mutation_rate
+    if mu <= 0.0:
+        return 0
+    return max(1, round(_MUTANTS_PER_WINDOW * (cfg.pc_rate + mu) / mu))
 
 
 def _capped_batch_size(
@@ -226,6 +249,27 @@ def _capped_batch_size(
     if events_per_generation > 0:
         batch_size = min(
             batch_size, max(1, int(_BATCH_EVENTS / events_per_generation))
+        )
+    return batch_size
+
+
+def _capped_batch_bytes(
+    batch_size: int, n_lanes: int, cfg: EvolutionConfig
+) -> int:
+    """``batch_size`` cut so that a deterministic shared batch's expected
+    pre-drawn decisions and schedule stay within :data:`_BATCH_BYTES`
+    (keys as :meth:`~repro.ensemble.engine.EnsembleEngine.pack_keys`
+    packs them)."""
+    n_states = 4 ** cfg.memory_steps
+    mutant = 8 + n_states + max(8, n_states // 8)
+    per_generation = n_lanes * (
+        (cfg.pc_rate + cfg.mutation_rate) * 24
+        + cfg.pc_rate * 24
+        + cfg.mutation_rate * mutant
+    )
+    if per_generation > 0:
+        batch_size = min(
+            batch_size, max(1, int(_BATCH_BYTES / per_generation))
         )
     return batch_size
 
@@ -271,13 +315,17 @@ def _group_slots(cfg: EvolutionConfig, n_lanes: int) -> tuple[int, int]:
 
     The pool is sized for the worst case up front: every SSet distinct,
     plus headroom for a prefetch window's pinned mutants of
-    :data:`_PIN_MARGIN` times their expected number over all lanes, never
-    below 512 slots.  Growth doubles the slots, so a big ensemble that
-    barely overflows would pay four times the bytes.  Memory one and two
-    cap it at their pure strategy spaces (16 and 65,536 tables).
+    :data:`_PIN_MARGIN` times their expected number over all lanes (a
+    window holds :func:`_window_events` of each lane's events, a share
+    ``mutation_rate / (pc_rate + mutation_rate)`` of them mutations),
+    never below 512 slots.  Growth doubles the slots, so a big ensemble
+    that barely overflows would pay four times the bytes.  Memory one and
+    two cap it at their pure strategy spaces (16 and 65,536 tables).
     """
     mu = cfg.mutation_rate
-    pins = n_lanes * _fill_window(mu) * mu
+    pins = 0.0
+    if mu > 0.0:
+        pins = n_lanes * _window_events(cfg) * mu / (cfg.pc_rate + mu)
     slots = n_lanes * cfg.n_ssets + max(512, math.ceil(_PIN_MARGIN * pins))
     n_states = 4 ** cfg.memory_steps
     if n_states < 32:
@@ -434,17 +482,15 @@ def _lane_setup(
 
 def _draw_flags(
     events_rngs: list, pc_rate: float, mutation_rate: float, batch: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One batch of per-lane event flags (NatureAgent.batch_event_flags
+) -> np.ndarray:
+    """One batch of per-lane event flags, ``flags[lane, generation, kind]``
+    with kind 0 a PC event and 1 a mutation (NatureAgent.batch_event_flags
     stream layout: two uniforms per generation, PC first)."""
-    n_lanes = len(events_rngs)
-    pc_flags = np.empty((n_lanes, batch), dtype=bool)
-    mu_flags = np.empty((n_lanes, batch), dtype=bool)
-    for r in range(n_lanes):
-        draws = events_rngs[r].random(2 * batch)
-        pc_flags[r] = draws[0::2] < pc_rate
-        mu_flags[r] = draws[1::2] < mutation_rate
-    return pc_flags, mu_flags
+    flags = np.empty((len(events_rngs), batch, 2), dtype=bool)
+    rates = np.array([pc_rate, mutation_rate])
+    for r, rng in enumerate(events_rngs):
+        np.less(rng.random(2 * batch).reshape(batch, 2), rates, out=flags[r])
+    return flags
 
 
 # -- mid-run checkpointing -----------------------------------------------------
@@ -733,7 +779,9 @@ def _run_group_shared(
     """Advance one signature-group of lanes over the shared engine,
     prefetch window by window, each window in waves.
 
-    Deterministic lanes gather their fitness from the shared pair matrix.
+    Deterministic lanes gather their fitness from the shared pair matrix;
+    their batches are cut at :data:`_BATCH_BYTES` of pre-drawn decisions
+    (:func:`_capped_batch_bytes`).
     Pure noisy sampled lanes (:func:`_samples_on_pool`) share the engine's
     pool only: nothing is filled ahead for them, so each batch is one
     window, capped like the generic path's batches, a wave's mutants are
@@ -938,6 +986,10 @@ def _run_group_shared(
 
     if sampled is not None:
         batch_size = _capped_batch_size(batch_size, n_lanes, cfg)
+        window = 0
+    else:
+        batch_size = _capped_batch_bytes(batch_size, n_lanes, cfg)
+        window = _window_events(cfg)
     base = start_gen
     remaining = generations - start_gen
     while remaining > 0:
@@ -951,54 +1003,43 @@ def _run_group_shared(
             batch = min(
                 batch, cfg.checkpoint_every - base % cfg.checkpoint_every
             )
-        pc_flags, mu_flags = _draw_flags(
-            events_rngs, cfg.pc_rate, cfg.mutation_rate, batch
-        )
-        # Event (generation, lane) pairs sorted by generation, then lane.
-        pc_gen, pc_lane = np.nonzero(pc_flags.T)
-        mu_gen, mu_lane = np.nonzero(mu_flags.T)
-        window = batch if sampled is not None else _fill_window(
-            cfg.mutation_rate
+        events = _BatchEvents(
+            _draw_flags(events_rngs, cfg.pc_rate, cfg.mutation_rate, batch)
         )
 
         # Pre-draw the whole batch's decisions per lane (exact serial
-        # stream consumption; see module docstring of rawstream) into
-        # arrays indexed like the events: a stable sort by lane lists each
-        # lane's events in generation order, which is its draw order.  The
-        # mutants are packed into interning keys once per batch.
-        mu_slots = np.argsort(mu_lane, kind="stable")
-        mu_targets = np.empty(mu_lane.shape[0], dtype=np.int64)
-        mu_tables = np.empty((mu_lane.shape[0], n_states), dtype=np.uint8)
-        pc_slots = np.argsort(pc_lane, kind="stable")
-        pc_teachers = np.empty(pc_lane.shape[0], dtype=np.int64)
-        pc_learners = np.empty(pc_lane.shape[0], dtype=np.int64)
-        pc_uniforms = np.empty(pc_lane.shape[0], dtype=np.float64)
-        mu_counts = np.count_nonzero(mu_flags, axis=1).tolist()
-        pc_counts = np.count_nonzero(pc_flags, axis=1).tolist()
+        # stream consumption; see module docstring of rawstream), lane
+        # after lane, into the batch's lane-major PC and mutation arrays.
+        # The mutants are packed into interning keys once per batch.
+        pc_counts = events.pc_count.tolist()
+        mu_counts = events.mu_count.tolist()
+        mu_targets = np.empty(sum(mu_counts), dtype=np.int64)
+        mu_tables = np.empty((mu_targets.shape[0], n_states), dtype=np.uint8)
+        pc_teachers = np.empty(sum(pc_counts), dtype=np.int64)
+        pc_learners = np.empty(pc_teachers.shape[0], dtype=np.int64)
+        pc_uniforms = np.empty(pc_teachers.shape[0], dtype=np.float64)
         m_lo = p_lo = 0
         for r in range(n_lanes):
-            targets_r, tables_r = mu_decoders[r].draw(mu_counts[r])
-            slots = mu_slots[m_lo : m_lo + mu_counts[r]]
-            mu_targets[slots] = targets_r
-            mu_tables[slots] = tables_r
-            m_lo += mu_counts[r]
-            teachers_r, learners_r, uniforms_r = pc_decoders[r].draw(
-                pc_counts[r]
+            m_hi = m_lo + mu_counts[r]
+            mu_targets[m_lo:m_hi], mu_tables[m_lo:m_hi] = (
+                mu_decoders[r].draw(mu_counts[r])
             )
-            slots = pc_slots[p_lo : p_lo + pc_counts[r]]
-            pc_teachers[slots] = teachers_r
-            pc_learners[slots] = learners_r
-            pc_uniforms[slots] = uniforms_r
-            p_lo += pc_counts[r]
+            p_hi = p_lo + pc_counts[r]
+            (
+                pc_teachers[p_lo:p_hi],
+                pc_learners[p_lo:p_hi],
+                pc_uniforms[p_lo:p_hi],
+            ) = pc_decoders[r].draw(pc_counts[r])
+            m_lo, p_lo = m_hi, p_hi
         mu_keys = engine.pack_keys(mu_tables)
 
-        edges = list(range(window, batch, window)) + [batch]
-        pc_ends = np.searchsorted(pc_gen, edges).tolist()
-        mu_ends = np.searchsorted(mu_gen, edges).tolist()
-        pi = mi = 0
-        for p_end, m_end in zip(pc_ends, mu_ends):
-            if p_end == pi and m_end == mi:
-                continue
+        # Windows of `window` ranks: window k holds every lane's events
+        # of ranks k * window .. (k + 1) * window, so all but the last run
+        # exactly `window` waves, and the batch runs as many waves as its
+        # busiest lane has events.  A batch without events has no window.
+        span = window or max(events.most, 1)
+        for lo in range(0, events.most, span):
+            waves = events.waves(lo, min(lo + span, events.most))
 
             # The ensemble's initial populations intern thousands of
             # mostly-distinct random strategies; once selection has thinned
@@ -1011,34 +1052,29 @@ def _run_group_shared(
             # Window prefetch: mutation draws are state-independent, so the
             # window's mutants are interned and their payoff rows filled in
             # ONE batched kernel call before any of their events apply.
+            # Each lane's events of the window follow its events of the
+            # windows before, so every pair they read joins the lane's
+            # rows at the window start or its mutants of the window.
             # Pinning (an extra reference until the window ends) keeps
             # their slots — and any dead strategy they resurrect — from
             # being recycled before their events apply, and no slot is
             # interned mid-window, so none is re-tenanted mid-window.
             pins = _NO_SIDS
-            if m_end > mi and sampled is None:
+            if waves.mu.shape[0] and sampled is None:
                 pins = engine.intern_lane(
-                    mu_tables[mi:m_end], mu_keys[mi:m_end]
+                    mu_tables[waves.mu], mu_keys[waves.mu]
                 )
                 if full_cover:
                     engine.fill_missing(
-                        *_window_pairs(sids, mu_lane[mi:m_end], pins)
+                        *_window_pairs(sids, waves.mu_lane, pins)
                     )
 
-            waves = _wave_schedule(
-                pc_gen[pi:p_end], pc_lane[pi:p_end],
-                mu_gen[mi:m_end], mu_lane[mi:m_end],
-            )
-            pc_at = waves.pc + pi
-            mu_at = waves.mu + mi
-            w_lanes = pc_lane[pc_at]
-            w_teachers = pc_teachers[pc_at]
-            w_learners = pc_learners[pc_at]
-            w_uniforms = pc_uniforms[pc_at]
-            w_mu_lanes = mu_lane[mu_at]
-            w_targets = mu_targets[mu_at]
-            if sampled is None:
-                w_mutants = pins[waves.mu]
+            w_lanes = waves.pc_lane
+            w_teachers = pc_teachers[waves.pc]
+            w_learners = pc_learners[waves.pc]
+            w_uniforms = pc_uniforms[waves.pc]
+            w_mu_lanes = waves.mu_lane
+            w_targets = mu_targets[waves.mu]
             lanes = waves.lane.tolist()
             gens = (waves.gen + base).tolist()
             firsts = waves.first.tolist()
@@ -1067,12 +1103,12 @@ def _run_group_shared(
                 p0, p1 = pc_bounds[w], pc_bounds[w + 1]
                 m0, m1 = mu_bounds[w], mu_bounds[w + 1]
                 if sampled is None:
-                    mutants = w_mutants[m0:m1]
+                    mutants = pins[m0:m1]
                 elif m1 > m0:
                     # Nothing is filled ahead for sampled lanes, so their
                     # mutants are interned as their wave applies them; the
                     # reference taken here is the lane's own.
-                    at = mu_at[m0:m1]
+                    at = waves.mu[m0:m1]
                     mutants = engine.intern_lane(mu_tables[at], mu_keys[at])
                 else:
                     mutants = _NO_SIDS
@@ -1130,7 +1166,6 @@ def _run_group_shared(
 
             if pins.shape[0]:
                 engine.release(pins)
-            pi, mi = p_end, m_end
         base += batch
         remaining -= batch
         if (
@@ -1295,14 +1330,15 @@ def _after_wave(
 
 
 class _Waves(NamedTuple):
-    """One prefetch window's events, listed wave by wave.
+    """One window's events, listed wave by wave.
 
     Within a wave the PC events come first, then the mutations, lanes
     ascending within each kind; every event of a wave is from a different
     lane.  ``lane``, ``gen`` (offset in the batch), ``first`` and ``last``
     run over all events in that order; ``first``/``last`` mark a lane's
-    first and last event of a generation.  ``pc`` and ``mu`` index the
-    window's PC and mutation events in the same order, and ``bounds``,
+    first and last event of a generation in the whole batch.  ``pc`` and
+    ``mu`` index the batch's PC and mutation arrays in the same order, and
+    ``pc_lane``/``mu_lane`` are those events' lanes; ``bounds``,
     ``pc_bounds`` and ``mu_bounds`` delimit wave ``w`` as entries
     ``[w, w + 1)`` of each.
     """
@@ -1313,55 +1349,78 @@ class _Waves(NamedTuple):
     last: np.ndarray
     pc: np.ndarray
     mu: np.ndarray
+    pc_lane: np.ndarray
+    mu_lane: np.ndarray
     bounds: np.ndarray
     pc_bounds: np.ndarray
     mu_bounds: np.ndarray
 
 
-def _wave_schedule(
-    pc_gen: np.ndarray,
-    pc_lane: np.ndarray,
-    mu_gen: np.ndarray,
-    mu_lane: np.ndarray,
-) -> _Waves:
-    """Split one window's events into waves.
+class _BatchEvents:
+    """One batch's events, lane-major in each lane's serial order.
 
-    The events are ordered by lane, then generation, then PC before
-    mutation — each lane's serial event order — and an event's rank
-    within its lane is its wave.  Wave ``w`` therefore holds every lane's
-    ``w``-th event of the window.
+    Lane ``r``'s events are entries ``start[r] .. start[r] + count[r]``,
+    by generation, PC before mutation, so an event's rank in its lane is
+    its offset there and its wave is rank arithmetic
+    (:meth:`waves`).  ``pos`` indexes each event in the batch's PC or
+    mutation arrays (``is_mu``), which list each kind lane-major in the
+    same order, so the lanes' pre-drawn decisions fill them lane after
+    lane.  ``first``/``last`` mark a lane's first and last event of a
+    generation over the whole batch, so they hold when a window ends
+    between a generation's PC event and its mutation.
     """
-    n_pc = pc_gen.shape[0]
-    lane = np.concatenate((pc_lane, mu_lane))
-    gen = np.concatenate((pc_gen, mu_gen))
-    is_mu = np.arange(lane.shape[0]) >= n_pc
-    by_lane = np.lexsort((is_mu, gen, lane))
-    lane_s = lane[by_lane]
-    gen_s = gen[by_lane]
-    wave_s = np.arange(by_lane.shape[0]) - np.searchsorted(lane_s, lane_s)
-    # cut[i]: events i and i + 1 (in lane order) differ in lane or
-    # generation.
-    cut = (lane_s[1:] != lane_s[:-1]) | (gen_s[1:] != gen_s[:-1])
-    first = np.concatenate(([True], cut))
-    last = np.concatenate((cut, [True]))
-    mu_s = is_mu[by_lane]
-    by_wave = np.lexsort((lane_s, mu_s, wave_s))
-    order = by_lane[by_wave]
-    wave = wave_s[by_wave]
-    mu_w = mu_s[by_wave]
-    n_waves = int(wave[-1]) + 1
-    edges = np.arange(n_waves + 1)
-    return _Waves(
-        lane=lane_s[by_wave],
-        gen=gen_s[by_wave],
-        first=first[by_wave],
-        last=last[by_wave],
-        pc=order[~mu_w],
-        mu=order[mu_w] - n_pc,
-        bounds=np.searchsorted(wave, edges),
-        pc_bounds=np.searchsorted(wave[~mu_w], edges),
-        mu_bounds=np.searchsorted(wave[mu_w], edges),
-    )
+
+    def __init__(self, flags: np.ndarray) -> None:
+        batch = flags.shape[1]
+        # Flat index (lane * batch + generation) * 2 + kind: flatnonzero
+        # lists the events lane-major, by generation, PC before mutation.
+        flat = np.flatnonzero(flags)
+        self.is_mu = (flat & 1).astype(bool)
+        flat >>= 1
+        cut = flat[1:] != flat[:-1]
+        self.first = np.concatenate(([True], cut))
+        self.last = np.concatenate((cut, [True]))
+        flat %= batch
+        self.gen = flat
+        mu_before = np.cumsum(self.is_mu)
+        mu_before -= self.is_mu
+        self.pos = np.arange(flat.shape[0])
+        self.pos -= mu_before
+        np.copyto(self.pos, mu_before, where=self.is_mu)
+        self.pc_count, self.mu_count = np.count_nonzero(flags, axis=1).T
+        self.count = self.pc_count + self.mu_count
+        self.start = np.cumsum(self.count) - self.count
+        self.most = int(self.count.max(initial=0))
+
+    def waves(self, lo: int, hi: int) -> _Waves:
+        """Every lane's events of ranks ``lo .. hi`` (``hi <=``
+        :attr:`most`) as waves: wave ``w`` holds each lane's event of rank
+        ``lo + w``."""
+        rank = np.arange(lo, hi)[:, None]
+        at = self.start + rank
+        valid = rank < self.count
+        mu = self.is_mu[np.minimum(at, self.is_mu.shape[0] - 1)]
+        by_kind = np.stack((valid & ~mu, valid & mu), axis=1)
+        wave, kind, lane = np.nonzero(by_kind)
+        event = at[wave, lane]
+        is_pc = kind == 0
+        pc_bounds = np.zeros(hi - lo + 1, dtype=np.int64)
+        mu_bounds = np.zeros(hi - lo + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(by_kind[:, 0], axis=1), out=pc_bounds[1:])
+        np.cumsum(np.count_nonzero(by_kind[:, 1], axis=1), out=mu_bounds[1:])
+        return _Waves(
+            lane=lane,
+            gen=self.gen[event],
+            first=self.first[event],
+            last=self.last[event],
+            pc=self.pos[event[is_pc]],
+            mu=self.pos[event[~is_pc]],
+            pc_lane=lane[is_pc],
+            mu_lane=lane[~is_pc],
+            bounds=pc_bounds + mu_bounds,
+            pc_bounds=pc_bounds,
+            mu_bounds=mu_bounds,
+        )
 
 
 def _advance_wave(
@@ -1508,8 +1567,8 @@ def _run_group_generic(
     strategies), batch by batch, each batch in waves.
 
     The lanes share the merged event scan and the wave schedule of the
-    shared path (:func:`_wave_schedule`, over the whole batch): wave ``w``
-    applies every lane's ``w``-th event of the batch, through the lane's
+    shared path (:class:`_BatchEvents`, the whole batch one window): wave
+    ``w`` applies every lane's ``w``-th event of the batch, through the lane's
     own evaluator, streams and population, so each lane keeps its serial
     event order and trajectory.  Sampled lanes also share the sampled-game
     kernel: a wave's PC lanes collect their plans and evaluate them as one
@@ -1643,13 +1702,11 @@ def _run_group_generic(
         batch = min(batch_size, remaining)
         if save_every > 0:
             batch = min(batch, save_every - base % save_every)
-        pc_flags, mu_flags = _draw_flags(
-            events_rngs, cfg.pc_rate, cfg.mutation_rate, batch
+        events = _BatchEvents(
+            _draw_flags(events_rngs, cfg.pc_rate, cfg.mutation_rate, batch)
         )
-        pc_gen, pc_lane = np.nonzero(pc_flags.T)
-        mu_gen, mu_lane = np.nonzero(mu_flags.T)
-        if pc_gen.shape[0] or mu_gen.shape[0]:
-            waves = _wave_schedule(pc_gen, pc_lane, mu_gen, mu_lane)
+        if events.most:
+            waves = events.waves(0, events.most)
             lanes = waves.lane.tolist()
             gens = (waves.gen + base).tolist()
             firsts = waves.first.tolist()

@@ -3,9 +3,11 @@
 At ``pc_rate=1.0`` and ``mutation_rate=0.5`` most lanes have a PC event and
 a mutation in the same generation, so the order of a lane's events within
 one generation, and the order of its hooks around them, carry the
-trajectory.  These tests hold every lane to its same-seed ``event`` run
-with snapshots and event records on, resume one such group from a mid-run
-checkpoint, and pin the total fills of two on-demand groups.
+trajectory.  A prefetch window ends after 10 of every lane's events
+there, so some generations' PC event and mutation fall in adjacent
+windows.  These tests hold every lane to its same-seed ``event`` run with
+snapshots, event records and progress ticks on, resume such groups from a
+mid-run checkpoint, and pin the total fills of two on-demand groups.
 """
 
 from __future__ import annotations
@@ -15,10 +17,10 @@ import json
 import numpy as np
 import pytest
 
-from repro.core import EvolutionConfig
+from repro.core import EvolutionConfig, progress_scope
 from repro.core.evolution import run_event_driven
 from repro.core.runstate import checkpoint_scope
-from repro.ensemble import run_ensemble, run_ensemble_detailed
+from repro.ensemble import driver, run_ensemble, run_ensemble_detailed
 
 DENSE = dict(
     n_ssets=8,
@@ -123,6 +125,92 @@ def test_dense_group_resumes_bit_identically():
         assert b.resumed_from_generation == 100
         assert_identical(b, a)
         assert (a.cache_hits, a.cache_misses) == (b.cache_hits, b.cache_misses)
+
+
+def split_generations(result, window: int, batch: int) -> int:
+    """Generations whose PC event and mutation the lane's windows split:
+    the PC event ends one window and the mutation opens the next.  Ranks
+    restart at each batch edge (every ``batch`` generations)."""
+    split = 0
+    rank = 0
+    previous = None
+    for event in result.events:
+        if previous is not None and (
+            event.generation // batch != previous.generation // batch
+        ):
+            rank = 0
+        if (
+            rank % window == 0
+            and previous is not None
+            and previous.generation == event.generation
+        ):
+            split += 1
+        previous = event
+        rank += 1
+    return split
+
+
+def ticks_by_lane(configs) -> tuple[list, list, list]:
+    """Each lane's results, metadata and tick stream of one ensemble run."""
+    ticks: list = []
+    with progress_scope(ticks.append):
+        results, metas = run_ensemble_detailed(configs)
+    streams: list[list] = [[] for _ in configs]
+    for tick in ticks:
+        streams[tick.run_index].append(tuple(tick)[1:])
+    return results, metas, streams
+
+
+class TestSplitGenerations:
+    """A lane's PC event and mutation of one generation can fall in
+    adjacent windows; its hooks still fire as in its serial run: its tick
+    and its snapshot of that generation after the mutation."""
+
+    @staticmethod
+    def configs() -> list[EvolutionConfig]:
+        # A snapshot at every generation catches one taken mid-generation.
+        return dense_configs(
+            memory_steps=2, record_every=1, checkpoint_every=100
+        )
+
+    def test_lanes_match_event_runs(self):
+        configs = self.configs()
+        assert driver._window_events(configs[0]) == 10
+        results, _, streams = ticks_by_lane(configs)
+        assert sum(split_generations(r, 10, 100) for r in results) > 0
+        for config, result, stream in zip(configs, results, streams):
+            ticks: list = []
+            with progress_scope(ticks.append):
+                serial = run_event_driven(config)
+            assert_identical(result, serial)
+            assert stream == [tuple(tick)[1:] for tick in ticks]
+
+    def test_resume_matches_uninterrupted_run(self):
+        configs = self.configs()
+        sink = MemorySink()
+        with checkpoint_scope(sink):
+            clean, clean_metas, clean_streams = ticks_by_lane(configs)
+        (unit,) = sink.saved
+        assert [g for g, _, _ in sink.saved[unit]] == [100, 200]
+        pinned = MemorySink()
+        pinned.saved[unit] = [sink.saved[unit][0]]
+        with checkpoint_scope(pinned):
+            resumed, metas, streams = ticks_by_lane(configs)
+        assert sum(split_generations(r, 10, 100) for r in resumed) > 0
+        for a, b, a_ticks, b_ticks in zip(
+            clean, resumed, clean_streams, streams
+        ):
+            assert b.resumed_from_generation == 100
+            assert_identical(b, a)
+            assert (a.cache_hits, a.cache_misses) == (
+                b.cache_hits, b.cache_misses
+            )
+            assert b_ticks == [t for t in a_ticks if t[0] >= 100]
+        engine = metas[0]["shared_engine"]
+        clean_engine = clean_metas[0]["shared_engine"]
+        assert (engine["fills"], engine["fill_calls"]) == (
+            clean_engine["fills"], clean_engine["fill_calls"]
+        )
 
 
 class TestOnDemandFills:

@@ -95,10 +95,10 @@ class TestSplitRule:
         # Past float32's exact range the cells are float64.
         wide = config.with_updates(rounds=1 << 22)
         assert driver._group_slots(wide, 64)[1] == 1536**2 * 9
-        # A window pins ~3.2 mutants per lane at the paper's rates (64
-        # generations at mu = 0.05); the pool keeps 1.5x that spare, never
-        # fewer than 512 slots.
-        assert driver._group_slots(config, 256)[0] == 4096 + 1229
+        # A window pins ~3.3 mutants per lane at the paper's rates (10 of
+        # each lane's events, a third of them mutations); the pool keeps
+        # 1.5x that spare, never fewer than 512 slots.
+        assert driver._group_slots(config, 256)[0] == 4096 + 1280
         still = config.with_updates(mutation_rate=0.0)
         assert driver._group_slots(still, 256)[0] == 4096 + 512
 
