@@ -81,6 +81,7 @@ from .vectorgame import (
     play_pairs_uniforms,
     sampled_draws_per_round,
     stack_tables,
+    walk_pairs_from,
 )
 
 __all__ = [
@@ -97,10 +98,12 @@ def is_integer_payoff(payoff: PayoffMatrix) -> bool:
     return all(float(v).is_integer() for v in payoff.vector)
 
 
-#: View states (pairs x 4**memory) one deterministic fill hands the kernel
-#: per call (:meth:`FitnessEngine._fill_rows`): about 8 MB of kernel
-#: temporaries at ~32 bytes each, a memory-6 row over 64 sids.  Longer
-#: rows split.
+#: View states one deterministic fill hands the kernel per call
+#: (:meth:`FitnessEngine._fill_rows`): ``pairs x min(rounds, 4**memory)``
+#: where the call walks its rounds, ``pairs x 4**memory`` where it squares
+#: the round map (:func:`repro.core.vectorgame.walk_pairs_from`).  About 8
+#: MB of kernel temporaries at ~32 bytes each: 1,310 walked pairs at 200
+#: rounds, or a squared memory-6 row over 64 sids.  Longer rows split.
 _FILL_ENTRIES = 1 << 18
 
 #: The prefetch window's scale: :func:`prefetch_window` gives
@@ -109,6 +112,23 @@ _PREFETCH_VIEWS = 1 << 12
 
 #: The smallest window that prefetches; smaller ones are no prefetch.
 _MIN_WINDOW = 4
+
+
+def fill_pairs_per_call(n_states: int, rounds: int) -> int:
+    """Pairs one :meth:`FitnessEngine._fill_rows` call may take: the most
+    whose kernel call, and every smaller one, stays within
+    :data:`_FILL_ENTRIES` view states on the path it takes.
+
+    A call walks from :func:`~repro.core.vectorgame.walk_pairs_from` pairs
+    up and squares the round map below.  The walk's budget holds only
+    while the largest squared call below it fits as well; otherwise calls
+    stay below the walk at the squaring's budget.
+    """
+    first_walk = walk_pairs_from(n_states, rounds)
+    walked = _FILL_ENTRIES // min(rounds, n_states)
+    if walked >= first_walk and (first_walk - 1) * n_states <= _FILL_ENTRIES:
+        return walked
+    return max(1, _FILL_ENTRIES // n_states)
 
 
 def prefetch_window(memory_steps: int) -> int:
@@ -702,14 +722,17 @@ class FitnessEngine:
     def _fill_rows(self, sids: np.ndarray, n_rows: int) -> None:
         """Fill the rows of the last ``n_rows`` of ``sids``, each sid
         against ``sids`` up to itself, in kernel calls of at most
-        :data:`_FILL_ENTRIES` view states.
+        :func:`fill_pairs_per_call` pairs: at most :data:`_FILL_ENTRIES`
+        view states of temporaries for the path each call takes,
+        ``pairs x min(rounds, 4**memory)`` walked or ``pairs x
+        4**memory`` squared.
 
         Whole rows go to the kernel together while they fit; a row longer
         than the budget (every later row is longer still) goes alone,
         split into calls of at most the budget.  The values do not depend
         on the grouping: each pair is an exact integer sum.
         """
-        budget = max(1, _FILL_ENTRIES // self.pool.n_states)  # pairs/call
+        budget = fill_pairs_per_call(self.pool.n_states, self.rounds)
         stop = sids.shape[0]
         row = stop - n_rows
         while row < stop:

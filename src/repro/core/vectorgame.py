@@ -5,7 +5,7 @@ NumPy the analogous optimisation is to advance *all* pairings one round at a
 time with fancy indexing, so the per-round work is a handful of vector ops
 instead of a Python-level loop per game.
 
-Two entry points:
+Entry points:
 
 * :func:`play_pairs` — arbitrary (a, b) pairings given as index arrays;
 * :func:`payoff_matrix` — all ordered pairs among K strategies at once,
@@ -15,10 +15,21 @@ Two entry points:
 Both are bit-for-bit equal to :func:`repro.core.game.play_game` for pure
 strategies without noise, and distributionally equal otherwise (they are
 validated against the scalar engine in the test suite).
+
+The engines run two more:
+
+* :func:`play_pairs_uniforms` — :func:`play_pairs` over pre-drawn uniforms,
+  the sampled regime's fused kernel;
+* :func:`cycle_payoffs_pairs` — exact payoffs of pure noiseless pairings,
+  the deterministic engines' fill kernel.  It walks each pairing's joint
+  view to its cycle, ``min(rounds, 4**n)`` steps a pair, or, for calls too
+  small to repay the walk's fixed cost per round, squares the pairing's
+  round map, ``4**n * log2(rounds)`` a pair (:func:`walk_pairs_from`).
 """
 
 from __future__ import annotations
 
+import sys
 from functools import lru_cache
 
 import numpy as np
@@ -226,24 +237,23 @@ def play_pairs_uniforms(
       comparison before the loop (:func:`noise_flip_codes`) yields every
       (round, game)'s 2-bit flip code; each round xors its moves into its
       codes.
-    * **A successor table per game while it pays.**  While ``4**n <=
-      2 * rounds``, each game gets its own joint successor table
-      (:func:`_walk_joint`): entry ``g * 4**n + v`` is the flat index of
-      game ``g``'s next view from view ``v`` with both moves in its low
-      two bits, so a pure round is one gather and one in-place xor of the
-      round's flip codes (two calls).  The tables hold ``n_games * 4**n``
-      entries, so past the rule their set-up costs more than the walk
-      saves, and the walk prepares each stacked row once instead
-      (:func:`_walk_rows`: a's row pre-shifted into next-view form, b's
-      read through the mirror; six calls per round, ``K * 4**n`` set-up).
-      On real calls of ~900 games and 200 rounds the joint walk is ~2.5×
-      faster at memory 2, ~1.4× at memory 4, about even at memory 5 and
-      ~1.9× slower at memory 6; the constant 2 is where the two cross at
-      memory 3–5 over 8–800 rounds.  The joint walk gathers with a plain
-      ``take``: ``np.take(..., out=)`` buffers in raise mode and ran ~1.7×
-      slower per round.  It widens the flip codes to intp 32 rounds at a
-      time, because xor-ing uint8 into intp cost ~1.8× an intp-by-intp
-      xor.
+    * **A successor table per game while it pays.**  From
+      :data:`_JOINT_WALK_FROM_ROUNDS` rounds on, each game gets its own
+      joint successor table (:func:`_walk_joint`): entry ``g * 4**n + v``
+      is the flat index of game ``g``'s next view from view ``v`` with
+      both moves in its low two bits, so a pure round is one gather and
+      one in-place xor of the round's flip codes (two calls).  The tables
+      hold ``n_games * 4**n`` entries, so in shorter games their set-up
+      costs more than the walk saves, and the walk prepares each stacked
+      row once instead (:func:`_walk_rows`: a's row pre-shifted into
+      next-view form, b's read through the mirror; six calls per round,
+      ``K * 4**n`` set-up).  On real calls of ~900 games and 200 rounds
+      the joint walk is ~2.5× faster at memory 2, ~1.4× at memory 4,
+      about even at memory 5 and ~1.9× slower at memory 6.  The joint
+      walk gathers with a plain ``take``: ``np.take(..., out=)`` buffers
+      in raise mode and ran ~1.7× slower per round.  It widens the flip
+      codes to intp 32 rounds at a time, because xor-ing uint8 into intp
+      cost ~1.8× an intp-by-intp xor.
     * **Payoffs after the loop.**  The joint code of every round is kept
       in a ``(rounds, n_games)`` array, and each side's payoffs are
       gathered from it.  Integer payoffs with ``rounds * max|payoff| <
@@ -289,7 +299,8 @@ def play_pairs_uniforms(
         codes = _walk_mixed(tables, a_idx, b_idx, uniforms, noise, draws)
     else:
         codes = uniforms if flip_codes else noise_flip_codes(uniforms, noise)
-        if n_states <= _JOINT_WALK_VIEWS_PER_ROUND * rounds:
+        memory = (n_states.bit_length() - 1) // 2
+        if rounds >= _JOINT_WALK_FROM_ROUNDS.get(memory, sys.maxsize):
             _walk_joint(tables, a_idx, b_idx, codes)
         else:
             _walk_rows(tables, a_idx, b_idx, codes)
@@ -308,10 +319,17 @@ def play_pairs_uniforms(
     )
 
 
-#: The pure walk gives each game its own successor table while a game's
-#: ``4**n`` views number at most this many per round played (see
-#: :func:`play_pairs_uniforms`).
-_JOINT_WALK_VIEWS_PER_ROUND = 2
+#: Rounds from which the pure walk gives each game its own successor
+#: table (:func:`play_pairs_uniforms`), by memory; memory 6 never does.
+#: On captured 64-lane calls (550-820 games; 16 stacked rows at memory 1,
+#: ~800 above) the two walks ran about even at 8 rounds at memory 1-2
+#: (0.12 ms; the rows 1.8x faster at 2 rounds at memory 1) and at 16 at
+#: memory 3, and the joint walk faster from 16, 12 and 32 rounds.  It ran
+#: faster from 128 rounds at memory 4 (1.5 against 2.0 ms), from 1,024 at
+#: memory 5 (10.5 against 12.5 ms; 8.2 against 6.9 at 512), and at memory
+#: 6 slower at every count of 128-4,096 rounds (70.7 against 53.4 ms at
+#: 4,096).
+_JOINT_WALK_FROM_ROUNDS = {1: 8, 2: 8, 3: 32, 4: 128, 5: 1024}
 
 #: Rounds per chunk: the joint walk widens its flip codes, and the payoff
 #: sums gather, this many rounds at a time, which bounds their 8-byte
@@ -499,13 +517,26 @@ def cycle_payoffs_pairs(
     The batched counterpart of :func:`repro.core.cycle.exact_payoffs`: each
     pairing's joint history is a deterministic walk over the ``4**n`` view
     states (the opponent's view is the bit-swapped mirror), so one round is
-    a fixed *round map* ``view -> next view`` with a fixed per-state payoff.
-    Instead of simulating round by round, the map is raised to the
-    ``rounds``-th power by **exponentiation by squaring** — each doubling
-    composes the map with itself and adds the payoff-sum tables — so the
-    cost is ``O(n_pairs * 4**n * log2(rounds))`` regardless of cycle
-    structure.  A 200-round (or 200-million-round) game costs ~8 doublings
-    of tiny arrays.
+    a fixed *round map* ``view -> next view`` with a fixed per-state payoff,
+    and every game enters a cycle within ``4**n`` rounds.  Two paths
+    evaluate it:
+
+    * **Squaring the round map** — the map is raised to the ``rounds``-th
+      power by exponentiation by squaring: each doubling composes the map
+      with itself and adds the payoff-sum tables.  A pair costs ``4**n *
+      log2(rounds)``, whatever its cycle: cheap at small memories and few
+      pairs, where the walk's fixed cost per round dominates.
+    * **Walking to the cycle** (``compact_sums`` only,
+      :func:`_walk_packed`) — every pair steps its view for ``min(rounds,
+      4**n)`` rounds, gathering both moves straight from ``tables``, and
+      past ``4**n`` rounds closes its cycle: the prefix, whole cycles and
+      a remainder.  A pair costs ``min(rounds, 4**n)`` steps: at memory 6
+      and 200 rounds that is 200 steps, where squaring composes 4,096
+      views about 8 times.
+
+    :func:`walk_pairs_from` picks the packed path from the pair count,
+    ``4**n`` and ``rounds`` (a cost rule measured on both paths); the
+    float64 path always squares.
 
     ``tables`` is a stacked ``(K, 4**n)`` uint8 array (one row per pure
     strategy); ``a_idx``/``b_idx`` index rows.  Returns ``(pay_a, pay_b)``
@@ -519,19 +550,19 @@ def cycle_payoffs_pairs(
     :class:`repro.core.engine.FitnessEngine`, which is why that engine
     requires integer payoffs.
 
-    ``compact_sums`` packs both sides' block sums into one int64 per view,
-    ``(pay_a << 32) + pay_b``, so each doubling (and each step of the
-    walk) is one gather and one add instead of two of each — the kernel is
-    gather-bound, and this is the engines' fill path.  The packing is
-    exact while both sides' sums stay within ±2**31: adding packed values
-    adds the high and low halves separately, the low half's sign borrows
-    from the high half, and decoding ``b = ((t + 2**31) & 0xFFFFFFFF) -
-    2**31``, ``a = (t - b) >> 32`` recovers both.  The path therefore
-    requires an integer-valued payoff matrix with ``rounds * max|payoff| <
-    2**24`` — every partial sum is bounded by the total — and raises
+    ``compact_sums`` packs both sides' sums into one int64,
+    ``(pay_a << 32) + pay_b``, so each doubling and each walked round adds
+    one gathered value instead of two — the kernel is gather-bound, and
+    this is the engines' fill path.  The packing is exact while both
+    sides' sums stay within ±2**31: adding packed values adds the high
+    and low halves separately, the low half's sign borrows from the high
+    half, and decoding ``b = ((t + 2**31) & 0xFFFFFFFF) - 2**31``, ``a =
+    (t - b) >> 32`` recovers both.  The path therefore requires an
+    integer-valued payoff matrix with ``rounds * max|payoff| < 2**24`` —
+    every partial sum is bounded by the total — and raises
     :class:`~repro.errors.ConfigurationError` otherwise instead of
-    truncating.  The returned totals are float64 and bit-identical to the
-    default float64 path.
+    truncating.  Both packed paths sum exact integers, so their float64
+    totals are bit-identical to each other and to the float64 path.
     """
     if tables.dtype != np.uint8:
         raise StrategyError(
@@ -557,50 +588,11 @@ def cycle_payoffs_pairs(
                 f"max|payoff| < 2**24, got rounds={rounds} and payoff "
                 f"{vec.tolist()}"
             )
+        if n_pairs >= walk_pairs_from(n_states, rounds):
+            return _walk_packed(tables, a_idx, b_idx, rounds, packed_vec)
+        return _double_packed(tables, a_idx, b_idx, rounds, packed_vec)
 
-    # One-round tables, per pairing and view state, built flat: the joint
-    # move code played from view v, the successor view, and both sides'
-    # round payoffs.  The successor is stored as a flat index into these
-    # (L * S) arrays (row offset baked in), so every composition below is
-    # one ``take``.  At fill sizes (~11 pairs per engine intern) the cost
-    # is NumPy call overhead, not arithmetic: the set-up gathers with
-    # ``take`` (a 2-D fancy index costs twice as much), builds the code in
-    # uint8 and adds in place.
-    code = tables.take(a_idx, axis=0)  # (L, S): 2 * move_a + move_b
-    code <<= 1
-    code |= tables.take(b_idx, axis=0).take(_mirror_row(n_states), axis=1)
-    code = code.ravel()
-    view = np.arange(0, n_pairs * n_states, n_states)  # all-C starts
-    # (v << 2) & mask leaves the low two bits free, so or-ing the code in
-    # is adding it.
-    step = np.add(view[:, None], _successor_shift(n_states)).ravel()
-    step += code
-
-    if compact_sums:
-        # Both sides' payoff sums over the current 2**k-round block in one
-        # int64 per view (see the docstring).
-        packed = packed_vec.take(code)
-        total = None
-        remaining = rounds
-        while True:
-            if remaining & 1:
-                if total is None:
-                    total = packed.take(view)
-                else:
-                    total += packed.take(view)
-                view = step.take(view)
-            remaining >>= 1
-            if not remaining:
-                break
-            packed += packed.take(step)
-            step = step.take(step)
-        # b is the low half sign-extended, a = (t - b) >> 32.
-        low = total << 32
-        low >>= 32
-        total -= low
-        total >>= 32
-        return total.astype(np.float64), low.astype(np.float64)
-
+    code, view, step = _round_map(tables, a_idx, b_idx)
     sum_a = vec.take(code)  # payoff sums over the current 2**k-round block
     sum_b = vec[_SWAP_CODE].take(code)
     total_a = np.zeros(n_pairs, dtype=np.float64)
@@ -621,6 +613,193 @@ def cycle_payoffs_pairs(
         sum_b += sum_b.take(step)
         step = step.take(step)
     return total_a, total_b
+
+
+def _round_map(
+    tables: np.ndarray, a_idx: np.ndarray, b_idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The doubling's one-round tables, per pairing and view state, flat.
+
+    Returns ``(code, view, step)``: the joint move code played from each
+    view, every pairing's all-C start, and the successor view.  The
+    successor is a flat index into these ``(L * S)`` arrays (row offset
+    baked in), so every composition is one ``take``.  At small fills (~11
+    pairs per engine intern) the cost is NumPy call overhead, not
+    arithmetic: the set-up gathers with ``take`` (a 2-D fancy index costs
+    twice as much), builds the code in uint8 and adds in place.
+    """
+    n_states = tables.shape[1]
+    code = tables.take(a_idx, axis=0)  # (L, S): 2 * move_a + move_b
+    code <<= 1
+    code |= tables.take(b_idx, axis=0).take(_mirror_row(n_states), axis=1)
+    code = code.ravel()
+    view = np.arange(0, a_idx.shape[0] * n_states, n_states)  # all-C starts
+    # (v << 2) & mask leaves the low two bits free, so or-ing the code in
+    # is adding it.
+    step = np.add(view[:, None], _successor_shift(n_states)).ravel()
+    step += code
+    return code, view, step
+
+
+def _unpack_totals(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both sides' float64 totals from packed int64 ones (consumes
+    ``total``): b is the low half sign-extended, a = (t - b) >> 32."""
+    low = total << 32
+    low >>= 32
+    total -= low
+    total >>= 32
+    return total.astype(np.float64), low.astype(np.float64)
+
+
+def _double_packed(
+    tables: np.ndarray,
+    a_idx: np.ndarray,
+    b_idx: np.ndarray,
+    rounds: int,
+    packed_vec: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The packed path by squaring each pairing's round map.
+
+    Both sides' payoff sums over the current ``2**k``-round block ride in
+    one int64 per view (see :func:`cycle_payoffs_pairs`); temporaries are
+    a few ``(L, 4**n)`` arrays.
+    """
+    code, view, step = _round_map(tables, a_idx, b_idx)
+    packed = packed_vec.take(code)
+    total = None
+    remaining = rounds
+    while True:
+        if remaining & 1:
+            if total is None:
+                total = packed.take(view)
+            else:
+                total += packed.take(view)
+            view = step.take(view)
+        remaining >>= 1
+        if not remaining:
+            break
+        packed += packed.take(step)
+        step = step.take(step)
+    return _unpack_totals(total)
+
+
+@lru_cache(maxsize=32)
+def _packed_view_payoffs(packed_vec: bytes, n_states: int) -> np.ndarray:
+    """Entry ``v``: the packed payoff of the round that ended in view
+    ``v`` (its low two bits are the round's joint code); cached,
+    read-only, keyed on the packed vector's bytes."""
+    per_code = np.frombuffer(packed_vec, dtype=np.int64)
+    per_view = np.tile(per_code, n_states // 4)
+    per_view.flags.writeable = False
+    return per_view
+
+
+def _walk_packed(
+    tables: np.ndarray,
+    a_idx: np.ndarray,
+    b_idx: np.ndarray,
+    rounds: int,
+    packed_vec: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The packed path by walking each pairing's joint view to its cycle.
+
+    Every pairing steps a's view from all-C for ``min(rounds, 4**n)``
+    rounds, reading a's move from its stacked row and b's from its row at
+    the mirrored view, straight from ``tables`` (nothing of the pool is
+    copied).  Temporaries are the ``(min(rounds, 4**n) + 1, L)`` views
+    walked, which then turn in place into the rounds' packed payoffs.
+
+    Past ``4**n`` rounds the last view lies on the pairing's cycle: the
+    walk has visited ``4**n + 1`` views of ``4**n`` states, so it entered
+    its cycle by step ``4**n - c`` for a cycle of ``c`` views.  The last
+    earlier step ``j`` at that view closes the cycle, ``c = 4**n - j``,
+    and the game is the prefix, ``q`` whole cycles and the first ``r``
+    rounds of one more, ``q, r = divmod(rounds - 4**n, c)``.  Every term
+    is an exact int64 sum, so the totals are the doubling's bits.
+    """
+    n_states = tables.shape[1]
+    n_pairs = a_idx.shape[0]
+    flat = tables.ravel()
+    a_at = a_idx * n_states
+    b_at = b_idx * n_states
+    mirror = _mirror_row(n_states)
+    shift = _successor_shift(n_states)
+    steps = min(rounds, n_states)
+    views = np.empty((steps + 1, n_pairs), dtype=np.intp)
+    views[0] = 0  # all-C
+    for k in range(steps):
+        view = views[k]
+        code = flat.take(a_at + view)
+        code <<= 1
+        at_b = mirror.take(view)
+        at_b += b_at
+        code |= flat.take(at_b)
+        # "wrap" skips the copy "raise" mode makes of an ``out=`` array;
+        # every view is in range.
+        after = shift.take(view, out=views[k + 1], mode="wrap")
+        after |= code
+    # From here the views turn in place into the packed payoff of the
+    # round that ended in each (``take`` reads each index before writing
+    # its slot).  A second array of their size alive beside them cost
+    # ~200 µs of fresh pages per call on 2,500-pair memory-2 calls.
+    per_view = _packed_view_payoffs(packed_vec.tobytes(), n_states)
+    if rounds <= n_states:
+        played = views[1:]
+        per_view.take(played, out=played, mode="wrap")
+        return _unpack_totals(played.sum(axis=0))
+
+    # The last earlier step at the final view: the largest matching step
+    # index, in the smallest integer type that holds one (a max down a
+    # narrow array is several times cheaper than an argmax).
+    step_no = np.arange(steps, dtype=np.min_scalar_type(steps))[:, None]
+    last = np.multiply(views[:steps] == views[steps], step_no).max(axis=0)
+    last = last.astype(np.intp)
+    # sums[k]: the packed sum of rounds 0 .. k - 1, a running sum row by
+    # row (``np.cumsum`` down axis 0 ran ~5x slower).
+    sums = per_view.take(views, out=views, mode="wrap")
+    sums[0] = 0
+    for k in range(2, steps + 1):
+        sums[k] += sums[k - 1]
+    cycles, rest = np.divmod(rounds - steps, steps - last)
+    flat_sums = sums.ravel()
+    column = np.arange(n_pairs)
+    before = flat_sums.take(last * n_pairs + column)
+    total = sums[steps] - before  # one whole cycle
+    total *= cycles
+    total += sums[steps]
+    total += flat_sums.take((last + rest) * n_pairs + column)
+    total -= before
+    return _unpack_totals(total)
+
+
+#: The packed path's cost rule (:func:`walk_pairs_from`), fit to both
+#: paths' times over memory 1-6, 4-8,192 pairs and 1-1,000 rounds and
+#: checked on captured engine calls.  Per pair, a walked round costs one
+#: unit and a doubling ``_DOUBLING_VIEW_SHARE`` units per view; a walked
+#: round also costs a fixed ``_WALK_ROUND_PAIRS`` units (its nine NumPy
+#: calls).
+_WALK_ROUND_PAIRS = 800
+_DOUBLING_VIEW_SHARE = 0.35
+
+
+@lru_cache(maxsize=64)
+def walk_pairs_from(n_states: int, rounds: int) -> int:
+    """Fewest pairs for which :func:`cycle_payoffs_pairs`' packed path
+    walks the rounds (:func:`_walk_packed`) rather than squaring the round
+    map (:func:`_double_packed`).
+
+    The walk costs ``min(rounds, 4**n) * (_WALK_ROUND_PAIRS + n_pairs)``
+    and the doubling ``_DOUBLING_VIEW_SHARE * n_pairs * 4**n *
+    rounds.bit_length()``; the walk runs from the pair count where it is
+    the cheaper, or never when it costs more per pair.  At 200 rounds
+    that is 445 pairs at memory 1-3, 310 at memory 4, 60 at memory 5 and
+    15 at memory 6.
+    """
+    steps = min(rounds, n_states)
+    saved = _DOUBLING_VIEW_SHARE * n_states * rounds.bit_length() - steps
+    if saved <= 0:
+        return sys.maxsize
+    return int(_WALK_ROUND_PAIRS * steps // saved) + 1
 
 
 def payoff_matrix(

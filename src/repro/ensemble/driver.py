@@ -984,6 +984,10 @@ def _run_group_shared(
     def counts(r: int) -> tuple[int, int, int]:
         return int(n_pc[r]), int(n_adopt[r]), int(n_mut[r])
 
+    # Only hooks and event records read the waves' lanes, generations and
+    # first/last marks, event by event.
+    marks = pre_hooks or post_hooks or record_events
+
     if sampled is not None:
         batch_size = _capped_batch_size(batch_size, n_lanes, cfg)
         window = 0
@@ -1039,7 +1043,7 @@ def _run_group_shared(
         # busiest lane has events.  A batch without events has no window.
         span = window or max(events.most, 1)
         for lo in range(0, events.most, span):
-            waves = events.waves(lo, min(lo + span, events.most))
+            waves = events.waves(lo, min(lo + span, events.most), marks)
 
             # The ensemble's initial populations intern thousands of
             # mostly-distinct random strategies; once selection has thinned
@@ -1075,10 +1079,11 @@ def _run_group_shared(
             w_uniforms = pc_uniforms[waves.pc]
             w_mu_lanes = waves.mu_lane
             w_targets = mu_targets[waves.mu]
-            lanes = waves.lane.tolist()
-            gens = (waves.gen + base).tolist()
-            firsts = waves.first.tolist()
-            lasts = waves.last.tolist()
+            if marks:
+                lanes = waves.lane.tolist()
+                gens = (waves.gen + base).tolist()
+                firsts = waves.first.tolist()
+                lasts = waves.last.tolist()
             if record_events:
                 rec_teachers = w_teachers.tolist()
                 rec_learners = w_learners.tolist()
@@ -1344,9 +1349,9 @@ class _Waves(NamedTuple):
     """
 
     lane: np.ndarray
-    gen: np.ndarray
-    first: np.ndarray
-    last: np.ndarray
+    gen: np.ndarray | None
+    first: np.ndarray | None
+    last: np.ndarray | None
     pc: np.ndarray
     mu: np.ndarray
     pc_lane: np.ndarray
@@ -1392,10 +1397,12 @@ class _BatchEvents:
         self.start = np.cumsum(self.count) - self.count
         self.most = int(self.count.max(initial=0))
 
-    def waves(self, lo: int, hi: int) -> _Waves:
+    def waves(self, lo: int, hi: int, marks: bool = True) -> _Waves:
         """Every lane's events of ranks ``lo .. hi`` (``hi <=``
         :attr:`most`) as waves: wave ``w`` holds each lane's event of rank
-        ``lo + w``."""
+        ``lo + w``.  Without ``marks`` the events' ``gen``, ``first`` and
+        ``last`` are not gathered (``None``): only hooks and event records
+        read them."""
         rank = np.arange(lo, hi)[:, None]
         at = self.start + rank
         valid = rank < self.count
@@ -1410,9 +1417,9 @@ class _BatchEvents:
         np.cumsum(np.count_nonzero(by_kind[:, 1], axis=1), out=mu_bounds[1:])
         return _Waves(
             lane=lane,
-            gen=self.gen[event],
-            first=self.first[event],
-            last=self.last[event],
+            gen=self.gen[event] if marks else None,
+            first=self.first[event] if marks else None,
+            last=self.last[event] if marks else None,
             pc=self.pos[event[is_pc]],
             mu=self.pos[event[~is_pc]],
             pc_lane=lane[is_pc],

@@ -67,8 +67,9 @@ from ..errors import ConfigurationError, SimulationError, StrategyError
 
 __all__ = ["EnsembleEngine", "supports_shared_engine"]
 
-#: Pairs per cycle_payoffs_pairs call — bounds the kernel's (L, 4**n)
-#: scratch arrays during the big early-coverage fills.
+#: Pairs per cycle_payoffs_pairs call — bounds the kernel's scratch
+#: arrays during the big early-coverage fills: (min(rounds, 4**n), L)
+#: where the call walks its rounds, (L, 4**n) where it squares the map.
 _MAX_FILL_CHUNK = 1 << 15
 _NO_SIDS = np.zeros(0, dtype=np.int64)
 

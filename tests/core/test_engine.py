@@ -441,13 +441,17 @@ class TestPopulationEngineSync:
 
     def test_bulk_fill_stays_under_the_entry_budget(self, monkeypatch):
         """A deep-memory start never hands the kernel more than
-        ``_FILL_ENTRIES`` view states per call (each call's temporaries
-        scale with pairs x 4**memory), and still fills what one-at-a-time
-        interning does."""
+        ``_FILL_ENTRIES`` view states per call, counted on the path each
+        call takes (its temporaries scale with pairs x min(rounds,
+        4**memory) walked, pairs x 4**memory squared), and still fills
+        what one-at-a-time interning does.  Walked calls take more pairs
+        than a squared call may."""
         from repro.core.engine import _FILL_ENTRIES
+        from repro.core.vectorgame import walk_pairs_from
 
+        rounds = 300
         rng = np.random.default_rng(5)
-        config = EvolutionConfig(memory_steps=5, n_ssets=72, rounds=5)
+        config = EvolutionConfig(memory_steps=5, n_ssets=72, rounds=rounds)
         strategies = [random_pure(rng, 5) for _ in range(72)]
         single = make_engine(config)
         for strategy in strategies:
@@ -457,7 +461,11 @@ class TestPopulationEngineSync:
         bulk.intern_all(strategies)
         assert len(bulk.pool) == 72
         assert len(calls) > 1
-        assert max(calls) * 4**5 <= _FILL_ENTRIES
+        first_walk = walk_pairs_from(4**5, rounds)
+        for pairs in calls:
+            views = min(rounds, 4**5) if pairs >= first_walk else 4**5
+            assert pairs * views <= _FILL_ENTRIES
+        assert max(calls) * 4**5 > _FILL_ENTRIES
         assert sum(calls) == 72 * 73 // 2
         self.assert_same_fill(bulk, single)
 

@@ -334,10 +334,18 @@ class TestVectorEngine:
             )
 
 
-def _joint_edge(memory: int) -> int:
+#: Fewest rounds at which the pure walk gives each game its own successor
+#: table, by memory: where the two walks crossed on captured calls
+#: (``4**n <= 2 * rounds`` at memory 2-4, ``4**n <= rounds`` at memory 5),
+#: and never at memory 6, where the tables ran slower than the prepared
+#: rows at every game length measured.
+JOINT_FROM_ROUNDS = {1: 8, 2: 8, 3: 32, 4: 128, 5: 1024, 6: None}
+
+
+def _joint_edge(memory: int) -> int | None:
     """Fewest rounds at which the pure walk gives each game its own
-    successor table: ``4**n <= 2 * rounds``."""
-    return -(-(4**memory) // 2)
+    successor table (``None``: never)."""
+    return JOINT_FROM_ROUNDS[memory]
 
 
 def _whole(lo: int, hi: int):
@@ -427,8 +435,9 @@ class TestSampledKernelWalks:
     def test_kernel_matches_round_loop(
         self, memory, seed, layout, n_games, kind, b_totals, data
     ):
-        # Rounds on both sides of the walk rule and at the chunk edges.
-        edge = _joint_edge(memory)
+        # Rounds on both sides of the walk rule and at the chunk edges
+        # (memory 6 has no edge; 2,048 rounds stands in for one).
+        edge = _joint_edge(memory) or 2048
         rounds = data.draw(
             st.one_of(
                 st.integers(1, 250),
@@ -494,8 +503,8 @@ class TestSampledKernelWalks:
 
     @pytest.mark.parametrize("memory", range(1, 7))
     def test_walk_rule_edge(self, memory, monkeypatch):
-        # Per-game tables from the first round count with 4**n <= 2 *
-        # rounds on, the prepared rows below it; both give the round
+        # Per-game tables from the pinned round count on, the prepared
+        # rows below it (and always at memory 6); both give the round
         # loop's bits.
         ran = _spy(monkeypatch, ("_walk_joint", "_walk_rows"))
         rng = make_rng(memory)
@@ -504,7 +513,12 @@ class TestSampledKernelWalks:
         a_idx = rng.integers(0, 3, size=12)
         b_idx = rng.integers(0, 3, size=12)
         edge = _joint_edge(memory)
-        for rounds, walk in ((edge, "_walk_joint"), (edge - 1, "_walk_rows")):
+        cases = (
+            ((edge, "_walk_joint"), (edge - 1, "_walk_rows"))
+            if edge
+            else ((2048, "_walk_rows"), (4096, "_walk_rows"))
+        )
+        for rounds, walk in cases:
             if rounds < 1:
                 continue
             ran.clear()
@@ -519,6 +533,25 @@ class TestSampledKernelWalks:
             )
             assert ran == [walk]
             assert _same_bits(pay_a, ref_a) and _same_bits(pay_b, ref_b)
+
+    @pytest.mark.parametrize("memory", range(1, 7))
+    def test_walk_taken_by_memory_and_rounds(self, memory, monkeypatch):
+        # Which pure walk each (memory, rounds) pair takes.
+        ran = _spy(monkeypatch, ("_walk_joint", "_walk_rows"))
+        rng = make_rng(memory)
+        tables, _, _ = stack_tables(
+            [random_pure(rng, memory) for _ in range(3)]
+        )
+        a_idx, b_idx = np.array([0, 1, 2]), np.array([1, 2, 2])
+        edge = _joint_edge(memory)
+        for rounds in (1, 2, 7, 8, 31, 32, 127, 128, 1023, 1024, 2048, 4096):
+            ran.clear()
+            flips = noise_flip_codes(rng.random((rounds, 2, 3)), 0.1)
+            play_pairs_uniforms(
+                tables, a_idx, b_idx, rounds, PayoffMatrix(), 0.1, flips
+            )
+            joint = edge is not None and rounds >= edge
+            assert ran == ["_walk_joint" if joint else "_walk_rows"], rounds
 
     @pytest.mark.parametrize(
         "top, rounds, totals",

@@ -359,31 +359,41 @@ class TestRowSplit:
         assert_covered(split, 30)
         split.unpin(pins)
 
+    @staticmethod
+    def intern_peak(rounds):
+        """Peak traced bytes of one memory-6 intern against 128 live
+        strategies (the pool grows to 256 slots on the way, ~1.6 MB)."""
+        rng = np.random.default_rng(0)
+        engine = FitnessEngine(memory_steps=6, rounds=rounds)
+        # Only the measured row is filled: the live strategies enter the
+        # pool without their own rows.
+        for _ in range(128):
+            engine.pool.acquire(random_pure(rng, 6))
+        engine._sync_capacity()
+        mutant = random_pure(rng, 6)
+        tracemalloc.start()
+        try:
+            engine.intern(mutant)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_one_intern_is_bounded(self, monkeypatch):
-        """One memory-6 intern against 128 live strategies keeps its
-        kernel temporaries within a fixed multiple of the budget; handed
-        the kernel whole, the same row peaks above it."""
+        """Where a memory-6 row squares its round map (4,096 rounds: the
+        row's 129 pairs are too few to walk), the intern keeps its kernel
+        temporaries within a fixed multiple of the budget; handed the
+        kernel whole, the same row peaks above it."""
         bound = 40 * engine_module._FILL_ENTRIES  # bytes
-
-        def peak():
-            rng = np.random.default_rng(0)
-            engine = FitnessEngine(memory_steps=6, rounds=4)
-            # Only the measured row is filled: the live strategies enter
-            # the pool without their own rows.
-            for _ in range(128):
-                engine.pool.acquire(random_pure(rng, 6))
-            engine._sync_capacity()
-            mutant = random_pure(rng, 6)
-            tracemalloc.start()
-            try:
-                engine.intern(mutant)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak() <= bound
+        assert self.intern_peak(4096) <= bound
         monkeypatch.setattr(engine_module, "_FILL_ENTRIES", 1 << 30)
-        assert peak() > bound
+        assert self.intern_peak(4096) > bound
+
+    def test_walked_intern_peak(self):
+        """At 200 rounds the same intern walks its 129 pairs: a (201,
+        129) array of views instead of (129, 4,096) round maps.  It
+        peaked at 1.8 MB, the pool's growth included; squared in calls
+        of the budget it peaked at 8.1 MB."""
+        assert self.intern_peak(200) <= 3_000_000
 
 
 # -- the event driver ------------------------------------------------------

@@ -82,6 +82,35 @@ class TestCheapModelExperiments:
     def test_fig5_smoke(self):
         result = get("fig5").run(Scale.SMOKE)
         assert set(result.data["compute"]) == {1, 2, 3, 4, 5, 6}
+        assert result.data["measured"] == {}
+
+    def test_fig5_full_times_each_memory(self, monkeypatch):
+        # FULL times a real run of every memory beside the model's bar;
+        # here on 8 SSets for 2 generations (the paper's shape takes
+        # seconds to minutes a memory), and without the DES replay.
+        from types import SimpleNamespace
+
+        from repro.experiments import memory_steps
+
+        run = memory_steps.run_event_driven
+        ran = []
+
+        def small_run(config):
+            ran.append(config.memory_steps)
+            return run(config.with_updates(n_ssets=8, generations=2))
+
+        monkeypatch.setattr(memory_steps, "run_event_driven", small_run)
+        monkeypatch.setattr(
+            memory_steps,
+            "run_parallel_simulation",
+            lambda config, parallel: SimpleNamespace(makespan=1.0),
+        )
+        result = get("fig5").run(Scale.FULL)
+        assert ran == [1, 2, 3, 4, 5, 6]
+        measured = result.data["measured"]
+        assert set(measured) == {1, 2, 3, 4, 5, 6}
+        assert all(seconds > 0 for seconds in measured.values())
+        assert "measured run (s)" in result.rendered
 
     def test_fig6a_smoke(self):
         result = get("fig6a").run(Scale.SMOKE)
